@@ -14,6 +14,9 @@ oracle checks rather than assumes:
   variance transverse to its axis.
 
 Their product is the factor 4/3 in the amplitude constants below.
+
+The closed forms broadcast: diameter, areal density and number density may
+be numpy arrays, validated element by element.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import GAMMA_E, HBAR, MU0_OVER_4PI, OMEGA_0
 from .core_relax import NoiseSource, rate_contribution
-from .errors import FitError, NoSolutionError, ParameterError
+from .errors import FitError, NoSolutionError, ParameterError, nonnegative, positive, require
 
 # Orientation-averaged variance factor of a single dipole (see module
 # docstring) and the transverse fraction for a randomly oriented sensor.
@@ -57,17 +59,16 @@ class ParticleGeometry:
     """Spherical particle hosting the sensor.
 
     sensor_depth_offset displaces the sensor from the center along a fixed
-    axis; 0 means exactly centered.
+    axis; 0 means exactly centered.  diameter may be a numpy array.
     """
 
     diameter: float
     sensor_depth_offset: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.diameter) and self.diameter > 0.0):
-            raise ParameterError(f"diameter must be positive, got {self.diameter!r}")
-        if abs(self.sensor_depth_offset) >= self.diameter / 2.0:
-            raise ParameterError("sensor offset must stay inside the particle")
+        require(positive(self.diameter), "diameter must be positive, got {!r}", self.diameter)
+        require(abs(self.sensor_depth_offset) < self.diameter / 2.0,
+                "sensor offset must stay inside the particle")
 
     @property
     def radius(self) -> float:
@@ -83,8 +84,8 @@ class SurfaceBath:
     gamma: float = GAMMA_E
 
     def __post_init__(self):
-        if not (math.isfinite(self.areal_density) and self.areal_density >= 0.0):
-            raise ParameterError(f"areal density must be >= 0, got {self.areal_density!r}")
+        require(nonnegative(self.areal_density),
+                "areal density must be >= 0, got {!r}", self.areal_density)
         _check_spin(self.spin_quantum_number)
         if self.gamma == 0.0 or not math.isfinite(self.gamma):
             raise ParameterError("gamma must be finite and nonzero")
@@ -104,8 +105,8 @@ class VolumeBath:
     standoff: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.number_density) and self.number_density >= 0.0):
-            raise ParameterError(f"number density must be >= 0, got {self.number_density!r}")
+        require(nonnegative(self.number_density),
+                "number density must be >= 0, got {!r}", self.number_density)
         _check_spin(self.spin_quantum_number)
         if self.gamma == 0.0 or not math.isfinite(self.gamma):
             raise ParameterError("gamma must be finite and nonzero")
@@ -131,7 +132,7 @@ def volume_amplitude(bath: VolumeBath) -> float:
         * _GEOM * (4.0 * math.pi / 3.0)
 
 
-def b_perp_sq_surface(g: ParticleGeometry, bath: SurfaceBath) -> float:
+def b_perp_sq_surface(g: ParticleGeometry, bath: SurfaceBath):
     """Mean-square transverse field from the surface bath, T^2.
 
     Integrating the single-spin variance 2 (mu0/4pi)^2 mu^2 / r0^6 times the
@@ -142,7 +143,7 @@ def b_perp_sq_surface(g: ParticleGeometry, bath: SurfaceBath) -> float:
     return surface_amplitude(bath) * bath.areal_density / g.radius**4
 
 
-def b_perp_sq_volume(g: ParticleGeometry, bath: VolumeBath) -> float:
+def b_perp_sq_volume(g: ParticleGeometry, bath: VolumeBath):
     """Mean-square transverse field from the exterior molecular bath, T^2.
 
     The exterior integral of r^-6 from r_min = r0 + standoff outward gives
@@ -302,6 +303,8 @@ def effective_gd_density_fit(t1_points, predict_inverse_t1) -> float:
         raise ParameterError("measured t1 values must be positive")
     if len({n for n, _ in pts}) == 1:
         raise FitError("all prepared densities are equal; scale is unidentifiable")
+
+    from scipy.optimize import least_squares  # scipy stays off the forward-model import path
 
     dens = np.array([n for n, _ in pts])
     rates = np.array([1.0 / t1 for _, t1 in pts])

@@ -15,12 +15,18 @@ failure (singular point or non-converged fit), 3 failed oracle check.
 Every file-producing verb writes a JSON manifest beside its outputs.
 Timestamps live only in manifests, so the data files of reruns with the
 same config and seed are byte-identical.
+
+``sweep`` and ``sensitivity`` evaluate their whole grid in one array pass.
+Only ``simulate``, ``fit`` and ``oracle`` load scipy; they import
+measure_sim and validation when they run, so start-up of the other verbs
+stays at numpy's cost.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,16 +36,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ParameterError
-from .measure_sim import (
-    failed_fit,
-    fit_exponential,
-    gaussian_summary,
-    read_curve,
-    separation_scores,
-    simulate_curve,
-    write_curve,
-    write_fit_json,
-)
 from .scenario import (
     config_hash,
     density_sensitivity_curve,
@@ -50,7 +46,6 @@ from .scenario import (
     with_seed,
 )
 from .sensitivity import write_sensitivity_curve
-from .validation import format_report, run_oracles
 
 SWEEP_AXES = ("gd_density", "water_fraction", "diameter")
 ORACLE_NAMES = ("bath_mc", "sensitivity", "quadrature", "all")
@@ -67,9 +62,10 @@ class _Parser(argparse.ArgumentParser):
 class RunManifest:
     """Audit record for one file-producing command.
 
-    configs holds (path, sha256-of-canonical-serialization, seed) per input
-    config; outputs lists every data file the command wrote, relative to
-    the manifest's own directory.
+    configs holds one dict per input config: path, sha256 of the canonical
+    serialization, seed, and for simulate the condition index that selects
+    its random stream; outputs lists every data file the command wrote,
+    relative to the manifest's own directory.
     """
 
     command: str
@@ -83,8 +79,7 @@ class RunManifest:
             "command": self.command,
             "version": self.version,
             "created_utc": self.created_utc,
-            "configs": [{"path": p, "sha256": h, "seed": s}
-                        for p, h, s in self.configs],
+            "configs": list(self.configs),
             "outputs": list(self.outputs),
         }
 
@@ -97,8 +92,25 @@ def _write_manifest(path: Path, command: str, configs, outputs) -> None:
     path.write_text(json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
+def _config_entry(path, sc, **extra) -> dict:
+    return {"path": str(path), "sha256": config_hash(sc), "seed": sc.seed, **extra}
+
+
+def _grid_number(token: str, spec: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ConfigError(f"non-numeric grid value {token.strip()!r} in {spec!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite grid value {token.strip()!r} in {spec!r}")
+    return value
+
+
 def _parse_grid(spec: str) -> tuple:
-    """Parse 'lo:hi:n[:log|lin]' or a comma-separated ascending list."""
+    """Parse 'lo:hi:n[:log|lin]' or a comma-separated ascending list.
+
+    Every bound and value must be a finite number.
+    """
     text = spec.strip()
     if ":" in text:
         parts = text.split(":")
@@ -107,10 +119,11 @@ def _parse_grid(spec: str) -> tuple:
         scale = parts[3] if len(parts) == 4 else "lin"
         if scale not in ("lin", "log"):
             raise ConfigError(f"grid scale must be 'log' or 'lin', got {scale!r}")
+        lo, hi = _grid_number(parts[0], spec), _grid_number(parts[1], spec)
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            n = int(parts[2])
         except ValueError:
-            raise ConfigError(f"non-numeric grid bounds in {spec!r}") from None
+            raise ConfigError(f"grid size must be an integer, got {parts[2]!r}") from None
         if n < 2:
             raise ConfigError("grid needs at least 2 points")
         if not lo < hi:
@@ -120,15 +133,7 @@ def _parse_grid(spec: str) -> tuple:
                 raise ConfigError("log grid requires positive bounds")
             return tuple(float(v) for v in np.geomspace(lo, hi, n))
         return tuple(float(v) for v in np.linspace(lo, hi, n))
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise ConfigError(f"non-numeric grid value {token!r}") from None
+    values = [_grid_number(token, spec) for token in text.split(",") if token.strip()]
     if len(values) < 2:
         raise ConfigError("grid needs at least 2 points")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -165,8 +170,7 @@ def cmd_t1(args) -> int:
         out = Path(args.out)
         out.write_text(report)
         _write_manifest(out.with_name(out.name + ".manifest.json"), "t1",
-                        [(str(args.config), config_hash(sc), sc.seed)],
-                        [out.name])
+                        [_config_entry(args.config, sc)], [out.name])
     return 0
 
 
@@ -195,27 +199,36 @@ def cmd_sweep(args) -> int:
                 "diameter grid must be positive and keep the sensor inside")
         column, override = "diameter_m", "diameter"
 
-    rows = []
-    for v in grid:
-        pred = predict(sc, **{override: v})
-        g = pred.gd_rates
-        rows.append((v, pred.viscosity, pred.microviscosity, g.r_dip, g.r_vib,
-                     g.r_trans, g.r_rot, g.r_total, pred.b2_surface,
-                     pred.b2_molecular, pred.relaxation.t1))
+    values = np.array(grid)
+    pred = predict(sc, **{override: values})
+    g = pred.gd_rates
+    columns = np.broadcast_arrays(
+        values, pred.viscosity, pred.microviscosity, g.r_dip, g.r_vib, g.r_trans,
+        g.r_rot, g.r_total, pred.b2_surface, pred.b2_molecular, pred.t1)
 
     out = Path(args.out)
     lines = ["\t".join((column,) + SWEEP_COLUMNS)]
-    lines += ["\t".join(f"{v:.17g}" for v in row) for row in rows]
+    lines += ["\t".join(f"{v:.17g}" for v in row)
+              for row in zip(*(c.tolist() for c in columns))]
     out.write_text("\n".join(lines) + "\n")
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep",
-                    [(str(args.config), config_hash(sc), sc.seed)], [out.name])
-    t1s = [row[-1] for row in rows]
-    print(f"{len(rows)} rows over {args.axis} -> {out}")
-    print(f"t1 range: {min(t1s):.6g} s to {max(t1s):.6g} s")
+                    [_config_entry(args.config, sc)], [out.name])
+    print(f"{values.size} rows over {args.axis} -> {out}")
+    print(f"t1 range: {columns[-1].min():.6g} s to {columns[-1].max():.6g} s")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from .measure_sim import (
+        failed_fit,
+        fit_exponential,
+        gaussian_summary,
+        separation_scores,
+        simulate_curve,
+        write_curve,
+        write_fit_json,
+    )
+
     if args.spots < 2:
         raise ConfigError(f"--spots must be >= 2, got {args.spots}")
     out_dir = Path(args.out)
@@ -235,13 +248,12 @@ def cmd_simulate(args) -> int:
         if name in taken:
             name = f"{name}_{index}"
         taken.add(name)
-        # distinct per-condition streams even when configs share a seed
-        conditions.append((name, cfg, sc, sc.seed + index))
+        conditions.append((name, cfg, sc, index))
 
     outputs = []
     summaries = []
     summary_doc = {"conditions": {}, "separation": None}
-    for name, cfg, sc, seed in conditions:
+    for name, cfg, sc, index in conditions:
         cond_dir = out_dir / name
         cond_dir.mkdir(exist_ok=True)
         t1_pred = predict(sc).t1
@@ -249,7 +261,10 @@ def cmd_simulate(args) -> int:
         sampler = t1_sampler(sc)
         t1_hats = []
         n_converged = 0
-        for j, child in enumerate(np.random.SeedSequence(seed).spawn(args.spots)):
+        # the condition index is part of the stream key, so conditions never
+        # share a stream, whatever seeds their configs carry
+        stream = np.random.SeedSequence(sc.seed, spawn_key=(index,))
+        for j, child in enumerate(stream.spawn(args.spots)):
             rng = np.random.default_rng(child)
             t1_true = float(sampler(rng))
             curve = simulate_curve(t1_true, plan, rng)
@@ -259,7 +274,7 @@ def cmd_simulate(args) -> int:
                 fit = failed_fit(str(exc))
             write_curve(curve, cond_dir / f"spot_{j:04d}_curve.tsv")
             write_fit_json(fit, cond_dir / f"spot_{j:04d}_fit.json", plan=plan,
-                           seed=seed,
+                           seed=sc.seed,
                            extra={"condition": name, "spot": j,
                                   "t1_true_s": t1_true})
             outputs += [f"{name}/spot_{j:04d}_curve.tsv",
@@ -269,7 +284,8 @@ def cmd_simulate(args) -> int:
                 t1_hats.append(fit.t1_hat)
 
         cond_doc = {
-            "config": str(cfg), "config_sha256": config_hash(sc), "seed": seed,
+            "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
+            "condition_index": index,
             "n_spots": args.spots, "n_converged": n_converged,
             "t1_predicted_s": t1_pred, "gaussian": None,
         }
@@ -291,8 +307,8 @@ def cmd_simulate(args) -> int:
         json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
     outputs.append("summary.json")
     _write_manifest(out_dir / "manifest.json", "simulate",
-                    [(str(cfg), config_hash(sc), seed)
-                     for _, cfg, sc, seed in conditions], outputs)
+                    [_config_entry(cfg, sc, condition_index=index)
+                     for _, cfg, sc, index in conditions], outputs)
 
     for (name, _, _, _), summ in zip(conditions, summaries):
         if summ is not None:
@@ -308,6 +324,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .measure_sim import fit_exponential, read_curve, write_fit_json
+
     curve = read_curve(args.data)
     fit = fit_exponential(curve)
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
@@ -329,7 +347,7 @@ def cmd_sensitivity(args) -> int:
     out = Path(args.out)
     write_sensitivity_curve(curve, out)
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sensitivity",
-                    [(str(args.config), config_hash(sc), sc.seed)], [out.name])
+                    [_config_entry(args.config, sc)], [out.name])
     print(f"minimum delta_r = {curve.delta_min:.6g} /s at density "
           f"{curve.argmin_density:.6g} /m^3 (r_total {curve.rate_at_min:.6g} /s)")
     for n in curve.skipped:
@@ -342,6 +360,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .validation import format_report, run_oracles
+
     if args.config:
         parse_config(args.config)  # validated even though checks are fixed-point
     report = run_oracles(args.which)
@@ -377,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeat for a two-condition comparison")
     p.add_argument("--spots", type=int, default=25)
     p.add_argument("--seed", type=int, default=None,
-                   help="overrides every config seed; condition index is "
-                        "added so conditions get distinct streams")
+                   help="overrides every config seed; condition i draws from "
+                        "SeedSequence(seed, spawn_key=(i,)), so conditions "
+                        "never share a stream")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 

@@ -8,6 +8,9 @@ single correlation time.  Sources add in rate:
 
 The prefactor 3 follows from the sensor's two near-degenerate transitions
 sampling the transverse noise at the level splitting.
+
+Field variances and correlation times may be numpy arrays; the spectral
+density, the rate contributions and the T1 combination broadcast over them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .constants import (
     T1_BULK_DEFAULT,
     omega_to_ghz,
 )
-from .errors import ParameterError
+from .errors import ParameterError, nonnegative, positive, require
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,15 @@ class NoiseSource:
     gamma : float
         Gyromagnetic ratio of the fluctuating moments, rad/(s*T).  Sign is
         irrelevant (enters squared) but zero is rejected.
-    b_perp_sq : float
+    b_perp_sq : float or array
         Mean-square transverse field at the sensor, T^2.  May be zero
         (source contributes nothing) but not negative.
-    tau_c : float
+    tau_c : float or array
         Correlation time of the fluctuations, s.  Equal to 1/R where R is
-        the source's total fluctuation rate.
+        the source's total fluctuation rate.  Must lie in
+        [TAU_C_MIN, TAU_C_MAX] wherever b_perp_sq > 0; where the field is
+        zero the source contributes nothing and tau_c need only be finite
+        and positive.
     label : str
         Free-form tag used in rate breakdowns.
     """
@@ -85,26 +91,25 @@ class NoiseSource:
     def __post_init__(self):
         if not math.isfinite(self.gamma) or self.gamma == 0.0:
             raise ParameterError(f"gamma must be finite and nonzero, got {self.gamma!r}")
-        if not math.isfinite(self.b_perp_sq) or self.b_perp_sq < 0.0:
-            raise ParameterError(f"b_perp_sq must be finite and >= 0, got {self.b_perp_sq!r}")
-        if not (TAU_C_MIN <= self.tau_c <= TAU_C_MAX):
-            raise ParameterError(
-                f"tau_c must lie in [{TAU_C_MIN:g}, {TAU_C_MAX:g}] s, got {self.tau_c!r}"
-            )
+        require(nonnegative(self.b_perp_sq),
+                "b_perp_sq must be finite and >= 0, got {!r}", self.b_perp_sq)
+        in_range = (self.tau_c >= TAU_C_MIN) & (self.tau_c <= TAU_C_MAX)
+        require(in_range | (positive(self.tau_c) & (self.b_perp_sq == 0.0)),
+                f"tau_c must lie in [{TAU_C_MIN:g}, {TAU_C_MAX:g}] s, got {{!r}}",
+                self.tau_c)
 
     @property
-    def rate(self) -> float:
+    def rate(self):
         """Fluctuation rate 1/tau_c in 1/s."""
         return 1.0 / self.tau_c
 
-    def with_rate(self, rate: float) -> "NoiseSource":
+    def with_rate(self, rate) -> "NoiseSource":
         """Copy of this source with tau_c = 1/rate."""
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise ParameterError(f"rate must be finite and positive, got {rate!r}")
+        require(positive(rate), "rate must be finite and positive, got {!r}", rate)
         return NoiseSource(self.gamma, self.b_perp_sq, 1.0 / rate, self.label)
 
 
-def lorentzian_psd(source: NoiseSource, omega) -> float:
+def lorentzian_psd(source: NoiseSource, omega):
     """One-sided spectral density S(omega) of an exponentially correlated field.
 
         S(omega) = b_perp_sq * 2 tau_c / (1 + omega^2 tau_c^2)
@@ -118,7 +123,7 @@ def lorentzian_psd(source: NoiseSource, omega) -> float:
     return source.b_perp_sq * 2.0 * source.tau_c / (1.0 + x * x)
 
 
-def rate_contribution(source: NoiseSource, omega0=OMEGA_0) -> float:
+def rate_contribution(source: NoiseSource, omega0=OMEGA_0):
     """Relaxation rate (1/s) induced by a single noise source.
 
     Equals (3/2) gamma^2 S(omega0); non-negative.

@@ -1,10 +1,17 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the domain checks that raise ParameterError.
 
 ValueError subclasses cover bad user input (parameters, config files); they
 map to CLI exit code 1.  SingularityError and FitError cover conditions that
 arise from valid input (resonant divergence, non-convergent fits) and map to
 exit code 2.
+
+The checks accept Python floats and numpy arrays alike, so one validation
+serves a scalar prediction and a whole grid.  NaN fails every check.
 """
+
+import math
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -25,3 +32,28 @@ class SingularityError(ArithmeticError):
 
 class FitError(RuntimeError):
     """A least-squares fit failed to converge or is degenerate."""
+
+
+def positive(value):
+    """True where value is finite and > 0 (a bool, or a boolean array)."""
+    return (value > 0.0) & (value < math.inf)
+
+
+def nonnegative(value):
+    """True where value is finite and >= 0 (a bool, or a boolean array)."""
+    return (value >= 0.0) & (value < math.inf)
+
+
+def require(ok, message: str, value=None) -> None:
+    """Raise ParameterError unless ok holds for every element.
+
+    ok is a bool or a boolean array.  When value is given, message carries
+    one ``{!r}`` placeholder, filled with the first element of value where
+    ok fails, so a bad array element is named the way a bad scalar is.
+    """
+    if ok is True or (ok is not False and ok.all()):
+        return
+    if value is not None:
+        values, fine = np.broadcast_arrays(value, ok)
+        message = message.format(values[~fine][0].item())
+    raise ParameterError(message)

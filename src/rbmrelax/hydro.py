@@ -5,7 +5,14 @@ translational, rotational).
 
 Rotational rates follow Stokes-Einstein-Debye with a microviscosity
 correction for solvent molecules of finite size; solvent-mixture viscosity
-comes from a shipped reference table with monotone cubic interpolation.
+comes from a shipped reference table with monotone cubic (PCHIP)
+interpolation.  The interpolant is a numpy port of scipy's
+PchipInterpolator (same derivative rule, same piecewise-power coefficients,
+same evaluation order), so it reproduces scipy bit for bit without
+importing it; it is built once per table.
+
+Every rate function broadcasts over numpy arrays: composition, radius and
+viscosity may be arrays, and validation applies to every element.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from scipy.interpolate import PchipInterpolator
+import numpy as np
 
 from .constants import K_B
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, nonnegative, positive, require
 
 
 @dataclass(frozen=True)
@@ -28,7 +35,8 @@ class HydroParams:
 
     a: hydrodynamic radius of the tracked molecule (m); a_s: effective
     solvent molecule radius (m, 0 recovers the continuum limit); eta:
-    dynamic viscosity (Pa*s); temperature in K.
+    dynamic viscosity (Pa*s); temperature in K.  Fields may be numpy
+    arrays that broadcast together.
     """
 
     a: float
@@ -37,14 +45,11 @@ class HydroParams:
     temperature: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ParameterError(f"molecule radius must be positive, got {self.a!r}")
-        if not (math.isfinite(self.a_s) and self.a_s >= 0.0):
-            raise ParameterError(f"solvent radius must be >= 0, got {self.a_s!r}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ParameterError(f"viscosity must be positive, got {self.eta!r}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ParameterError(f"temperature must be positive, got {self.temperature!r}")
+        require(positive(self.a), "molecule radius must be positive, got {!r}", self.a)
+        require(nonnegative(self.a_s), "solvent radius must be >= 0, got {!r}", self.a_s)
+        require(positive(self.eta), "viscosity must be positive, got {!r}", self.eta)
+        require(positive(self.temperature),
+                "temperature must be positive, got {!r}", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class RateBreakdown:
                 "rot": self.r_rot, "total": self.r_total}
 
 
-def microviscosity_factor(a: float, a_s: float) -> float:
+def microviscosity_factor(a, a_s):
     """Finite-solvent-size correction to continuum rotational friction.
 
     f_r = [6 u + (1 + 3u/(1+2u)) / (1+2u)^3]^-1  with u = a_s/a.
@@ -102,17 +107,15 @@ def microviscosity_factor(a: float, a_s: float) -> float:
     Always in (0, 1]; equals 1 in the continuum limit a_s = 0 and decreases
     monotonically as the solvent molecules grow relative to the solute.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"molecule radius must be positive, got {a!r}")
-    if not (math.isfinite(a_s) and a_s >= 0.0):
-        raise ParameterError(f"solvent radius must be >= 0, got {a_s!r}")
+    require(positive(a), "molecule radius must be positive, got {!r}", a)
+    require(nonnegative(a_s), "solvent radius must be >= 0, got {!r}", a_s)
     u = a_s / a
     one_plus_2u = 1.0 + 2.0 * u
     bracket = 6.0 * u + (1.0 + 3.0 * u / one_plus_2u) / one_plus_2u**3
     return 1.0 / bracket
 
 
-def rbm_rate(p: HydroParams) -> float:
+def rbm_rate(p: HydroParams):
     """Rotational Brownian fluctuation rate, 1/s.
 
     R_rot = k_B T / (8 pi a^3 eta f_r); strictly decreasing in both a and
@@ -122,54 +125,117 @@ def rbm_rate(p: HydroParams) -> float:
     return K_B * p.temperature / (8.0 * math.pi * p.a**3 * p.eta * f_r)
 
 
-def translational_diffusivity(p: HydroParams) -> float:
+def translational_diffusivity(p: HydroParams):
     """Stokes-Einstein translational diffusion coefficient, m^2/s."""
     return K_B * p.temperature / (6.0 * math.pi * p.eta * p.a)
 
 
-def translational_rate(p: HydroParams, length_scale: float) -> float:
+def translational_rate(p: HydroParams, length_scale):
     """Rate at which diffusion decorrelates the coupling, D_t / L^2 in 1/s.
 
     The length scale is the distance over which a molecule must move for
     its dipolar coupling to the sensor to change appreciably; the particle
     radius is the natural choice.
     """
-    if not (math.isfinite(length_scale) and length_scale > 0.0):
-        raise ParameterError(f"length scale must be positive, got {length_scale!r}")
+    require(positive(length_scale), "length scale must be positive, got {!r}", length_scale)
     return translational_diffusivity(p) / length_scale**2
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    # scipy's PchipInterpolator._edge_case: one-sided three-point estimate,
+    # limited so the end piece keeps the data's shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    # scipy's PchipInterpolator._find_derivatives: weighted harmonic mean of
+    # the neighbouring secants, zero at local extrema and flat secants
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty(m.size + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+class Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of 1-D data.
+
+    A numpy port of scipy.interpolate.PchipInterpolator: the same node
+    slopes, CubicHermiteSpline's coefficients, and PPoly's evaluation
+    order, so values agree with scipy bit for bit.  Points outside the
+    nodes extrapolate the end pieces, as scipy does by default.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._x = x
+        self._interior = x[1:-1]
+        # row k holds the coefficients of power k of the offset from the
+        # left node of each piece
+        self._coeffs = np.stack((y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h))
+
+    def __call__(self, xq):
+        """Interpolated values; a scalar query gives a float."""
+        xq = np.asarray(xq, dtype=float)
+        # piece index from the interior nodes alone: 0 below x[1], the last
+        # piece from x[-2] on, so outside points extrapolate the end pieces
+        i = self._interior.searchsorted(xq, side="right")
+        s = xq - self._x[i]
+        c = self._coeffs[:, i]
+        s2 = s * s
+        values = c[0] + c[1] * s + c[2] * s2 + c[3] * (s2 * s)
+        return values if xq.ndim else float(values)
+
+
 @lru_cache(maxsize=8)
-def _interpolator(table: tuple) -> PchipInterpolator:
-    xs = [row[0] for row in table]
-    etas = [row[1] for row in table]
-    return PchipInterpolator(xs, etas)
+def _interpolator(table: tuple) -> Pchip:
+    return Pchip([row[0] for row in table], [row[1] for row in table])
 
 
-def mixture_viscosity(m: SolventMixture, x: float) -> float:
+def _check_fraction(x):
+    require((x >= 0.0) & (x <= 1.0), "mole fraction must lie in [0, 1], got {!r}", x)
+
+
+def mixture_viscosity(m: SolventMixture, x):
     """Viscosity of the mixture at water mole fraction x, Pa*s.
 
     Monotone cubic interpolation through the table: exact at the nodes and
     free of the over/undershoot a plain cubic spline would produce around
     the interior viscosity maximum.
     """
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"mole fraction must lie in [0, 1], got {x!r}")
-    return float(_interpolator(m.viscosity_table)(x))
+    _check_fraction(x)
+    return _interpolator(m.viscosity_table)(x)
 
 
-def effective_solvent_radius(m: SolventMixture, x: float) -> float:
+def effective_solvent_radius(m: SolventMixture, x):
     """Mole-fraction-weighted effective solvent radius, m."""
-    if not (0.0 <= x <= 1.0):
-        raise ParameterError(f"mole fraction must lie in [0, 1], got {x!r}")
+    _check_fraction(x)
     return x * m.a_s_water + (1.0 - x) * m.a_s_other
 
 
 def hydro_params_at(m: SolventMixture, a: float, temperature: float,
-                    x: float | None = None) -> HydroParams:
+                    x=None) -> HydroParams:
     """HydroParams for the mixture evaluated at composition x.
 
-    Defaults to the mixture's own x_water.
+    Defaults to the mixture's own x_water; an array x gives array fields.
     """
     if x is None:
         x = m.x_water
@@ -177,12 +243,11 @@ def hydro_params_at(m: SolventMixture, a: float, temperature: float,
                        eta=mixture_viscosity(m, x), temperature=temperature)
 
 
-def total_rate(r_dip: float, r_vib: float, r_trans: float, r_rot: float) -> RateBreakdown:
+def total_rate(r_dip, r_vib, r_trans, r_rot) -> RateBreakdown:
     """Compose the total fluctuation rate from its four components."""
     parts = {"r_dip": r_dip, "r_vib": r_vib, "r_trans": r_trans, "r_rot": r_rot}
     for name, value in parts.items():
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+        require(nonnegative(value), f"{name} must be finite and >= 0, got {{!r}}", value)
     return RateBreakdown(r_dip=r_dip, r_vib=r_vib, r_trans=r_trans, r_rot=r_rot,
                          r_total=r_dip + r_vib + r_trans + r_rot)
 

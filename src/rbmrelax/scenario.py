@@ -33,8 +33,10 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
+
+import numpy as np
 
 from .bath import (
     ParticleGeometry,
@@ -60,7 +62,6 @@ from .hydro import (
     total_rate,
     translational_rate,
 )
-from .measure_sim import MeasurementPlan, default_dark_times
 from .sensitivity import (
     SensitivityCurve,
     SensitivityInputs,
@@ -172,38 +173,40 @@ class Scenario:
             spin_quantum_number=self.gd_spin, gamma=self.gd_gamma,
             standoff=self.standoff)
 
+    @cached_property
     def mixture(self) -> SolventMixture:
-        return SolventMixture(x_water=self.x_water, viscosity_table=self._table(),
+        """The solvent, built and validated once per scenario."""
+        path = self.viscosity_table or str(default_table_path())
+        return SolventMixture(x_water=self.x_water, viscosity_table=_cached_table(path),
                               a_s_water=self.a_s_water, a_s_other=self.a_s_other)
 
-    def _table(self) -> tuple:
-        path = self.viscosity_table or str(default_table_path())
-        return _cached_table(path)
-
-    def hydro_at(self, x: float | None = None) -> HydroParams:
-        return hydro_params_at(self.mixture(), self.molecule_radius,
+    def hydro_at(self, x=None) -> HydroParams:
+        return hydro_params_at(self.mixture, self.molecule_radius,
                                self.temperature, x=x)
 
-    # forward model
+    # forward model; every parameter override may be a numpy array
 
-    def gd_rate_breakdown(self, number_density: float | None = None,
-                          x: float | None = None,
-                          diameter: float | None = None) -> RateBreakdown:
-        """Fluctuation-rate components of the molecular bath.
-
-        The translational decorrelation length is the closest sensor-molecule
-        distance, particle radius plus standoff.
-        """
+    def gd_rate_breakdown(self, number_density=None, x=None,
+                          diameter=None) -> RateBreakdown:
+        """Fluctuation-rate components of the molecular bath."""
         n = self.gd_density if number_density is None else number_density
-        p = self.hydro_at(x)
-        r_min = self.geometry(diameter).radius + self.standoff
+        return self._gd_rates(self.hydro_at(x), n, self.geometry(diameter))
+
+    def _gd_rates(self, p: HydroParams, n, geom: ParticleGeometry) -> RateBreakdown:
+        # the translational decorrelation length is the closest
+        # sensor-molecule distance, particle radius plus standoff
         return total_rate(r_dip=self.kappa_dip * n, r_vib=self.vibration_rate,
-                          r_trans=translational_rate(p, r_min), r_rot=rbm_rate(p))
+                          r_trans=translational_rate(p, geom.radius + self.standoff),
+                          r_rot=rbm_rate(p))
 
 
 @dataclass(frozen=True)
 class ScenarioPrediction:
-    """Forward prediction for one parameter point."""
+    """Forward prediction for one parameter point, or for a grid of them.
+
+    With array overrides every field is an array that broadcasts against
+    the others: a field holds the shape of the inputs it depends on.
+    """
 
     relaxation: RelaxationResult
     gd_rates: RateBreakdown
@@ -217,7 +220,7 @@ class ScenarioPrediction:
     surface_density: float
 
     @property
-    def t1(self) -> float:
+    def t1(self):
         return self.relaxation.t1
 
     def as_dict(self) -> dict:
@@ -238,40 +241,50 @@ class ScenarioPrediction:
         }
 
 
-def predict(sc: Scenario, *, gd_density: float | None = None,
-            x_water: float | None = None, diameter: float | None = None,
-            surface_density: float | None = None) -> ScenarioPrediction:
+def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
+            surface_density=None) -> ScenarioPrediction:
     """Predict T1 and every intermediate quantity for a scenario.
 
-    Keyword overrides evaluate nearby parameter points without rebuilding
+    Keyword overrides evaluate other parameter points without rebuilding
     the scenario; they are how sweeps and spot jitter are implemented.
+    Each may be a scalar or an array, and arrays broadcast against each
+    other, so a whole sweep is one call.  Every override element is
+    validated; a numerical overflow raises FloatingPointError rather than
+    leaving an inf or NaN in the result.
     """
     n = sc.gd_density if gd_density is None else gd_density
     x = sc.x_water if x_water is None else x_water
     d = sc.diameter if diameter is None else diameter
     sigma = sc.surface_density if surface_density is None else surface_density
 
-    geom = sc.geometry(d)
-    b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
-    b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
-    rates = sc.gd_rate_breakdown(n, x=x, diameter=d)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        geom = sc.geometry(d)
+        b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
+        b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
+        p = sc.hydro_at(x)
+        rates = sc._gd_rates(p, n, geom)
 
-    sources = [NoiseSource(gamma=sc.surface_gamma, b_perp_sq=b2_surf,
-                           tau_c=1.0 / sc.surface_rate, label="surface")]
-    if b2_mol > 0.0:
-        sources.append(NoiseSource(gamma=sc.gd_gamma, b_perp_sq=b2_mol,
-                                   tau_c=1.0 / rates.r_total, label="molecular"))
-    relax = t1_total(sources, t1_bulk=sc.t1_bulk)
+        sources = [NoiseSource(gamma=sc.surface_gamma, b_perp_sq=b2_surf,
+                               tau_c=1.0 / sc.surface_rate, label="surface")]
+        # the molecular source exists where its field does; elsewhere it
+        # contributes exactly zero
+        if np.asarray(b2_mol > 0.0).any():
+            sources.append(NoiseSource(gamma=sc.gd_gamma, b_perp_sq=b2_mol,
+                                       tau_c=1.0 / rates.r_total, label="molecular"))
+        relax = t1_total(sources, t1_bulk=sc.t1_bulk)
 
-    p = sc.hydro_at(x)
     return ScenarioPrediction(
         relaxation=relax, gd_rates=rates, b2_surface=b2_surf, b2_molecular=b2_mol,
         viscosity=p.eta, microviscosity=microviscosity_factor(p.a, p.a_s),
         x_water=x, diameter=d, gd_density=n, surface_density=sigma)
 
 
-def measurement_plan(sc: Scenario, t1_expected: float) -> MeasurementPlan:
-    """Acquisition plan with the default log-spaced tau grid."""
+def measurement_plan(sc: Scenario, t1_expected: float):
+    """Acquisition plan (a measure_sim.MeasurementPlan) with the default
+    log-spaced tau grid."""
+    # imported here: measure_sim loads scipy, which the forward model avoids
+    from .measure_sim import MeasurementPlan, default_dark_times
+
     return MeasurementPlan(
         dark_times=default_dark_times(t1_expected, n_points=sc.n_dark_times,
                                       tau_min=sc.tau_min,
@@ -313,7 +326,8 @@ def sensitivity_template(sc: Scenario, number_density: float | None = None) -> S
 
 
 def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
-    """Minimal detectable rate versus molecular-bath density."""
+    """Minimal detectable rate versus molecular-bath density, evaluated over
+    the whole grid in one array pass."""
     center = sc.gd_density if sc.gd_density > 0.0 else OPTIMAL_DENSITY_CAL
     if grid is None:
         grid = default_density_grid(center)
@@ -434,25 +448,16 @@ _VALID_FIELDS = {f.name for f in fields(Scenario)}
 assert all(attr in _VALID_FIELDS for attr, _, _ in _SCHEMA.values())
 
 
-def _new_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(interpolation=None, strict=True,
-                                     inline_comment_prefixes=("#",))
+def scenario_from_text(text: str, source: str = "<string>") -> Scenario:
+    """Parse config text; a table_path is taken as given, not resolved.
 
-
-def parse_config(path) -> Scenario:
-    """Load a scenario config file.
-
-    Unknown sections or keys, duplicate keys, unparsable values, and missing
-    referenced files are all rejected with the offending location named.
-    Relative table paths resolve against the config file's directory.
+    Unknown sections or keys, duplicate keys and unparsable values are
+    rejected with a ConfigError naming source, section and key.
     """
-    path = Path(path)
-    parser = _new_parser()
+    parser = configparser.ConfigParser(interpolation=None, strict=True,
+                                       inline_comment_prefixes=("#",))
     try:
-        with path.open() as fh:
-            parser.read_file(fh, source=str(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -465,23 +470,37 @@ def parse_config(path) -> Scenario:
                 known = sorted(k for s, k in _SCHEMA if s == section)
                 if known:
                     raise ConfigError(
-                        f"{path}: unknown key [{section}] {key}; "
+                        f"{source}: unknown key [{section}] {key}; "
                         f"valid keys: {', '.join(known)}") from None
-                raise ConfigError(f"{path}: unknown section [{section}]") from None
+                raise ConfigError(f"{source}: unknown section [{section}]") from None
             try:
                 kwargs[attr] = to_si(raw)
             except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for [{section}] {key}: {exc}") from exc
-
-    table = kwargs.get("viscosity_table", "")
-    if table:
-        resolved = Path(table)
-        if not resolved.is_absolute():
-            resolved = path.parent / resolved
-        if not resolved.is_file():
-            raise ConfigError(f"{path}: [solvent] table_path does not exist: {resolved}")
-        kwargs["viscosity_table"] = str(resolved.resolve())
+                raise ConfigError(f"{source}: bad value for [{section}] {key}: {exc}") from exc
     return Scenario(**kwargs)
+
+
+def parse_config(path) -> Scenario:
+    """Load a scenario config file.
+
+    Parses like scenario_from_text; additionally a missing file is a
+    ConfigError, and a relative table path resolves against the config
+    file's directory and must exist.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    sc = scenario_from_text(text, str(path))
+    if not sc.viscosity_table:
+        return sc
+    resolved = Path(sc.viscosity_table)
+    if not resolved.is_absolute():
+        resolved = path.parent / resolved
+    if not resolved.is_file():
+        raise ConfigError(f"{path}: [solvent] table_path does not exist: {resolved}")
+    return replace(sc, viscosity_table=str(resolved.resolve()))
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -500,23 +519,6 @@ def serialize_scenario(sc: Scenario) -> str:
             out.write(f"{key} = {by_section[section][key]}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def scenario_from_text(text: str) -> Scenario:
-    """Parse config text that references no external files (tests, round trips)."""
-    parser = _new_parser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    kwargs = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if (section, key) not in _SCHEMA:
-                raise ConfigError(f"unknown key [{section}] {key}")
-            attr, to_si, _ = _SCHEMA[(section, key)]
-            kwargs[attr] = to_si(raw)
-    return Scenario(**kwargs)
 
 
 def config_hash(sc: Scenario) -> str:

@@ -13,6 +13,10 @@ It diverges at R = omega0: there the relaxation rate is stationary in R and
 the sensor carries no first-order information about rate changes.  An
 independent numerical error-propagation oracle validates the formula up to
 a constant factor (documented where it is measured).
+
+The formula broadcasts over arrays of field variance and rate, so a whole
+density grid is one evaluation; grid points on the resonance are masked out
+before it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .constants import GAMMA_E, OMEGA_0
-from .errors import ConfigError, ParameterError, SingularityError
+from .errors import ConfigError, ParameterError, SingularityError, positive, require
 
 # Relative half-width of the rejected resonance neighborhood.  Within it the
 # formula's divergence is dominated by cancellation noise, not physics.
@@ -35,7 +41,7 @@ class SensitivityInputs:
 
     r_total is the total fluctuation rate of the probed bath (1/s);
     b_perp_sq its mean-square transverse field (T^2); acquisition_time the
-    total averaging time T (s).
+    total averaging time T (s).  b_perp_sq and r_total may be arrays.
     """
 
     contrast: float
@@ -53,18 +59,22 @@ class SensitivityInputs:
         for name in ("photon_rate", "detection_window", "acquisition_time",
                      "b_perp_sq", "r_total", "gamma_e", "omega0"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+            require(positive(value), f"{name} must be finite and positive, got {{!r}}", value)
 
 
-def _guard_resonance(r_total: float, omega0: float):
-    if abs(r_total - omega0) <= RESONANCE_GUARD * omega0:
+def _on_resonance(r_total, omega0):
+    return abs(r_total - omega0) <= RESONANCE_GUARD * omega0
+
+
+def _guard_resonance(r_total, omega0: float):
+    hit = _on_resonance(r_total, omega0)
+    if np.any(hit):
         raise SingularityError(
-            f"rate {r_total:g} /s sits on the level splitting {omega0:g} rad/s; "
-            "the sensor is first-order insensitive to rate changes there")
+            f"rate {np.extract(hit, r_total)[0]:g} /s sits on the level splitting "
+            f"{omega0:g} rad/s; the sensor is first-order insensitive to rate changes there")
 
 
-def delta_r_min(inp: SensitivityInputs) -> float:
+def delta_r_min(inp: SensitivityInputs):
     """Minimal detectable rate change, 1/s.
 
     Scales as 1/sqrt(T) and 1/sqrt(B_perp^2); invariant under the trade
@@ -72,9 +82,9 @@ def delta_r_min(inp: SensitivityInputs) -> float:
     """
     r, w = inp.r_total, inp.omega0
     _guard_resonance(r, w)
-    prefactor = 1.0 / (inp.contrast * math.sqrt(
+    prefactor = 1.0 / (inp.contrast * np.sqrt(
         inp.photon_rate * inp.detection_window * inp.acquisition_time))
-    core = math.sqrt(2.0 * math.e * r / (3.0 * inp.gamma_e**2 * inp.b_perp_sq))
+    core = np.sqrt(2.0 * math.e * r / (3.0 * inp.gamma_e**2 * inp.b_perp_sq))
     lor = (r**2 + w**2) ** 1.5 / abs(r**2 - w**2)
     return prefactor * core * lor
 
@@ -174,34 +184,33 @@ def optimize_density(density_grid, b2_fn, r_fn,
                      template: SensitivityInputs) -> SensitivityCurve:
     """Evaluate delta_r_min over a density grid and locate its minimum.
 
-    b2_fn(n) and r_fn(n) map a bath density to its field variance and total
-    fluctuation rate; all other inputs come from the template.  The grid
-    must be sorted ascending and span at least two decades.  Grid points on
-    the resonance are skipped, not fatal.
+    b2_fn and r_fn map an array of bath densities to field variances and
+    total fluctuation rates (numpy-broadcasting callables; a scalar result
+    applies to every density); all other inputs come from the template.
+    The grid must be sorted ascending and span at least two decades.  Grid
+    points on the resonance are skipped, not fatal.
     """
-    grid = [float(n) for n in density_grid]
-    if len(grid) < 2 or any(n <= 0.0 or not math.isfinite(n) for n in grid):
+    grid = np.asarray(density_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2 or not np.all(positive(grid)):
         raise ParameterError("density grid must contain >= 2 positive values")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if np.any(grid[1:] <= grid[:-1]):
         raise ParameterError("density grid must be strictly ascending")
     if grid[-1] / grid[0] < 100.0:
         raise ParameterError("density grid must span at least two decades")
 
-    points, skipped = [], []
-    for n in grid:
-        inp = replace(template, b_perp_sq=float(b2_fn(n)), r_total=float(r_fn(n)))
-        try:
-            points.append((n, inp.r_total, delta_r_min(inp)))
-        except SingularityError:
-            skipped.append(n)
-    if not points:
+    inp = replace(template, b_perp_sq=np.broadcast_to(b2_fn(grid), grid.shape),
+                  r_total=np.broadcast_to(r_fn(grid), grid.shape))
+    keep = ~_on_resonance(inp.r_total, inp.omega0)
+    if not keep.any():
         raise ParameterError("every grid point was resonant; nothing to optimize")
+    rates = inp.r_total[keep]
+    deltas = delta_r_min(replace(inp, b_perp_sq=inp.b_perp_sq[keep], r_total=rates))
 
-    values = [p[2] for p in points]
-    idx = values.index(min(values))
-    boundary = idx in (0, len(points) - 1)
-    return SensitivityCurve(points=tuple(points), argmin_index=idx,
-                            boundary_warning=boundary, skipped=tuple(skipped))
+    idx = int(np.argmin(deltas))
+    return SensitivityCurve(
+        points=tuple(zip(grid[keep].tolist(), rates.tolist(), deltas.tolist())),
+        argmin_index=idx, boundary_warning=idx in (0, deltas.size - 1),
+        skipped=tuple(grid[~keep].tolist()))
 
 
 CURVE_COLUMNS = ("density_per_m3", "r_total_per_s", "delta_r_min_per_s")

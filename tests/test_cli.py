@@ -240,11 +240,12 @@ def test_oracle_quadrature(capsys):
 
 
 def test_oracle_failure_exit_code(monkeypatch, capsys):
-    import rbmrelax.cli as cli_mod
+    import rbmrelax.validation as validation_mod
 
     failing = OracleReport(checks=(OracleCheck(
         name="stub", passed=False, details={"z": 9.9}),))
-    monkeypatch.setattr(cli_mod, "run_oracles", lambda which: failing)
+    # the oracle verb imports run_oracles when it runs
+    monkeypatch.setattr(validation_mod, "run_oracles", lambda which: failing)
     assert main(["oracle", "all"]) == 3
     assert "FAIL" in capsys.readouterr().out
 
@@ -256,3 +257,68 @@ def test_version(capsys):
     from rbmrelax import __version__
 
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", [
+    ["sweep", "--axis", "gd_density"], ["sweep", "--axis", "water_fraction"],
+    ["sweep", "--axis", "diameter"], ["sensitivity"]], ids=lambda v: v[-1])
+@pytest.mark.parametrize("grid, token", [
+    ("nan,0.5,1", "nan"), ("0.1,inf", "inf"), ("1e-9:inf:5:log", "inf"),
+    ("nan:1:4", "nan"), ("0.2, NaN", "NaN")])
+def test_nonfinite_grid_rejected_before_compute(fast_config, tmp_path, capsys,
+                                                recwarn, verb, grid, token):
+    out = tmp_path / "grid.tsv"
+    assert main([*verb, "--config", str(fast_config), "--grid", grid,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob("grid.tsv*"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and repr(token) in err[0]
+    assert not recwarn.list
+
+
+def test_simulate_conditions_never_share_a_stream(tmp_path, capsys):
+    # seeds 12346 and 12345 once gave conditions 0 and 1 the same stream
+    # (seed + condition index); identical physics made their data identical
+    first, second = tmp_path / "first.ini", tmp_path / "second.ini"
+    first.write_text(FAST_BODY.replace("seed = 1234", "seed = 12346"))
+    second.write_text(FAST_BODY.replace("seed = 1234", "seed = 12345"))
+    out = tmp_path / "pair"
+    assert main(["simulate", "--config", str(first), "--config", str(second),
+                 "--spots", "2", "--out", str(out)]) == 0
+    assert ((out / "first" / "spot_0000_curve.tsv").read_bytes()
+            != (out / "second" / "spot_0000_curve.tsv").read_bytes())
+    summary = json.loads((out / "summary.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    for index, name in enumerate(("first", "second")):
+        cond = summary["conditions"][name]
+        assert (cond["seed"], cond["condition_index"]) == (12346 - index, index)
+        entry = manifest["configs"][index]
+        assert (entry["seed"], entry["condition_index"]) == (12346 - index, index)
+
+
+def test_shipped_acetone_then_water_draw_distinct_streams(tmp_path, monkeypatch,
+                                                          capsys):
+    # acetone (seed 20260102) first, water (20260101) second once collided
+    import rbmrelax.cli as cli_mod
+
+    states = {}
+    real_sampler = cli_mod.t1_sampler
+
+    def recording_sampler(sc):
+        sample = real_sampler(sc)
+
+        def draw(rng):
+            states.setdefault(sc.seed, []).append(
+                rng.bit_generator.state["state"]["state"])
+            return sample(rng)
+        return draw
+
+    monkeypatch.setattr(cli_mod, "t1_sampler", recording_sampler)
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert main(["simulate", "--config", str(configs / "gd_acetone_x046_25nm.ini"),
+                 "--config", str(configs / "gd_water_25nm.ini"), "--spots", "3",
+                 "--out", str(tmp_path / "demo")]) == 0
+    acetone, water = states[20260102], states[20260101]
+    assert len(acetone) == len(water) == 3
+    assert not set(acetone) & set(water)

@@ -210,3 +210,20 @@ def test_inverse_t1_predictor_consistency():
     n = 2e25
     assert rate_fn(n) == pytest.approx(
         1.0 / predict(sc, gd_density=n).t1, rel=1e-14)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[particle]\ndiameter_nm = abc\n", r": bad value for \[particle\] diameter_nm: "),
+    ("[partical]\ndiameter_nm = 25\n", r": unknown section \[partical\]$"),
+    ("[particle]\ndiamter_nm = 25\n", r": unknown key \[particle\] diamter_nm; valid keys: "),
+    ("[particle]\ndiameter_nm = 25\ndiameter_nm = 30\n", r"^malformed config: "),
+])
+def test_config_text_and_file_share_one_parser(tmp_path, text, message):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as from_file:
+        parse_config(path)
+    with pytest.raises(ConfigError, match=message) as from_text:
+        scenario_from_text(text, source=str(path))
+    assert str(from_file.value) == str(from_text.value)
+    assert str(from_file.value).startswith((str(path), "malformed"))

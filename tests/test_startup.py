@@ -1,0 +1,57 @@
+"""The verbs that only evaluate the forward model never load scipy.
+
+Each case runs in a fresh interpreter, because this test session has
+imported scipy already.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def run_fresh(tmp_path, body: str) -> str:
+    script = f"""\
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import rbmrelax.cli
+from rbmrelax.cli import main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_loaded(), scipy_loaded()
+cfg = {str(CONFIGS / "gd_water_25nm.ini")!r}
+sens = {str(CONFIGS / "sensitivity_20nm.ini")!r}
+out = {str(tmp_path)!r}
+{body}
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_forward_verbs_do_not_import_scipy(tmp_path):
+    run_fresh(tmp_path, """\
+assert main(["t1", "--config", cfg]) == 0
+for axis, grid in (("gd_density", "0,1e24,1e25"), ("water_fraction", "0:1:3"),
+                   ("diameter", "10e-9:30e-9:3:log")):
+    assert main(["sweep", "--config", cfg, "--axis", axis, "--grid", grid,
+                 "--out", f"{out}/{axis}.tsv"]) == 0
+assert main(["sensitivity", "--config", sens, "--grid", "1e24:1e27:4:log",
+             "--out", f"{out}/sens.tsv"]) == 0
+assert not scipy_loaded(), scipy_loaded()
+""")
+
+
+def test_lazily_imported_verbs_still_work(tmp_path):
+    run_fresh(tmp_path, """\
+assert main(["simulate", "--config", cfg, "--spots", "2", "--out", f"{out}/sim"]) == 0
+assert main(["fit", f"{out}/sim/gd_water_25nm/spot_0000_curve.tsv"]) == 0
+assert main(["oracle", "quadrature"]) == 0
+assert "scipy.optimize" in scipy_loaded() and "scipy.integrate" in scipy_loaded()
+""")
