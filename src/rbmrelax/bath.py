@@ -28,7 +28,7 @@ import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0_OVER_4PI, OMEGA_0
 from .core_relax import NoiseSource, rate_contribution
-from .errors import FitError, NoSolutionError, ParameterError, nonnegative, positive, require
+from .errors import NoSolutionError, ParameterError, nonnegative, positive, require
 
 # Orientation-averaged variance factor of a single dipole (see module
 # docstring) and the transverse fraction for a randomly oriented sensor.
@@ -285,34 +285,3 @@ def calibrate_surface_density(t1_measured: float, g: ParticleGeometry,
         NoiseSource(gamma=gamma, b_perp_sq=b2_per_sigma, tau_c=tau_c_surface), omega0)
     return rate_needed / rate_per_sigma
 
-
-def effective_gd_density_fit(t1_points, predict_inverse_t1) -> float:
-    """Single multiplicative density-scale factor fitted to T1 data.
-
-    t1_points is a sequence of (prepared number density, measured t1);
-    predict_inverse_t1 maps an effective density to a predicted 1/T1 with
-    every other scenario parameter held fixed.  Minimizes squared residuals
-    of predicted vs measured relaxation rates.  A factor above 1 indicates
-    the effective density exceeds the prepared one (e.g. aggregation), but
-    no bound is enforced.
-    """
-    pts = [(float(n), float(t1)) for n, t1 in t1_points]
-    if len(pts) < 3:
-        raise ParameterError(f"need at least 3 points, got {len(pts)}")
-    if any(t1 <= 0.0 for _, t1 in pts):
-        raise ParameterError("measured t1 values must be positive")
-    if len({n for n, _ in pts}) == 1:
-        raise FitError("all prepared densities are equal; scale is unidentifiable")
-
-    from scipy.optimize import least_squares  # scipy stays off the forward-model import path
-
-    dens = np.array([n for n, _ in pts])
-    rates = np.array([1.0 / t1 for _, t1 in pts])
-
-    def residuals(s):
-        return np.array([predict_inverse_t1(s[0] * n) for n in dens]) - rates
-
-    result = least_squares(residuals, x0=[1.0], bounds=([1e-12], [np.inf]))
-    if not result.success:
-        raise FitError(f"density-scale fit did not converge: {result.message}")
-    return float(result.x[0])

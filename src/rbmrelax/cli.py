@@ -14,7 +14,10 @@ failure (singular point or non-converged fit), 3 failed oracle check.
 
 Every file-producing verb writes a JSON manifest beside its outputs.
 Timestamps live only in manifests, so the data files of reruns with the
-same config and seed are byte-identical.
+same config and seed are byte-identical.  Tabular data files (sweeps,
+curves, sensitivity curves) use the one format of rbmrelax.table.
+``simulate`` writes each spot's curve and fit as
+measure_sim.simulate_spot_ensemble yields it.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array pass.
 Only ``simulate``, ``fit`` and ``oracle`` load scipy; they import
@@ -46,6 +49,7 @@ from .scenario import (
     with_seed,
 )
 from .sensitivity import write_sensitivity_curve
+from .table import write_table
 
 SWEEP_AXES = ("gd_density", "water_fraction", "diameter")
 ORACLE_NAMES = ("bath_mc", "sensitivity", "quadrature", "all")
@@ -207,10 +211,7 @@ def cmd_sweep(args) -> int:
         g.r_rot, g.r_total, pred.b2_surface, pred.b2_molecular, pred.t1)
 
     out = Path(args.out)
-    lines = ["\t".join((column,) + SWEEP_COLUMNS)]
-    lines += ["\t".join(f"{v:.17g}" for v in row)
-              for row in zip(*(c.tolist() for c in columns))]
-    out.write_text("\n".join(lines) + "\n")
+    write_table(out, (column,) + SWEEP_COLUMNS, zip(*(c.tolist() for c in columns)))
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep",
                     [_config_entry(args.config, sc)], [out.name])
     print(f"{values.size} rows over {args.axis} -> {out}")
@@ -220,11 +221,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .measure_sim import (
-        failed_fit,
-        fit_exponential,
         gaussian_summary,
         separation_scores,
-        simulate_curve,
+        simulate_spot_ensemble,
         write_curve,
         write_fit_json,
     )
@@ -258,35 +257,28 @@ def cmd_simulate(args) -> int:
         cond_dir.mkdir(exist_ok=True)
         t1_pred = predict(sc).t1
         plan = measurement_plan(sc, t1_pred)
-        sampler = t1_sampler(sc)
         t1_hats = []
-        n_converged = 0
         # the condition index is part of the stream key, so conditions never
         # share a stream, whatever seeds their configs carry
         stream = np.random.SeedSequence(sc.seed, spawn_key=(index,))
-        for j, child in enumerate(stream.spawn(args.spots)):
-            rng = np.random.default_rng(child)
-            t1_true = float(sampler(rng))
-            curve = simulate_curve(t1_true, plan, rng)
-            try:
-                fit = fit_exponential(curve)
-            except ParameterError as exc:
-                fit = failed_fit(str(exc))
-            write_curve(curve, cond_dir / f"spot_{j:04d}_curve.tsv")
-            write_fit_json(fit, cond_dir / f"spot_{j:04d}_fit.json", plan=plan,
-                           seed=sc.seed,
+        spots = simulate_spot_ensemble(t1_sampler(sc), args.spots, plan, stream)
+        for j, spot in enumerate(spots):
+            if spot.curve is None:
+                raise ParameterError(spot.fit.message)
+            write_curve(spot.curve, cond_dir / f"spot_{j:04d}_curve.tsv")
+            write_fit_json(spot.fit, cond_dir / f"spot_{j:04d}_fit.json",
+                           plan=plan, seed=sc.seed,
                            extra={"condition": name, "spot": j,
-                                  "t1_true_s": t1_true})
+                                  "t1_true_s": spot.t1_true})
             outputs += [f"{name}/spot_{j:04d}_curve.tsv",
                         f"{name}/spot_{j:04d}_fit.json"]
-            if fit.converged:
-                n_converged += 1
-                t1_hats.append(fit.t1_hat)
+            if spot.fit.converged:
+                t1_hats.append(spot.fit.t1_hat)
 
         cond_doc = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
             "condition_index": index,
-            "n_spots": args.spots, "n_converged": n_converged,
+            "n_spots": args.spots, "n_converged": len(t1_hats),
             "t1_predicted_s": t1_pred, "gaussian": None,
         }
         summ = None

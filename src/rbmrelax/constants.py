@@ -12,8 +12,10 @@ and they are NOT interchangeable:
   conventionally quoted.
 
 Expressions like ``omega_0**2 * tau_c**2`` mix the two consistently because
-``tau_c`` is a plain time.  All conversions live in the four helpers below;
-nothing else in the package converts units.
+``tau_c`` is a plain time.  Values cross every interface in SI units.  The
+config keys quoted in GHz (``*_rate_ghz``) are fluctuation rates, scaled to
+1/s by exact decimal shifts in the config schema (``scenario``); apart from
+printed reports, nothing else in the package converts units.
 """
 
 from __future__ import annotations
@@ -40,22 +42,3 @@ ROOM_TEMPERATURE = 298.0    # K, all shipped solvent data refers to this
 TAU_C_MIN = 1e-15           # s
 TAU_C_MAX = 1e3             # s
 
-
-def omega_to_ghz(omega: float) -> float:
-    """Angular frequency (rad/s) -> cyclic GHz."""
-    return omega / (2.0 * math.pi * 1e9)
-
-
-def ghz_to_omega(freq_ghz: float) -> float:
-    """Cyclic GHz -> angular frequency (rad/s)."""
-    return freq_ghz * 2.0 * math.pi * 1e9
-
-
-def rate_to_ghz(rate: float) -> float:
-    """Fluctuation rate (1/s) -> GHz as rates are conventionally quoted."""
-    return rate / 1e9
-
-
-def ghz_to_rate(rate_ghz: float) -> float:
-    """GHz-quoted fluctuation rate -> 1/s."""
-    return rate_ghz * 1e9

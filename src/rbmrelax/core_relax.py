@@ -18,43 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import (
-    OMEGA_0,
-    TAU_C_MAX,
-    TAU_C_MIN,
-    T1_BULK_DEFAULT,
-    omega_to_ghz,
-)
+from .constants import OMEGA_0, TAU_C_MAX, TAU_C_MIN, T1_BULK_DEFAULT
 from .errors import ParameterError, nonnegative, positive, require
 
 
-@dataclass(frozen=True)
-class AngularFrequency:
-    """An angular frequency in rad/s.
-
-    Exists so that the sensor splitting cannot be confused with motional
-    fluctuation rates (plain 1/s floats) at interface boundaries.  Zero is
-    allowed: spectral densities are evaluated at zero frequency in tests and
-    in the zero-field limit.
-    """
-
-    rad_per_s: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rad_per_s) or self.rad_per_s < 0.0:
-            raise ParameterError(
-                f"angular frequency must be finite and >= 0, got {self.rad_per_s!r}"
-            )
-
-    @property
-    def cyclic_ghz(self) -> float:
-        return omega_to_ghz(self.rad_per_s)
-
-
 def _as_omega(value) -> float:
-    """Accept AngularFrequency or a raw rad/s float, returning rad/s."""
-    if isinstance(value, AngularFrequency):
-        return value.rad_per_s
+    """An angular frequency in rad/s, checked finite and >= 0 (zero is the
+    zero-field limit)."""
     omega = float(value)
     if not math.isfinite(omega) or omega < 0.0:
         raise ParameterError(f"angular frequency must be finite and >= 0, got {value!r}")
@@ -143,13 +113,6 @@ class RelaxationResult:
     rate_total: float
     rate_bulk: float
     per_source_rates: dict = field(default_factory=dict)
-
-    def dominant_source(self) -> str:
-        """Label of the largest contribution, "bulk" if bulk dominates."""
-        best = max(self.per_source_rates, key=self.per_source_rates.get, default=None)
-        if best is None or self.per_source_rates[best] < self.rate_bulk:
-            return "bulk"
-        return best
 
 
 def t1_total(sources, t1_bulk: float = T1_BULK_DEFAULT, omega0=OMEGA_0) -> RelaxationResult:

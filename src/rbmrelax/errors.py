@@ -1,9 +1,9 @@
 """Exception hierarchy, and the domain checks that raise ParameterError.
 
 ValueError subclasses cover bad user input (parameters, config files); they
-map to CLI exit code 1.  SingularityError and FitError cover conditions that
-arise from valid input (resonant divergence, non-convergent fits) and map to
-exit code 2.
+map to CLI exit code 1.  SingularityError covers a condition that arises
+from valid input (resonant divergence) and maps to exit code 2, as does a
+non-converged fit, which is reported in its result rather than raised.
 
 The checks accept Python floats and numpy arrays alike, so one validation
 serves a scalar prediction and a whole grid.  NaN fails every check.
@@ -28,10 +28,6 @@ class NoSolutionError(ValueError):
 
 class SingularityError(ArithmeticError):
     """Evaluation at or too close to a removable divergence."""
-
-
-class FitError(RuntimeError):
-    """A least-squares fit failed to converge or is degenerate."""
 
 
 def positive(value):

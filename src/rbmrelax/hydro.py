@@ -27,6 +27,7 @@ import numpy as np
 
 from .constants import K_B
 from .errors import ConfigError, ParameterError, nonnegative, positive, require
+from .table import read_table
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,13 @@ class SolventMixture:
         table = tuple((float(x), float(eta)) for x, eta in self.viscosity_table)
         if len(table) < 2:
             raise ParameterError("viscosity table needs at least 2 rows")
-        xs = [row[0] for row in table]
-        if xs != sorted(xs) or len(set(xs)) != len(xs):
+        xs, etas = np.array(table).T
+        require(nonnegative(xs), "mole fractions must be finite and >= 0, got {!r}", xs)
+        require(positive(etas), "viscosities must be finite and positive, got {!r}", etas)
+        if np.any(xs[1:] <= xs[:-1]):
             raise ParameterError("viscosity table must be strictly sorted by mole fraction")
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ParameterError("viscosity table must cover mole fractions [0, 1]")
-        if any(eta <= 0.0 for _, eta in table):
-            raise ParameterError("viscosities must be positive")
         object.__setattr__(self, "viscosity_table", table)
 
 
@@ -252,44 +253,24 @@ def total_rate(r_dip, r_vib, r_trans, r_rot) -> RateBreakdown:
                          r_total=r_dip + r_vib + r_trans + r_rot)
 
 
-def load_viscosity_table(path) -> tuple:
-    """Load a solvent viscosity table from a delimited text file.
+VISCOSITY_COLUMNS = ("mole_fraction", "viscosity_mPa_s")
 
-    Expected format: one header line, then rows of
-    ``mole_fraction viscosity_mPa_s`` separated by whitespace or commas.
-    Viscosities are converted to Pa*s.  The table must be sorted ascending
-    and cover mole fractions 0 through 1.
+
+def load_viscosity_table(path) -> tuple:
+    """Load a solvent viscosity table (see rbmrelax.table).
+
+    The header must name the columns ``mole_fraction viscosity_mPa_s``, so
+    a table in other units is rejected instead of being misread; values
+    must be finite.  Viscosities are converted to Pa*s.  The table must be
+    strictly sorted by mole fraction and cover 0 through 1.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read viscosity table {path}: {exc}") from exc
-    rows = []
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if not seen_header:
-            seen_header = True  # first non-blank line is the column header
-            continue
-        fields = text.replace(",", " ").split()
-        if len(fields) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-        try:
-            x, eta_mpa_s = float(fields[0]), float(fields[1])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric row: {text!r}") from exc
-        rows.append((x, eta_mpa_s * 1e-3))
-    if not rows:
-        raise ConfigError(f"{path}: no data rows found")
+    rows, _ = read_table(path, VISCOSITY_COLUMNS, "viscosity table")
     xs = [r[0] for r in rows]
-    if xs != sorted(xs):
-        raise ConfigError(f"{path}: rows must be sorted by mole fraction")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ConfigError(f"{path}: rows must be strictly sorted by mole fraction")
     if xs[0] != 0.0 or xs[-1] != 1.0:
         raise ConfigError(f"{path}: table must cover mole fractions [0, 1]")
-    return tuple(rows)
+    return tuple((x, eta_mpa_s * 1e-3) for x, eta_mpa_s in rows)
 
 
 def default_table_path() -> Path:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigError, ParameterError
+from .table import read_table, write_table
 
 _MIN_FIT_POINTS = 4
 
@@ -90,12 +91,10 @@ def expected_signal(tau: float, t1: float, contrast: float) -> float:
 class RelaxationCurve:
     """Normalized relaxation signal versus dark time.
 
-    points: tuple of (tau_s, signal, stderr).  raw_counts, when kept, maps
-    each tau to its per-shot (signal, reference) count arrays.
+    points: tuple of (tau_s, signal, stderr).
     """
 
     points: tuple
-    raw_counts: dict | None = None
 
     def __post_init__(self):
         pts = tuple((float(t), float(y), float(e)) for t, y, e in self.points)
@@ -113,16 +112,14 @@ class RelaxationCurve:
         return a[:, 0], a[:, 1], a[:, 2]
 
 
-def simulate_curve(t1_true: float, plan: MeasurementPlan, seed,
-                   keep_raw: bool = False) -> RelaxationCurve:
+def simulate_curve(t1_true: float, plan: MeasurementPlan, seed) -> RelaxationCurve:
     """Simulate one relaxation curve with photon shot noise.
 
     Per dark time, expected signal counts per shot are
     counts_per_shot * s(tau) and reference counts are counts_per_shot; the
     normalized signal is the ratio of shot-summed totals.  A sum of
     independent Poisson draws is itself Poisson, so only the totals are
-    drawn unless per-shot tallies are requested; the two paths agree in
-    distribution.  Deterministic for a fixed seed.
+    drawn.  Deterministic for a fixed seed.
 
     With shots_per_point == 1 the per-point error is not estimable from the
     data; stderr is set to 0 as a sentinel that downstream fits treat as
@@ -135,24 +132,11 @@ def simulate_curve(t1_true: float, plan: MeasurementPlan, seed,
     mu_ref_shot = plan.counts_per_shot
 
     points = []
-    raw = {} if keep_raw else None
     for tau in plan.dark_times:
         mu_sig_shot = mu_ref_shot * expected_signal(tau, t1_true, plan.contrast)
-        if keep_raw:
-            sig_shots = rng.poisson(mu_sig_shot, shots)
-            sig_total = int(sig_shots.sum())
-            if plan.include_reference:
-                ref_shots = rng.poisson(mu_ref_shot, shots)
-                ref_total = int(ref_shots.sum())
-            else:
-                ref_shots = None
-                ref_total = None
-            raw[tau] = (sig_shots, ref_shots)
-        else:
-            sig_total = int(rng.poisson(shots * mu_sig_shot))
-            ref_total = int(rng.poisson(shots * mu_ref_shot)) if plan.include_reference else None
-
+        sig_total = int(rng.poisson(shots * mu_sig_shot))
         if plan.include_reference:
+            ref_total = int(rng.poisson(shots * mu_ref_shot))
             denom = max(ref_total, 1)
             y = sig_total / denom
             # var(S/R) ~ (1/R^2) (var S + y^2 var R), Poisson variances
@@ -164,7 +148,7 @@ def simulate_curve(t1_true: float, plan: MeasurementPlan, seed,
             err = math.sqrt(max(sig_total, 1)) / denom
         points.append((tau, y, err if shots > 1 else 0.0))
 
-    return RelaxationCurve(points=tuple(points), raw_counts=raw)
+    return RelaxationCurve(points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -313,31 +297,41 @@ def fit_exponential(curve: RelaxationCurve, initial_guess=None) -> FitResult:
                      singular_curvature=singular)
 
 
+@dataclass(frozen=True)
+class SpotResult:
+    """One simulated spot: its true T1, its curve (None when the sampler
+    gave an invalid T1) and its fit."""
+
+    t1_true: float
+    curve: RelaxationCurve | None
+    fit: FitResult
+
+
 def simulate_spot_ensemble(t1_sampler, n_spots: int, plan: MeasurementPlan,
-                           seed) -> list:
-    """Simulate and fit many detection spots.
+                           stream: np.random.SeedSequence):
+    """Simulate and fit many detection spots, yielding one SpotResult each.
 
     t1_sampler(rng) draws one spot's true T1 from the spot-to-spot
-    distribution.  Each spot gets its own child stream spawned from the
-    master seed, so the ensemble is reproducible and insensitive to
-    execution order.  Fit failures are flagged per spot (converged=False),
-    never fatal.
+    distribution.  Spot j draws everything from the j-th child spawned from
+    stream, so the ensemble is reproducible and insensitive to execution
+    order.  Fit failures and invalid sampler values are flagged per spot
+    (converged=False), never fatal.
     """
     if n_spots < 2:
         raise ParameterError(f"need >= 2 spots, got {n_spots}")
-    results = []
-    for child in np.random.SeedSequence(seed).spawn(n_spots):
+    for child in stream.spawn(n_spots):
         rng = np.random.default_rng(child)
         t1_spot = float(t1_sampler(rng))
         if not (math.isfinite(t1_spot) and t1_spot > 0.0):
-            results.append(failed_fit(f"sampler produced invalid t1 {t1_spot!r}"))
+            yield SpotResult(t1_spot, None,
+                             failed_fit(f"sampler produced invalid t1 {t1_spot!r}"))
             continue
         curve = simulate_curve(t1_spot, plan, rng)
         try:
-            results.append(fit_exponential(curve))
+            fit = fit_exponential(curve)
         except ParameterError as exc:
-            results.append(failed_fit(str(exc)))
-    return results
+            fit = failed_fit(str(exc))
+        yield SpotResult(t1_spot, curve, fit)
 
 
 @dataclass(frozen=True)
@@ -380,43 +374,16 @@ CURVE_HEADER = ("tau_s", "signal", "stderr")
 
 
 def write_curve(curve: RelaxationCurve, path) -> None:
-    """Write a curve as tab-delimited text, lossless at 17 significant digits."""
-    lines = ["\t".join(CURVE_HEADER)]
-    for t, y, e in curve.points:
-        lines.append(f"{t:.17g}\t{y:.17g}\t{e:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a curve as a table (see rbmrelax.table), lossless at 17
+    significant digits."""
+    write_table(path, CURVE_HEADER, curve.points)
 
 
 def read_curve(path) -> RelaxationCurve:
-    """Parse a curve file written by write_curve; row numbers in errors."""
-    path = Path(path)
+    """Parse a curve table; row numbers in errors."""
+    rows, _ = read_table(path, CURVE_HEADER, "curve file")
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read curve file {path}: {exc}") from exc
-    points = []
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if not seen_header:
-            if tuple(text.split()) != CURVE_HEADER:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected header {' '.join(CURVE_HEADER)!r}")
-            seen_header = True
-            continue
-        fields = text.split()
-        if len(fields) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 3 columns, got {len(fields)}")
-        try:
-            points.append(tuple(float(v) for v in fields))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric row: {text!r}") from exc
-    if not points:
-        raise ConfigError(f"{path}: no data rows")
-    try:
-        return RelaxationCurve(points=tuple(points))
+        return RelaxationCurve(points=rows)
     except ParameterError as exc:
         raise ConfigError(f"{path}: invalid curve data: {exc}") from exc
 

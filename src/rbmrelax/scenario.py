@@ -339,16 +339,6 @@ def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
         template=sensitivity_template(sc, center))
 
 
-def inverse_t1_predictor(sc: Scenario):
-    """Callable n -> predicted 1/T1; the fixed-scenario closure used when
-    fitting an effective density scale to measured data."""
-
-    def predict_rate(n: float) -> float:
-        return predict(sc, gd_density=n).relaxation.rate_total
-
-    return predict_rate
-
-
 @lru_cache(maxsize=32)
 def _cached_table(path: str) -> tuple:
     return load_viscosity_table(path)

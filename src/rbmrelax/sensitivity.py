@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-
 import numpy as np
 
 from .constants import GAMMA_E, OMEGA_0
-from .errors import ConfigError, ParameterError, SingularityError, positive, require
+from .errors import ParameterError, SingularityError, positive, require
+from .table import write_table
 
 # Relative half-width of the rejected resonance neighborhood.  Within it the
 # formula's divergence is dominated by cancellation noise, not physics.
@@ -217,56 +216,14 @@ CURVE_COLUMNS = ("density_per_m3", "r_total_per_s", "delta_r_min_per_s")
 
 
 def write_sensitivity_curve(curve: SensitivityCurve, path) -> None:
-    """Write the curve as delimited text plus an argmin summary block."""
-    lines = ["\t".join(CURVE_COLUMNS)]
-    for n, r, d in curve.points:
-        lines.append(f"{n:.17g}\t{r:.17g}\t{d:.17g}")
-    lines.append("# argmin")
-    lines.append(f"# density_per_m3 = {curve.argmin_density:.17g}")
-    lines.append(f"# r_total_per_s = {curve.rate_at_min:.17g}")
-    lines.append(f"# delta_r_min_per_s = {curve.delta_min:.17g}")
-    lines.append(f"# boundary_warning = {str(curve.boundary_warning).lower()}")
+    """Write the curve as a table (see rbmrelax.table) plus an argmin
+    summary block of metadata comments."""
+    comments = ["argmin",
+                f"density_per_m3 = {curve.argmin_density:.17g}",
+                f"r_total_per_s = {curve.rate_at_min:.17g}",
+                f"delta_r_min_per_s = {curve.delta_min:.17g}",
+                f"boundary_warning = {str(curve.boundary_warning).lower()}"]
     if curve.skipped:
-        lines.append("# skipped_densities = " +
-                     ",".join(f"{n:.17g}" for n in curve.skipped))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_sensitivity_curve(path) -> SensitivityCurve:
-    """Parse a file written by write_sensitivity_curve."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read sensitivity curve {path}: {exc}") from exc
-    points, meta, seen_header = [], {}, False
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            body = text.lstrip("#").strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if not seen_header:
-            if tuple(text.split()) != CURVE_COLUMNS:
-                raise ConfigError(f"{path}:{lineno}: unexpected header {text!r}")
-            seen_header = True
-            continue
-        fields = text.split()
-        if len(fields) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 3 columns, got {len(fields)}")
-        try:
-            points.append(tuple(float(v) for v in fields))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric row: {text!r}") from exc
-    if not points:
-        raise ConfigError(f"{path}: no data rows")
-    values = [p[2] for p in points]
-    idx = values.index(min(values))
-    skipped = tuple(float(v) for v in meta.get("skipped_densities", "").split(",") if v)
-    boundary = meta.get("boundary_warning", "false") == "true"
-    return SensitivityCurve(points=tuple(points), argmin_index=idx,
-                            boundary_warning=boundary, skipped=skipped)
+        comments.append("skipped_densities = " +
+                        ",".join(f"{n:.17g}" for n in curve.skipped))
+    write_table(path, CURVE_COLUMNS, curve.points, comments)

@@ -10,11 +10,10 @@ from rbmrelax.bath import (
     b_perp_sq_surface,
     b_perp_sq_volume,
     calibrate_surface_density,
-    effective_gd_density_fit,
     moment_sq,
 )
 from rbmrelax.constants import GAMMA_E, HBAR
-from rbmrelax.errors import FitError, NoSolutionError, ParameterError
+from rbmrelax.errors import NoSolutionError, ParameterError
 
 GEOM = ParticleGeometry(diameter=25.0e-9)
 SURFACE = SurfaceBath(areal_density=1.0e18, spin_quantum_number=0.5)
@@ -158,27 +157,3 @@ def test_calibrate_surface_density_requires_shortening():
         calibrate_surface_density(3e-3, GEOM, t1_bulk=3e-3)
     with pytest.raises(ParameterError):
         calibrate_surface_density(-1e-4, GEOM, t1_bulk=3e-3)
-
-
-def test_effective_density_fit_recovers_scale():
-    # synthetic forward model: rate = bulk + slope * n_effective
-    bulk, slope, scale_true = 300.0, 2.0e-22, 1.3
-
-    def predict_inverse_t1(n):
-        return bulk + slope * n
-
-    points = [(n, 1.0 / predict_inverse_t1(scale_true * n))
-              for n in (1e24, 5e24, 2e25, 8e25)]
-    scale = effective_gd_density_fit(points, predict_inverse_t1)
-    assert scale == pytest.approx(scale_true, rel=1e-9)
-
-
-def test_effective_density_fit_validation():
-    def predict_inverse_t1(n):
-        return 300.0 + 2.0e-22 * n
-
-    with pytest.raises(ParameterError):
-        effective_gd_density_fit([(1e24, 1e-4), (2e24, 9e-5)], predict_inverse_t1)
-    with pytest.raises(FitError):
-        effective_gd_density_fit(
-            [(1e24, 1e-4), (1e24, 9e-5), (1e24, 8e-5)], predict_inverse_t1)

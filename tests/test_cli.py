@@ -1,10 +1,15 @@
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbmrelax.cli import main
+from rbmrelax.measure_sim import CURVE_HEADER, simulate_spot_ensemble
+from rbmrelax.scenario import measurement_plan, parse_config, predict, t1_sampler
+from rbmrelax.table import read_table
 from rbmrelax.validation import OracleCheck, OracleReport
 
 FAST_BODY = """\
@@ -322,3 +327,43 @@ def test_shipped_acetone_then_water_draw_distinct_streams(tmp_path, monkeypatch,
     acetone, water = states[20260102], states[20260101]
     assert len(acetone) == len(water) == 3
     assert not set(acetone) & set(water)
+
+
+def test_simulate_files_come_from_the_one_engine(fast_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(fast_config), "--spots", "3",
+                 "--out", str(out)]) == 0
+    sc = parse_config(fast_config)
+    plan = measurement_plan(sc, predict(sc).t1)
+    stream = np.random.SeedSequence(sc.seed, spawn_key=(0,))
+    spots = list(simulate_spot_ensemble(t1_sampler(sc), 3, plan, stream))
+    assert len(spots) == 3
+    for j, spot in enumerate(spots):
+        doc = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
+        rows, _ = read_table(out / "fast" / f"spot_{j:04d}_curve.tsv",
+                             CURVE_HEADER, "curve file")
+        assert doc["t1_true_s"] == spot.t1_true
+        assert rows == spot.curve.points
+        assert doc["t1_hat_s"] == spot.fit.t1_hat
+
+
+@pytest.mark.parametrize("body, message", [
+    # a Pa s table would otherwise be scaled by 1e-3 a second time
+    ("mole_fraction viscosity_Pa_s\n0.0 0.000306\n0.5 0.000876\n1.0 0.00089\n",
+     r"table\.txt:1: expected header 'mole_fraction viscosity_mPa_s'"),
+    ("mole_fraction viscosity_mPa_s\n0.0 0.306\n0.50  nan\n1.0 0.89\n",
+     r"table\.txt:3: non-finite value"),
+])
+def test_bad_viscosity_table_fails_t1_before_output(tmp_path, capsys, body, message):
+    (tmp_path / "table.txt").write_text(body)
+    cfg = tmp_path / "mix.ini"
+    cfg.write_text("[solvent]\nx_water = 0.5\ntable_path = table.txt\n")
+    parse_config(cfg)  # the file exists; its content is read on first use
+    out = tmp_path / "report.txt"
+    assert main(["t1", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not list(tmp_path.glob("report.txt*"))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert re.search(message, err[0])

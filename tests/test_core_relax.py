@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from rbmrelax.constants import GAMMA_E, OMEGA_0, ghz_to_omega, omega_to_ghz
+from rbmrelax.constants import GAMMA_E, OMEGA_0
 from rbmrelax.core_relax import (
-    AngularFrequency,
     NoiseSource,
     lorentzian_psd,
     motional_narrowing_curve,
@@ -47,16 +46,11 @@ def test_source_rate_is_inverse_tau():
     assert SRC.with_rate(2.0e9).tau_c == pytest.approx(0.5e-9, rel=1e-15)
 
 
-def test_angular_frequency_conversions():
-    w = AngularFrequency(OMEGA_0)
-    assert w.cyclic_ghz == pytest.approx(2.87, rel=1e-12)
-    assert omega_to_ghz(ghz_to_omega(3.1)) == pytest.approx(3.1, rel=1e-14)
-
-
 def test_zero_frequency_allowed_negative_rejected():
-    AngularFrequency(0.0)
+    # zero is the zero-field limit; a negative angular frequency is an error
+    assert lorentzian_psd(SRC, 0.0) == pytest.approx(2.0e-9 * 2.0 * SRC.tau_c, rel=1e-15)
     with pytest.raises(ParameterError):
-        AngularFrequency(-1.0)
+        lorentzian_psd(SRC, -1.0)
 
 
 def test_source_validation():
@@ -92,12 +86,6 @@ def test_t1_total_rejects_duplicate_labels():
         t1_total([a, b])
     with pytest.raises(ParameterError):
         t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="bulk")])
-
-
-def test_dominant_source():
-    weak = NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-12, tau_c=1.0 / 18e9, label="weak")
-    strong = NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-8, tau_c=1.0 / 18e9, label="strong")
-    assert t1_total([weak, strong]).dominant_source() == "strong"
 
 
 def test_narrowing_peak_at_level_splitting():

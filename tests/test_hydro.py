@@ -7,6 +7,7 @@ from rbmrelax.hydro import (
     A_S_ACETONE_DEFAULT,
     A_S_WATER_DEFAULT,
     HydroParams,
+    SolventMixture,
     default_table_path,
     effective_solvent_radius,
     hydro_params_at,
@@ -143,3 +144,28 @@ def test_load_viscosity_table_errors(tmp_path):
     partial.write_text("mole_fraction viscosity_mPa_s\n0.2 0.3\n1.0 0.9\n")
     with pytest.raises(ConfigError):
         load_viscosity_table(partial)  # must cover [0, 1]
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("mole_fraction viscosity_mPa_s\n0.0 0.3\n0.5 0.5\n0.5 0.6\n1.0 0.9\n")
+    with pytest.raises(ConfigError, match=r"repeated\.txt: rows must be strictly sorted"):
+        load_viscosity_table(repeated)
+    # a table in Pa s must not be scaled by 1e-3 a second time
+    pa_s = tmp_path / "pa_s.txt"
+    pa_s.write_text("# water/acetone\nmole_fraction viscosity_Pa_s\n0.0 3e-4\n1.0 9e-4\n")
+    with pytest.raises(ConfigError, match=r"pa_s\.txt:2: expected header "
+                                          r"'mole_fraction viscosity_mPa_s'"):
+        load_viscosity_table(pa_s)
+    nan = tmp_path / "nan.txt"
+    nan.write_text("mole_fraction viscosity_mPa_s\n0.0 0.306\n0.50  nan\n1.0 0.89\n")
+    with pytest.raises(ConfigError, match=r"nan\.txt:3: non-finite"):
+        load_viscosity_table(nan)
+
+
+@pytest.mark.parametrize("rows", [
+    ((0.0, 3.06e-4), (0.5, math.nan), (1.0, 8.9e-4)),
+    ((0.0, 3.06e-4), (0.5, math.inf), (1.0, 8.9e-4)),
+    ((0.0, 3.06e-4), (math.nan, 5e-4), (1.0, 8.9e-4)),
+])
+def test_solvent_mixture_rejects_bad_rows(rows):
+    with pytest.raises(ParameterError):
+        SolventMixture(x_water=0.5, viscosity_table=rows,
+                       a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)

@@ -211,22 +211,28 @@ def test_spot_ensemble_reproducible_and_accurate():
                            shots_per_point=1_000_000_000,
                            detection_window=500e-9, photon_rate=1e5,
                            contrast=0.2)
-    fits = simulate_spot_ensemble(lambda rng: T1_REF, n_spots=5, plan=plan,
-                                  seed=2026)
+    spots = list(simulate_spot_ensemble(lambda rng: T1_REF, n_spots=5, plan=plan,
+                                        stream=np.random.SeedSequence(2026)))
+    fits = [s.fit for s in spots]
     assert len(fits) == 5
+    assert all(s.t1_true == T1_REF and len(s.curve.points) == len(plan.dark_times)
+               for s in spots)
     for fit in fits:
         assert fit.converged
         assert fit.t1_hat == pytest.approx(T1_REF, rel=1e-2)
         assert abs(fit.t1_hat - T1_REF) < 5.0 * fit.t1_stderr
     again = simulate_spot_ensemble(lambda rng: T1_REF, n_spots=5, plan=plan,
-                                   seed=2026)
-    assert [f.t1_hat for f in again] == [f.t1_hat for f in fits]
+                                   stream=np.random.SeedSequence(2026))
+    assert [s.fit.t1_hat for s in again] == [f.t1_hat for f in fits]
     with pytest.raises(ParameterError):
-        simulate_spot_ensemble(lambda rng: T1_REF, n_spots=1, plan=plan, seed=1)
+        list(simulate_spot_ensemble(lambda rng: T1_REF, n_spots=1, plan=plan,
+                                    stream=np.random.SeedSequence(1)))
 
 
 def test_spot_ensemble_flags_bad_sampler():
-    fits = simulate_spot_ensemble(lambda rng: -1.0, n_spots=3, plan=PLAN,
-                                  seed=1)
+    spots = list(simulate_spot_ensemble(lambda rng: -1.0, n_spots=3, plan=PLAN,
+                                        stream=np.random.SeedSequence(1)))
+    assert all(s.curve is None for s in spots)
+    fits = [s.fit for s in spots]
     assert all(not f.converged for f in fits)
     assert all(math.isnan(f.t1_hat) for f in fits)

@@ -16,7 +16,6 @@ from rbmrelax.scenario import (
     Scenario,
     config_hash,
     density_sensitivity_curve,
-    inverse_t1_predictor,
     measurement_plan,
     parse_config,
     predict,
@@ -202,14 +201,6 @@ def test_density_sensitivity_curve_optimum_near_calibration():
     # grid-discretized argmin lands within one grid step of the anchor
     assert curve.argmin_density == pytest.approx(OPTIMAL_DENSITY_CAL, rel=0.07)
     assert curve.delta_min == pytest.approx(6.9e9, rel=0.01)
-
-
-def test_inverse_t1_predictor_consistency():
-    sc = Scenario()
-    rate_fn = inverse_t1_predictor(sc)
-    n = 2e25
-    assert rate_fn(n) == pytest.approx(
-        1.0 / predict(sc, gd_density=n).t1, rel=1e-14)
 
 
 @pytest.mark.parametrize("text, message", [

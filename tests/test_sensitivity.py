@@ -6,15 +6,16 @@ import pytest
 from rbmrelax.constants import OMEGA_0
 from rbmrelax.errors import ParameterError, SingularityError
 from rbmrelax.sensitivity import (
+    CURVE_COLUMNS,
     SensitivityCurve,
     SensitivityInputs,
     default_density_grid,
     delta_r_min,
     delta_r_oracle,
     optimize_density,
-    read_sensitivity_curve,
     write_sensitivity_curve,
 )
+from rbmrelax.table import read_table
 
 REF = SensitivityInputs(
     contrast=0.2,
@@ -174,12 +175,18 @@ def test_curve_file_roundtrip(tmp_path):
     def r_fn(n):
         return 1e9 + 1e-17 * n
 
-    grid = default_density_grid(1e26, decades=4.0, per_decade=10)
+    # one grid density puts the rate on the level splitting, so it is skipped
+    resonant = (OMEGA_0 - 1e9) / 1e-17
+    grid = sorted(default_density_grid(1e26, decades=4.0, per_decade=10) + (resonant,))
     curve = optimize_density(grid, b2_fn, r_fn, REF)
+    assert curve.skipped == (resonant,)
     path = tmp_path / "sens.tsv"
     write_sensitivity_curve(curve, path)
-    again = read_sensitivity_curve(path)
-    assert again.points == curve.points
-    assert again.argmin_index == curve.argmin_index
-    assert again.boundary_warning == curve.boundary_warning
-    assert again.skipped == curve.skipped
+    rows, meta = read_table(path, CURVE_COLUMNS, "sensitivity curve")
+    assert rows == curve.points
+    assert float(meta["density_per_m3"]) == curve.argmin_density
+    assert float(meta["r_total_per_s"]) == curve.rate_at_min
+    assert float(meta["delta_r_min_per_s"]) == curve.delta_min
+    assert meta["boundary_warning"] == str(curve.boundary_warning).lower()
+    skipped = tuple(float(v) for v in meta["skipped_densities"].split(","))
+    assert skipped == curve.skipped
