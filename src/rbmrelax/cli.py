@@ -19,7 +19,9 @@ curves, sensitivity curves) use the one format of rbmrelax.table.
 ``simulate`` writes each spot's curve and fit as
 measure_sim.simulate_spot_ensemble yields it.
 
-``sweep`` and ``sensitivity`` evaluate their whole grid in one array pass.
+``sweep`` and ``sensitivity`` evaluate their whole grid in one array
+predict call, so they share one density domain; a sweep picks its columns
+from ScenarioPrediction.as_dict by name.
 Only ``simulate``, ``fit`` and ``oracle`` load scipy; they import
 measure_sim and validation when they run, so start-up of the other verbs
 stays at numpy's cost.
@@ -31,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,38 +63,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Audit record for one file-producing command.
+def _write_manifest(path: Path, command: str, configs, outputs) -> None:
+    """Write the audit record of one file-producing command.
 
     configs holds one dict per input config: path, sha256 of the canonical
     serialization, seed, and for simulate the condition index that selects
     its random stream; outputs lists every data file the command wrote,
     relative to the manifest's own directory.
     """
-
-    command: str
-    version: str
-    created_utc: str
-    configs: tuple
-    outputs: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "created_utc": self.created_utc,
-            "configs": list(self.configs),
-            "outputs": list(self.outputs),
-        }
-
-
-def _write_manifest(path: Path, command: str, configs, outputs) -> None:
-    manifest = RunManifest(
-        command=command, version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        configs=tuple(configs), outputs=tuple(sorted(str(o) for o in outputs)))
-    path.write_text(json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n")
+    manifest = {"command": command, "version": __version__,
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "configs": list(configs), "outputs": sorted(str(o) for o in outputs)}
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _config_entry(path, sc, **extra) -> dict:
@@ -150,20 +131,7 @@ def _load_scenario(args):
 
 
 def _t1_report(pred) -> str:
-    doc = pred.as_dict()
-    lines = []
-    for key in ("t1_s", "rate_total_per_s", "rate_bulk_per_s"):
-        lines.append(f"{key} = {doc[key]:.17g}")
-    sources = doc["per_source_rates_per_s"]
-    for label in sorted(sources):
-        lines.append(f"rate_source_{label}_per_s = {sources[label]:.17g}")
-    for comp, value in doc["gd_rates_per_s"].items():
-        lines.append(f"gd_rate_{comp}_per_s = {value:.17g}")
-    for key in ("b_perp_sq_surface_t2", "b_perp_sq_molecular_t2",
-                "viscosity_pa_s", "microviscosity_factor", "x_water",
-                "diameter_m", "gd_density_per_m3", "surface_density_per_m2"):
-        lines.append(f"{key} = {doc[key]:.17g}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value:.17g}\n" for key, value in pred.as_dict().items())
 
 
 def cmd_t1(args) -> int:
@@ -204,11 +172,8 @@ def cmd_sweep(args) -> int:
         column, override = "diameter_m", "diameter"
 
     values = np.array(grid)
-    pred = predict(sc, **{override: values})
-    g = pred.gd_rates
-    columns = np.broadcast_arrays(
-        values, pred.viscosity, pred.microviscosity, g.r_dip, g.r_vib, g.r_trans,
-        g.r_rot, g.r_total, pred.b2_surface, pred.b2_molecular, pred.t1)
+    doc = predict(sc, **{override: values}).as_dict()
+    columns = np.broadcast_arrays(*(doc[name] for name in (column,) + SWEEP_COLUMNS))
 
     out = Path(args.out)
     write_table(out, (column,) + SWEEP_COLUMNS, zip(*(c.tolist() for c in columns)))
@@ -230,6 +195,19 @@ def cmd_simulate(args) -> int:
 
     if args.spots < 2:
         raise ConfigError(f"--spots must be >= 2, got {args.spots}")
+    # every condition is predicted and planned before anything is written,
+    # so a bad condition leaves no partial output
+    conditions = []
+    taken = set()
+    for index, cfg in enumerate(args.config):
+        sc = with_seed(parse_config(cfg), args.seed)
+        name = Path(cfg).stem
+        if name in taken:
+            name = f"{name}_{index}"
+        taken.add(name)
+        t1_pred = predict(sc).t1
+        conditions.append((name, cfg, sc, index, t1_pred, measurement_plan(sc, t1_pred)))
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = out_dir / ".writable"
@@ -239,24 +217,12 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}")
 
-    conditions = []
-    taken = set()
-    for index, cfg in enumerate(args.config):
-        sc = with_seed(parse_config(cfg), args.seed)
-        name = Path(cfg).stem
-        if name in taken:
-            name = f"{name}_{index}"
-        taken.add(name)
-        conditions.append((name, cfg, sc, index))
-
     outputs = []
     summaries = []
     summary_doc = {"conditions": {}, "separation": None}
-    for name, cfg, sc, index in conditions:
+    for name, cfg, sc, index, t1_pred, plan in conditions:
         cond_dir = out_dir / name
         cond_dir.mkdir(exist_ok=True)
-        t1_pred = predict(sc).t1
-        plan = measurement_plan(sc, t1_pred)
         t1_hats = []
         # the condition index is part of the stream key, so conditions never
         # share a stream, whatever seeds their configs carry
@@ -300,9 +266,9 @@ def cmd_simulate(args) -> int:
     outputs.append("summary.json")
     _write_manifest(out_dir / "manifest.json", "simulate",
                     [_config_entry(cfg, sc, condition_index=index)
-                     for _, cfg, sc, index in conditions], outputs)
+                     for _, cfg, sc, index, _, _ in conditions], outputs)
 
-    for (name, _, _, _), summ in zip(conditions, summaries):
+    for (name, *_), summ in zip(conditions, summaries):
         if summ is not None:
             print(f"{name}: t1 = {summ.mean:.6g} s +- {summ.sigma:.6g} s "
                   f"(n = {summ.n})")

@@ -9,7 +9,7 @@ comes from a shipped reference table with monotone cubic (PCHIP)
 interpolation.  The interpolant is a numpy port of scipy's
 PchipInterpolator (same derivative rule, same piecewise-power coefficients,
 same evaluation order), so it reproduces scipy bit for bit without
-importing it; it is built once per table.
+importing it; each SolventMixture builds it once, on first use.
 
 Every rate function broadcasts over numpy arrays: composition, radius and
 viscosity may be arrays, and validation applies to every element.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -57,21 +57,20 @@ class HydroParams:
 class SolventMixture:
     """Binary water/cosolvent mixture with a tabulated viscosity curve.
 
-    x_water is the nominal composition of this mixture; the viscosity table
-    is a tuple of (mole fraction water, viscosity Pa*s) rows at the
-    reference temperature, sorted ascending and covering [0, 1].
+    The viscosity table is a tuple of (mole fraction water, viscosity Pa*s)
+    rows at the reference temperature, sorted ascending and covering
+    [0, 1]; a_s_water and a_s_other are the effective solvent radii (m).
+    Every function of composition takes the mole fraction as an argument.
     """
 
-    x_water: float
     viscosity_table: tuple
     a_s_water: float
     a_s_other: float
 
     def __post_init__(self):
-        if not (0.0 <= self.x_water <= 1.0):
-            raise ParameterError(f"x_water must lie in [0, 1], got {self.x_water!r}")
-        if self.a_s_water < 0.0 or self.a_s_other < 0.0:
-            raise ParameterError("solvent radii must be >= 0")
+        for name in ("a_s_water", "a_s_other"):
+            value = getattr(self, name)
+            require(nonnegative(value), f"{name} must be finite and >= 0, got {{!r}}", value)
         table = tuple((float(x), float(eta)) for x, eta in self.viscosity_table)
         if len(table) < 2:
             raise ParameterError("viscosity table needs at least 2 rows")
@@ -83,6 +82,11 @@ class SolventMixture:
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ParameterError("viscosity table must cover mole fractions [0, 1]")
         object.__setattr__(self, "viscosity_table", table)
+
+    @cached_property
+    def interpolant(self) -> Pchip:
+        """The viscosity curve, built on first use."""
+        return Pchip(*np.array(self.viscosity_table).T)
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,6 @@ class Pchip:
         return values if xq.ndim else float(values)
 
 
-@lru_cache(maxsize=8)
-def _interpolator(table: tuple) -> Pchip:
-    return Pchip([row[0] for row in table], [row[1] for row in table])
-
-
 def _check_fraction(x):
     require((x >= 0.0) & (x <= 1.0), "mole fraction must lie in [0, 1], got {!r}", x)
 
@@ -223,7 +222,7 @@ def mixture_viscosity(m: SolventMixture, x):
     the interior viscosity maximum.
     """
     _check_fraction(x)
-    return _interpolator(m.viscosity_table)(x)
+    return m.interpolant(x)
 
 
 def effective_solvent_radius(m: SolventMixture, x):
@@ -232,14 +231,9 @@ def effective_solvent_radius(m: SolventMixture, x):
     return x * m.a_s_water + (1.0 - x) * m.a_s_other
 
 
-def hydro_params_at(m: SolventMixture, a: float, temperature: float,
-                    x=None) -> HydroParams:
-    """HydroParams for the mixture evaluated at composition x.
-
-    Defaults to the mixture's own x_water; an array x gives array fields.
-    """
-    if x is None:
-        x = m.x_water
+def hydro_params_at(m: SolventMixture, a: float, temperature: float, x) -> HydroParams:
+    """HydroParams for the mixture evaluated at composition x; an array x
+    gives array fields."""
     return HydroParams(a=a, a_s=effective_solvent_radius(m, x),
                        eta=mixture_viscosity(m, x), temperature=temperature)
 
@@ -284,8 +278,7 @@ A_S_WATER_DEFAULT = 0.14e-9
 A_S_ACETONE_DEFAULT = 0.25e-9
 
 
-def reference_mixture(x_water: float = 1.0) -> SolventMixture:
+def reference_mixture() -> SolventMixture:
     """Water/acetone mixture backed by the shipped viscosity table."""
-    return SolventMixture(x_water=x_water,
-                          viscosity_table=load_viscosity_table(default_table_path()),
+    return SolventMixture(viscosity_table=load_viscosity_table(default_table_path()),
                           a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)

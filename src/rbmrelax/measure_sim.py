@@ -205,7 +205,7 @@ def _model(params, tau):
     return b + a * np.exp(np.clip(-tau / t1, -700.0, 50.0))
 
 
-def _initial_guess(tau, y):
+def _starting_point(tau, y):
     # baseline from the tail, amplitude from the head-tail swing, t1 from
     # where the signal first crosses baseline + amplitude/e
     b0 = float(y[-1])
@@ -220,7 +220,7 @@ def _initial_guess(tau, y):
     return b0, a0, t10
 
 
-def fit_exponential(curve: RelaxationCurve, initial_guess=None) -> FitResult:
+def fit_exponential(curve: RelaxationCurve) -> FitResult:
     """Weighted nonlinear least squares for a single-exponential decay.
 
     Damped least-squares iteration with an analytic Jacobian; weights are
@@ -241,13 +241,7 @@ def fit_exponential(curve: RelaxationCurve, initial_guess=None) -> FitResult:
     weighted = bool(np.all(sig > 0.0))
     w = 1.0 / sig if weighted else np.ones_like(tau)
 
-    if initial_guess is None:
-        b0, a0, t10 = _initial_guess(tau, y)
-    else:
-        b0, a0, t10 = (float(v) for v in initial_guess)
-        if t10 <= 0.0:
-            raise ParameterError("initial t1 guess must be positive")
-
+    b0, a0, t10 = _starting_point(tau, y)
     pos = tau[tau > 0.0]
     decade_span = pos.size > 0 and pos.max() / pos.min() >= 10.0
     if tau.max() < 2.0 * t10 and not decade_span:

@@ -1,10 +1,15 @@
 """One complete physical and measurement configuration.
 
 A Scenario bundles the particle, both magnetic baths, the solvent, the
-tracked molecule, and the acquisition settings, and composes the forward
-prediction: bath fields -> fluctuation rates -> noise sources -> T1.  It
-also owns the INI-style config format (strict schema, unknown keys are
-errors) and its canonical serialization used for run hashing.
+tracked molecule, and the acquisition settings.  predict is the one place
+the forward chain is put together: bath fields -> fluctuation rates ->
+noise sources -> T1.  Sweeps, spot sampling and the density sensitivity
+curve all read it; ScenarioPrediction.as_dict names every output once, in
+the order the t1 report prints them.  The solvent mixture, with its
+viscosity interpolant, is built once per scenario (Scenario.mixture).
+This module also owns the INI-style config format (strict schema,
+unknown keys are errors) and its canonical serialization used for run
+hashing.
 
 The calibrated constants below were derived once (see calibration.py) and
 are frozen here so that importing the package never re-runs root searches:
@@ -33,7 +38,7 @@ import io
 import math
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +52,7 @@ from .bath import (
 )
 from .constants import GAMMA_E, TAU_C_MAX, TAU_C_MIN
 from .core_relax import NoiseSource, RelaxationResult, t1_total
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, nonnegative, require
 from .hydro import (
     A_S_ACETONE_DEFAULT,
     A_S_WATER_DEFAULT,
@@ -65,6 +70,7 @@ from .hydro import (
 from .sensitivity import (
     SensitivityCurve,
     SensitivityInputs,
+    check_density_grid,
     default_density_grid,
     optimize_density,
 )
@@ -133,10 +139,10 @@ class Scenario:
         self.molecular_bath()
         if not (TAU_C_MIN <= 1.0 / self.surface_rate <= TAU_C_MAX):
             raise ParameterError(f"surface_rate {self.surface_rate!r} out of range")
-        for name in ("vibration_rate", "kappa_dip", "density_jitter", "diameter_jitter"):
+        for name in ("vibration_rate", "kappa_dip", "density_jitter", "diameter_jitter",
+                     "a_s_water", "a_s_other"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ParameterError(f"{name} must be finite and >= 0, got {v!r}")
+            require(nonnegative(v), f"{name} must be finite and >= 0, got {{!r}}", v)
         for name in ("molecule_radius", "temperature", "t1_bulk", "detection_window",
                      "photon_rate", "tau_min", "tau_span_factor", "acquisition_time"):
             v = getattr(self, name)
@@ -144,8 +150,6 @@ class Scenario:
                 raise ParameterError(f"{name} must be positive, got {v!r}")
         if not (0.0 <= self.x_water <= 1.0):
             raise ParameterError(f"x_water must lie in [0, 1], got {self.x_water!r}")
-        if self.a_s_water < 0.0 or self.a_s_other < 0.0:
-            raise ParameterError("solvent radii must be >= 0")
         if not (0.0 < self.contrast < 1.0):
             raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
         if self.shots_per_point < 1:
@@ -176,28 +180,13 @@ class Scenario:
     @cached_property
     def mixture(self) -> SolventMixture:
         """The solvent, built and validated once per scenario."""
-        path = self.viscosity_table or str(default_table_path())
-        return SolventMixture(x_water=self.x_water, viscosity_table=_cached_table(path),
-                              a_s_water=self.a_s_water, a_s_other=self.a_s_other)
+        table = load_viscosity_table(self.viscosity_table or default_table_path())
+        return SolventMixture(viscosity_table=table, a_s_water=self.a_s_water,
+                              a_s_other=self.a_s_other)
 
-    def hydro_at(self, x=None) -> HydroParams:
-        return hydro_params_at(self.mixture, self.molecule_radius,
-                               self.temperature, x=x)
-
-    # forward model; every parameter override may be a numpy array
-
-    def gd_rate_breakdown(self, number_density=None, x=None,
-                          diameter=None) -> RateBreakdown:
-        """Fluctuation-rate components of the molecular bath."""
-        n = self.gd_density if number_density is None else number_density
-        return self._gd_rates(self.hydro_at(x), n, self.geometry(diameter))
-
-    def _gd_rates(self, p: HydroParams, n, geom: ParticleGeometry) -> RateBreakdown:
-        # the translational decorrelation length is the closest
-        # sensor-molecule distance, particle radius plus standoff
-        return total_rate(r_dip=self.kappa_dip * n, r_vib=self.vibration_rate,
-                          r_trans=translational_rate(p, geom.radius + self.standoff),
-                          r_rot=rbm_rate(p))
+    def hydro_at(self, x) -> HydroParams:
+        """Hydrodynamic inputs at water mole fraction x (scalar or array)."""
+        return hydro_params_at(self.mixture, self.molecule_radius, self.temperature, x=x)
 
 
 @dataclass(frozen=True)
@@ -224,12 +213,17 @@ class ScenarioPrediction:
         return self.relaxation.t1
 
     def as_dict(self) -> dict:
-        return {
-            "t1_s": self.relaxation.t1,
-            "rate_total_per_s": self.relaxation.rate_total,
-            "rate_bulk_per_s": self.relaxation.rate_bulk,
-            "per_source_rates_per_s": dict(self.relaxation.per_source_rates),
-            "gd_rates_per_s": self.gd_rates.as_dict(),
+        """Every output under its report name, in the order of the t1
+        report: T1 and total rates, each source's rate by label, the
+        molecular rate components, then fields, viscosity and inputs."""
+        relax = self.relaxation
+        doc = {"t1_s": relax.t1, "rate_total_per_s": relax.rate_total,
+               "rate_bulk_per_s": relax.rate_bulk}
+        for label in sorted(relax.per_source_rates):
+            doc[f"rate_source_{label}_per_s"] = relax.per_source_rates[label]
+        for comp, value in self.gd_rates.as_dict().items():
+            doc[f"gd_rate_{comp}_per_s"] = value
+        return doc | {
             "b_perp_sq_surface_t2": self.b2_surface,
             "b_perp_sq_molecular_t2": self.b2_molecular,
             "viscosity_pa_s": self.viscosity,
@@ -262,7 +256,11 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
         b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
         b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
         p = sc.hydro_at(x)
-        rates = sc._gd_rates(p, n, geom)
+        # the translational decorrelation length is the closest
+        # sensor-molecule distance, particle radius plus standoff
+        rates = total_rate(r_dip=sc.kappa_dip * n, r_vib=sc.vibration_rate,
+                           r_trans=translational_rate(p, geom.radius + sc.standoff),
+                           r_rot=rbm_rate(p))
 
         sources = [NoiseSource(gamma=sc.surface_gamma, b_perp_sq=b2_surf,
                                tau_c=1.0 / sc.surface_rate, label="surface")]
@@ -313,35 +311,25 @@ def t1_sampler(sc: Scenario):
     return sample
 
 
-def sensitivity_template(sc: Scenario, number_density: float | None = None) -> SensitivityInputs:
-    """SensitivityInputs at the given molecular-bath density."""
-    n = number_density if number_density is not None else (
-        sc.gd_density if sc.gd_density > 0.0 else OPTIMAL_DENSITY_CAL)
-    geom = sc.geometry()
-    return SensitivityInputs(
+def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
+    """Minimal detectable rate versus molecular-bath density.
+
+    The default grid spans three decades around the scenario's density, or
+    around OPTIMAL_DENSITY_CAL for a scenario without a molecular bath.
+    The grid is checked first; then one array predict over it supplies the
+    field variance and total rate of the molecular bath at every density,
+    so the curve shares the forward model, and its density domain, with
+    sweep.
+    """
+    if grid is None:
+        grid = default_density_grid(sc.gd_density if sc.gd_density > 0.0
+                                    else OPTIMAL_DENSITY_CAL)
+    grid = check_density_grid(grid)
+    pred = predict(sc, gd_density=grid)
+    return optimize_density(grid, SensitivityInputs(
         contrast=sc.contrast, photon_rate=sc.photon_rate,
         detection_window=sc.detection_window, acquisition_time=sc.acquisition_time,
-        b_perp_sq=b_perp_sq_volume(geom, sc.molecular_bath(n)),
-        r_total=sc.gd_rate_breakdown(n).r_total)
-
-
-def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
-    """Minimal detectable rate versus molecular-bath density, evaluated over
-    the whole grid in one array pass."""
-    center = sc.gd_density if sc.gd_density > 0.0 else OPTIMAL_DENSITY_CAL
-    if grid is None:
-        grid = default_density_grid(center)
-    geom = sc.geometry()
-    return optimize_density(
-        grid,
-        b2_fn=lambda n: b_perp_sq_volume(geom, sc.molecular_bath(n)),
-        r_fn=lambda n: sc.gd_rate_breakdown(n).r_total,
-        template=sensitivity_template(sc, center))
-
-
-@lru_cache(maxsize=32)
-def _cached_table(path: str) -> tuple:
-    return load_viscosity_table(path)
+        b_perp_sq=pred.b2_molecular, r_total=pred.gd_rates.r_total))
 
 
 # config format: INI sections with strict schema; every key optional,

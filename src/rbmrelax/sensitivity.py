@@ -16,7 +16,9 @@ a constant factor (documented where it is measured).
 
 The formula broadcasts over arrays of field variance and rate, so a whole
 density grid is one evaluation; grid points on the resonance are masked out
-before it.
+before it.  optimize_density takes those arrays as SensitivityInputs; the
+scenario's forward model (scenario.density_sensitivity_curve) computes
+them.
 """
 
 from __future__ import annotations
@@ -179,16 +181,9 @@ def default_density_grid(center: float, decades: float = 3.0,
     return tuple(10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n))
 
 
-def optimize_density(density_grid, b2_fn, r_fn,
-                     template: SensitivityInputs) -> SensitivityCurve:
-    """Evaluate delta_r_min over a density grid and locate its minimum.
-
-    b2_fn and r_fn map an array of bath densities to field variances and
-    total fluctuation rates (numpy-broadcasting callables; a scalar result
-    applies to every density); all other inputs come from the template.
-    The grid must be sorted ascending and span at least two decades.  Grid
-    points on the resonance are skipped, not fatal.
-    """
+def check_density_grid(density_grid) -> np.ndarray:
+    """The grid as a float array, once it is known to hold >= 2 positive,
+    strictly ascending densities spanning at least two decades."""
     grid = np.asarray(density_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(positive(grid)):
         raise ParameterError("density grid must contain >= 2 positive values")
@@ -196,9 +191,21 @@ def optimize_density(density_grid, b2_fn, r_fn,
         raise ParameterError("density grid must be strictly ascending")
     if grid[-1] / grid[0] < 100.0:
         raise ParameterError("density grid must span at least two decades")
+    return grid
 
-    inp = replace(template, b_perp_sq=np.broadcast_to(b2_fn(grid), grid.shape),
-                  r_total=np.broadcast_to(r_fn(grid), grid.shape))
+
+def optimize_density(density_grid, inputs: SensitivityInputs) -> SensitivityCurve:
+    """Evaluate delta_r_min over a density grid and locate its minimum.
+
+    inputs.b_perp_sq and inputs.r_total hold the field variance and total
+    fluctuation rate at each grid density (arrays of the grid's shape; a
+    scalar applies to every density).  The grid must pass
+    check_density_grid.  Grid points on the resonance are skipped, not
+    fatal.
+    """
+    grid = check_density_grid(density_grid)
+    inp = replace(inputs, b_perp_sq=np.broadcast_to(inputs.b_perp_sq, grid.shape),
+                  r_total=np.broadcast_to(inputs.r_total, grid.shape))
     keep = ~_on_resonance(inp.r_total, inp.omega0)
     if not keep.any():
         raise ParameterError("every grid point was resonant; nothing to optimize")

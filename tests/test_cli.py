@@ -367,3 +367,33 @@ def test_bad_viscosity_table_fails_t1_before_output(tmp_path, capsys, body, mess
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert re.search(message, err[0])
+
+
+def test_simulate_bad_later_condition_leaves_no_output(tmp_path, capsys):
+    # the second condition fails in its forward model (no closed form for an
+    # off-center sensor); the first condition's spots must not be written
+    good = tmp_path / "good.ini"
+    good.write_text(FAST_BODY)
+    off = tmp_path / "off.ini"
+    off.write_text("[particle]\nsensor_offset_nm = 1\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(good), "--config", str(off),
+                 "--spots", "20", "--out", str(out)]) == 1
+    assert not list(tmp_path.rglob("spot_*"))
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("verb", [("sweep", "--axis", "gd_density"), ("sensitivity",)])
+def test_density_grid_beyond_tau_c_bound_rejected(fast_config, tmp_path, capsys, verb):
+    # at 1e32 /m^3 the molecular rate exceeds 1e15 /s: tau_c below 1 fs is
+    # outside the forward model, for a sweep and a sensitivity curve alike
+    out = tmp_path / "grid.tsv"
+    assert main([verb[0], "--config", str(fast_config), *verb[1:],
+                 "--grid", "1e23:1e32:50:log", "--out", str(out)]) == 1
+    assert not list(tmp_path.glob("grid.tsv*"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "tau_c must lie in [1e-15, 1000] s" in err[0]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rbmrelax.errors import ConfigError, ParameterError
@@ -106,12 +107,19 @@ def test_effective_solvent_radius_linear_rule():
 
 
 def test_hydro_params_at_wires_mixture():
-    m = reference_mixture(x_water=0.5)
-    p = hydro_params_at(m, a=0.5e-9, temperature=298.0)
+    m = reference_mixture()
+    p = hydro_params_at(m, a=0.5e-9, temperature=298.0, x=0.5)
     assert p.eta == mixture_viscosity(m, 0.5)
     assert p.a_s == effective_solvent_radius(m, 0.5)
     q = hydro_params_at(m, a=0.5e-9, temperature=298.0, x=1.0)
     assert q.eta == pytest.approx(0.890e-3, rel=1e-12)
+
+
+def test_mixture_builds_its_interpolant_once():
+    m = reference_mixture()
+    assert m.interpolant is m.interpolant
+    xs = np.linspace(0.0, 1.0, 11)
+    assert mixture_viscosity(m, xs).tolist() == [mixture_viscosity(m, float(x)) for x in xs]
 
 
 def test_total_rate_is_component_sum():
@@ -167,5 +175,13 @@ def test_load_viscosity_table_errors(tmp_path):
 ])
 def test_solvent_mixture_rejects_bad_rows(rows):
     with pytest.raises(ParameterError):
-        SolventMixture(x_water=0.5, viscosity_table=rows,
+        SolventMixture(viscosity_table=rows,
                        a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)
+
+
+@pytest.mark.parametrize("field", ["a_s_water", "a_s_other"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-10])
+def test_solvent_mixture_rejects_bad_radius(field, value):
+    radii = {"a_s_water": A_S_WATER_DEFAULT, "a_s_other": A_S_ACETONE_DEFAULT, field: value}
+    with pytest.raises(ParameterError, match=f"{field} must be finite and >= 0"):
+        SolventMixture(viscosity_table=((0.0, 3.06e-4), (1.0, 8.9e-4)), **radii)

@@ -130,10 +130,13 @@ def test_fit_unweighted_on_zero_stderr():
 
 
 def test_fit_span_precondition():
-    pts = [(t, 0.9, 1e-3) for t in (1.0e-6, 1.1e-6, 1.2e-6, 1.3e-6)]
-    curve = RelaxationCurve(points=tuple(pts))
-    with pytest.raises(ParameterError):
-        fit_exponential(curve, initial_guess=(0.8, 0.2, 1e-3))
+    # a noise-free T1 = 10 ms decay on a linear 1-5 ms grid: the curve's own
+    # T1 guess is about 3.5 ms, so the grid neither reaches twice the guess
+    # nor spans a decade
+    taus = np.linspace(1e-3, 5e-3, 9)
+    pts = [(t, expected_signal(t, 10e-3, 0.2), 1e-3) for t in taus]
+    with pytest.raises(ParameterError, match="tau grid too short"):
+        fit_exponential(RelaxationCurve(points=tuple(pts)))
 
 
 def test_fit_statistical_pull(tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbmrelax import calibration
 from rbmrelax.errors import ConfigError, ParameterError
@@ -20,7 +21,6 @@ from rbmrelax.scenario import (
     parse_config,
     predict,
     scenario_from_text,
-    sensitivity_template,
     serialize_scenario,
     t1_sampler,
     with_seed,
@@ -54,14 +54,24 @@ def test_loaded_particle_t1_regression():
 def test_prediction_bookkeeping():
     pred = predict(Scenario(gd_density=OPTIMAL_DENSITY_CAL))
     d = pred.as_dict()
-    total = d["rate_bulk_per_s"] + sum(d["per_source_rates_per_s"].values())
+    # one flat mapping, in the order of the t1 report
+    assert list(d) == [
+        "t1_s", "rate_total_per_s", "rate_bulk_per_s",
+        "rate_source_molecular_per_s", "rate_source_surface_per_s",
+        "gd_rate_dip_per_s", "gd_rate_vib_per_s", "gd_rate_trans_per_s",
+        "gd_rate_rot_per_s", "gd_rate_total_per_s",
+        "b_perp_sq_surface_t2", "b_perp_sq_molecular_t2", "viscosity_pa_s",
+        "microviscosity_factor", "x_water", "diameter_m", "gd_density_per_m3",
+        "surface_density_per_m2"]
+    total = (d["rate_bulk_per_s"] + d["rate_source_molecular_per_s"]
+             + d["rate_source_surface_per_s"])
     assert d["rate_total_per_s"] == pytest.approx(total, rel=1e-14)
-    assert set(d["per_source_rates_per_s"]) == {"surface", "molecular"}
-    rates = d["gd_rates_per_s"]
-    assert rates["total"] == pytest.approx(
-        rates["dip"] + rates["vib"] + rates["trans"] + rates["rot"], rel=1e-14)
+    assert d["gd_rate_total_per_s"] == pytest.approx(
+        d["gd_rate_dip_per_s"] + d["gd_rate_vib_per_s"] + d["gd_rate_trans_per_s"]
+        + d["gd_rate_rot_per_s"], rel=1e-14)
+    assert d["t1_s"] == pred.t1
     bare = predict(Scenario()).as_dict()
-    assert set(bare["per_source_rates_per_s"]) == {"surface"}
+    assert [k for k in bare if k.startswith("rate_source_")] == ["rate_source_surface_per_s"]
     assert bare["b_perp_sq_molecular_t2"] == 0.0
 
 
@@ -187,14 +197,6 @@ def test_measurement_plan_wiring():
     assert plan.contrast == sc.contrast
 
 
-def test_sensitivity_template_defaults_to_calibrated_optimum():
-    sc = Scenario()
-    inp = sensitivity_template(sc)
-    assert inp.r_total == pytest.approx(
-        sc.gd_rate_breakdown(OPTIMAL_DENSITY_CAL).r_total, rel=1e-14)
-    assert inp.contrast == sc.contrast
-
-
 def test_density_sensitivity_curve_optimum_near_calibration():
     curve = density_sensitivity_curve(Scenario(diameter=20e-9))
     assert not curve.boundary_warning
@@ -218,3 +220,99 @@ def test_config_text_and_file_share_one_parser(tmp_path, text, message):
         scenario_from_text(text, source=str(path))
     assert str(from_file.value) == str(from_text.value)
     assert str(from_file.value).startswith((str(path), "malformed"))
+
+
+def test_density_sensitivity_curve_reads_predict():
+    sc = Scenario(diameter=20e-9)
+    grid = np.geomspace(1e24, 1e27, 31)
+    curve = density_sensitivity_curve(sc, grid=grid)
+    pred = predict(sc, gd_density=grid)
+    assert [p[0] for p in curve.points] == grid.tolist()
+    assert [p[1] for p in curve.points] == pred.gd_rates.r_total.tolist()
+
+
+def test_density_sensitivity_curve_checks_grid_before_physics():
+    sc = Scenario(diameter=20e-9)
+    with pytest.raises(ParameterError, match="strictly ascending"):
+        density_sensitivity_curve(sc, grid=(1e26, 1e25, 1e27))
+    with pytest.raises(ParameterError, match=">= 2 positive values"):
+        density_sensitivity_curve(sc, grid=(-1e25, 1e26, 1e27))
+    # densities whose correlation time drops below 1 fs are outside the
+    # forward model's domain, as in a gd_density sweep
+    with pytest.raises(ParameterError, match="tau_c must lie in"):
+        density_sensitivity_curve(sc, grid=(1e23, 1e27, 1e32))
+
+
+@pytest.mark.parametrize("key", ["a_s_water_nm", "a_s_other_nm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_nonfinite_or_negative_solvent_radius_rejected(key, value):
+    with pytest.raises(ParameterError, match=f"{key[:-3]} must be finite and >= 0"):
+        scenario_from_text(f"[solvent]\n{key} = {value}\n")
+
+
+def _half_integers():
+    return st.sampled_from([0.5 * k for k in range(1, 8)])
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# every value a config can carry, drawn from inside the valid domain
+SCENARIOS = st.builds(
+    Scenario,
+    diameter=_floats(5e-9, 200e-9),
+    surface_density=_floats(0.0, 1e19),
+    surface_rate=_floats(1e3, 1e14),
+    surface_spin=_half_integers(),
+    surface_gamma=_floats(1e6, 1e12),
+    gd_density=_floats(0.0, 1e28),
+    gd_spin=_half_integers(),
+    gd_gamma=_floats(1e6, 1e12),
+    standoff=_floats(0.0, 5e-9),
+    vibration_rate=_floats(0.0, 1e12),
+    kappa_dip=_floats(0.0, 1e-14),
+    x_water=_floats(0.0, 1.0),
+    viscosity_table=st.sampled_from(["", "tables/custom viscosity.txt"]),
+    a_s_water=_floats(0.0, 1e-9),
+    a_s_other=_floats(0.0, 1e-9),
+    molecule_radius=_floats(1e-11, 1e-8),
+    temperature=_floats(1.0, 1000.0),
+    t1_bulk=_floats(1e-6, 1.0),
+    shots_per_point=st.integers(1, 10**9),
+    detection_window=_floats(1e-9, 1e-5),
+    photon_rate=_floats(1.0, 1e9),
+    contrast=_floats(1e-6, 0.999),
+    include_reference=st.booleans(),
+    n_dark_times=st.integers(4, 1000),
+    tau_min=_floats(1e-9, 1e-3),
+    tau_span_factor=_floats(1e-3, 1e3),
+    acquisition_time=_floats(1e-3, 1e6),
+    density_jitter=_floats(0.0, 1.0),
+    diameter_jitter=_floats(0.0, 1.0),
+    seed=st.integers(0, 2**63),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SCENARIOS)
+def test_serialize_parse_roundtrip_property(sc):
+    text = serialize_scenario(sc)
+    again = scenario_from_text(text)
+    assert again == sc
+    assert config_hash(again) == config_hash(sc)
+    assert serialize_scenario(again) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=_floats(18.0, 20.0),
+       steps=st.lists(_floats(1e-3, 0.5), min_size=1, max_size=18),
+       diameter=_floats(10e-9, 100e-9), x_water=_floats(0.0, 1.0))
+def test_t1_falls_as_gd_density_rises(start, steps, diameter, x_water):
+    # one array call over an ascending density grid; the molecular rate
+    # contribution n r / (r^2 + omega0^2), with r linear in n, rises with n
+    sc = Scenario(diameter=diameter, x_water=x_water)
+    grid = 10.0 ** (start + np.cumsum([0.0] + steps))
+    t1 = predict(sc, gd_density=grid).t1
+    assert t1.shape == grid.shape
+    assert np.all(np.diff(t1) < 0.0)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rbmrelax.constants import OMEGA_0
@@ -97,17 +98,17 @@ def test_default_density_grid():
         default_density_grid(-1.0)
 
 
+def synthetic_bath(grid, r_total):
+    """Inputs over a density grid whose field variance grows linearly with
+    density; r_total in 1/s, an array over the grid or one value."""
+    return replace(REF, b_perp_sq=1e-34 * np.asarray(grid), r_total=r_total)
+
+
 def test_optimize_density_finds_interior_minimum():
-    # synthetic bath: b2 grows linearly with density, rate crosses omega0
-    # inside the grid, so delta_r_min has an interior minimum
-    def b2_fn(n):
-        return 1e-34 * n
-
-    def r_fn(n):
-        return 1e9 + 1e-17 * n  # 1/s
-
-    grid = default_density_grid(1e26, decades=4.0, per_decade=20)
-    curve = optimize_density(grid, b2_fn, r_fn, REF)
+    # rate crosses omega0 inside the grid, so delta_r_min has an interior
+    # minimum
+    grid = np.array(default_density_grid(1e26, decades=4.0, per_decade=20))
+    curve = optimize_density(grid, synthetic_bath(grid, 1e9 + 1e-17 * grid))
     assert not curve.boundary_warning
     assert curve.points[0][0] < curve.argmin_density < curve.points[-1][0]
     assert curve.delta_min == min(p[2] for p in curve.points)
@@ -116,43 +117,27 @@ def test_optimize_density_finds_interior_minimum():
 
 
 def test_optimize_density_skips_resonant_points():
-    def b2_fn(n):
-        return 1e-34 * n
-
-    def r_fn(n):
-        # hits omega0 exactly at the grid point n = 1e26
-        return OMEGA_0 * (n / 1e26)
-
-    grid = (1e24, 1e25, 1e26, 1e27, 1e28)
-    curve = optimize_density(grid, b2_fn, r_fn, REF)
+    grid = np.array([1e24, 1e25, 1e26, 1e27, 1e28])
+    # the rate hits omega0 exactly at the grid point n = 1e26
+    curve = optimize_density(grid, synthetic_bath(grid, OMEGA_0 * (grid / 1e26)))
     assert curve.skipped == (1e26,)
     assert len(curve.points) == 4
 
 
 def test_optimize_density_grid_validation():
-    def b2_fn(n):
-        return 1e-34 * n
-
-    def r_fn(n):
-        return 1e9
-
-    with pytest.raises(ParameterError):
-        optimize_density((1e25,), b2_fn, r_fn, REF)
-    with pytest.raises(ParameterError):
-        optimize_density((1e26, 1e25, 1e27), b2_fn, r_fn, REF)
-    with pytest.raises(ParameterError):
-        optimize_density((1e25, 2e25, 9e25), b2_fn, r_fn, REF)
+    # scalar inputs apply to every grid density
+    with pytest.raises(ParameterError, match=">= 2 positive values"):
+        optimize_density((1e25,), REF)
+    with pytest.raises(ParameterError, match="strictly ascending"):
+        optimize_density((1e26, 1e25, 1e27), REF)
+    with pytest.raises(ParameterError, match="two decades"):
+        optimize_density((1e25, 2e25, 9e25), REF)
 
 
 def test_boundary_warning_on_monotonic_curve():
-    def b2_fn(n):
-        return 1e-34 * n
-
-    def r_fn(n):
-        return 1e12  # constant, far below omega0: delta falls as 1/sqrt(n)
-
-    grid = default_density_grid(1e26, decades=2.5, per_decade=10)
-    curve = optimize_density(grid, b2_fn, r_fn, REF)
+    grid = np.array(default_density_grid(1e26, decades=2.5, per_decade=10))
+    # constant rate far below omega0: delta falls as 1/sqrt(n)
+    curve = optimize_density(grid, synthetic_bath(grid, 1e12))
     assert curve.boundary_warning
     assert curve.argmin_index == len(curve.points) - 1
 
@@ -169,16 +154,11 @@ def test_curve_validation():
 
 
 def test_curve_file_roundtrip(tmp_path):
-    def b2_fn(n):
-        return 1e-34 * n
-
-    def r_fn(n):
-        return 1e9 + 1e-17 * n
-
     # one grid density puts the rate on the level splitting, so it is skipped
     resonant = (OMEGA_0 - 1e9) / 1e-17
-    grid = sorted(default_density_grid(1e26, decades=4.0, per_decade=10) + (resonant,))
-    curve = optimize_density(grid, b2_fn, r_fn, REF)
+    grid = np.array(sorted(default_density_grid(1e26, decades=4.0, per_decade=10)
+                           + (resonant,)))
+    curve = optimize_density(grid, synthetic_bath(grid, 1e9 + 1e-17 * grid))
     assert curve.skipped == (resonant,)
     path = tmp_path / "sens.tsv"
     write_sensitivity_curve(curve, path)

@@ -1,0 +1,142 @@
+"""Check that the CLI data files of this checkout equal those of a git revision.
+
+Usage:
+
+    python3 tools/output_identity.py REV
+
+`git archive REV` is unpacked into a temporary directory.  The same matrix
+of CLI runs is then made twice from the root of this checkout, once with
+PYTHONPATH pointing at the revision's src/ and once at this checkout's
+src/ (working tree, uncommitted edits included), and every data file is
+compared byte for byte.  Manifests carry a timestamp and are left out.
+Both runs use this checkout's configs/.
+
+The matrix, for the shipped configs:
+
+* `t1 --out` on every config;
+* `sweep` on every axis, with the 5,001-point grids of the benchmark;
+* `sensitivity` on the benchmark's density grid and on the default grid;
+* `simulate` of gd_water + gd_acetone, 200 spots each, seed 77;
+* `fit --out` on three of the simulated curves.
+
+Prints the number of compared files and each differing path, and exits 1
+when a file differs or exists on one side only, or when a command fails
+in either tree (every run of the matrix is meant to succeed).  Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ("bare_nd_25nm", "gd_acetone_x046_25nm", "gd_water_25nm", "sensitivity_20nm")
+SWEEPS = {
+    "gd_density": "1e23:1e28:5001:log",
+    "water_fraction": "0:1:5001:lin",
+    "diameter": "5e-9:200e-9:5001:log",
+}
+SENSITIVITY_GRID = "1e23:1e28:5001:log"
+SIMULATE = ("gd_water_25nm", "gd_acetone_x046_25nm")
+SPOTS, SEED = 200, 77
+FITTED = ("gd_water_25nm/spot_0000", "gd_water_25nm/spot_0123",
+          "gd_acetone_x046_25nm/spot_0199")
+
+
+def matrix(out: Path) -> list:
+    """(name, argv) of every CLI run, writing below out."""
+    runs = []
+    for c in CONFIGS:
+        cfg = f"configs/{c}.ini"
+        runs.append((f"t1 {c}", ["t1", "--config", cfg, "--out", str(out / f"t1_{c}.txt")]))
+        for axis, grid in SWEEPS.items():
+            runs.append((f"sweep {axis} {c}",
+                         ["sweep", "--config", cfg, "--axis", axis, "--grid", grid,
+                          "--out", str(out / f"sweep_{axis}_{c}.tsv")]))
+        runs.append((f"sensitivity {c}",
+                     ["sensitivity", "--config", cfg, "--grid", SENSITIVITY_GRID,
+                      "--out", str(out / f"sensitivity_{c}.tsv")]))
+        runs.append((f"sensitivity default-grid {c}",
+                     ["sensitivity", "--config", cfg,
+                      "--out", str(out / f"sensitivity_default_{c}.tsv")]))
+    sim = out / "simulate"
+    argv = ["simulate", "--spots", str(SPOTS), "--seed", str(SEED), "--out", str(sim)]
+    for c in SIMULATE:
+        argv += ["--config", f"configs/{c}.ini"]
+    runs.append(("simulate", argv))
+    for spot in FITTED:
+        runs.append((f"fit {spot}",
+                     ["fit", str(sim / f"{spot}_curve.tsv"),
+                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")]))
+    return runs
+
+
+def run_matrix(side: str, src: Path, out: Path) -> list:
+    """Run the matrix against one src/ tree; one line per failed run."""
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    failed = []
+    for name, argv in matrix(out):
+        proc = subprocess.run([sys.executable, "-m", "rbmrelax.cli", *argv], cwd=ROOT,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True)
+        if proc.returncode:
+            failed.append(f"{name} failed ({side}): "
+                          f"exit {proc.returncode}: {proc.stderr.strip()}")
+    return failed
+
+
+def data_files(out: Path) -> set:
+    return {str(p.relative_to(out)) for p in out.rglob("*")
+            if p.is_file() and not (p.name == "manifest.json"
+                                    or p.name.endswith(".manifest.json"))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="output_identity_") as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "rev"
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", "--format=tar", args.rev],
+                                 cwd=ROOT, capture_output=True)
+        if archive.returncode:
+            print(f"error: git archive {args.rev}: {archive.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        tar_path = tmp / "rev.tar"
+        tar_path.write_bytes(archive.stdout)
+        with tarfile.open(tar_path) as tar:
+            tar.extractall(tree, filter="data")
+
+        outs = {"rev": tmp / "out_rev", "here": tmp / "out_here"}
+        differing = (run_matrix("rev", tree / "src", outs["rev"])
+                     + run_matrix("here", ROOT / "src", outs["here"]))
+        files = {side: data_files(out) for side, out in outs.items()}
+        for name in sorted(files["rev"] ^ files["here"]):
+            side = "rev" if name in files["rev"] else "here"
+            differing.append(f"{name} (only in {side})")
+        common = sorted(files["rev"] & files["here"])
+        for name in common:
+            if not filecmp.cmp(outs["rev"] / name, outs["here"] / name, shallow=False):
+                differing.append(name)
+
+    print(f"{len(common)} data files compared against {args.rev}, "
+          f"{len(differing)} differences")
+    for line in differing:
+        print(f"differs: {line}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
