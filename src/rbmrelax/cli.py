@@ -16,7 +16,10 @@ Every file-producing verb writes a JSON manifest beside its outputs.
 Timestamps live only in manifests, so the data files of reruns with the
 same config and seed are byte-identical.  Tabular data files (sweeps,
 curves, sensitivity curves) use the one format of rbmrelax.table.
-``simulate`` writes each spot's curve and fit as
+``simulate`` plans every condition before it writes: its prediction,
+measurement plan and the true T1 of every spot (scenario.draw_spots, one
+array predict per condition), so a spot outside the model's domain fails
+the run with nothing written.  It then writes each spot's curve and fit as
 measure_sim.simulate_spot_ensemble yields it.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
@@ -43,16 +46,19 @@ from .errors import ConfigError, ParameterError
 from .scenario import (
     config_hash,
     density_sensitivity_curve,
+    draw_spots,
     measurement_plan,
     parse_config,
     predict,
-    t1_sampler,
     with_seed,
 )
 from .sensitivity import write_sensitivity_curve
 from .table import write_table
 
-SWEEP_AXES = ("gd_density", "water_fraction", "diameter")
+# sweep axis -> (its column, the predict override it sets)
+SWEEP_AXES = {"gd_density": ("gd_density_per_m3", "gd_density"),
+              "water_fraction": ("x_water", "x_water"),
+              "diameter": ("diameter_m", "diameter")}
 ORACLE_NAMES = ("bath_mc", "sensitivity", "quadrature", "all")
 
 
@@ -155,23 +161,9 @@ SWEEP_COLUMNS = ("viscosity_pa_s", "microviscosity_factor",
 
 def cmd_sweep(args) -> int:
     sc = _load_scenario(args)
-    grid = _parse_grid(args.grid)
-    # reject out-of-range grids before computing anything
-    if args.axis == "gd_density":
-        if min(grid) < 0.0:
-            raise ConfigError("gd_density grid values must be >= 0")
-        column, override = "gd_density_per_m3", "gd_density"
-    elif args.axis == "water_fraction":
-        if min(grid) < 0.0 or max(grid) > 1.0:
-            raise ConfigError("water_fraction grid must lie within [0, 1]")
-        column, override = "x_water", "x_water"
-    else:
-        if min(grid) <= 2.0 * abs(sc.sensor_offset):
-            raise ConfigError(
-                "diameter grid must be positive and keep the sensor inside")
-        column, override = "diameter_m", "diameter"
-
-    values = np.array(grid)
+    values = np.array(_parse_grid(args.grid))
+    column, override = SWEEP_AXES[args.axis]
+    # predict rejects an out-of-range grid value before anything is written
     doc = predict(sc, **{override: values}).as_dict()
     columns = np.broadcast_arrays(*(doc[name] for name in (column,) + SWEEP_COLUMNS))
 
@@ -193,10 +185,9 @@ def cmd_simulate(args) -> int:
         write_fit_json,
     )
 
-    if args.spots < 2:
-        raise ConfigError(f"--spots must be >= 2, got {args.spots}")
-    # every condition is predicted and planned before anything is written,
-    # so a bad condition leaves no partial output
+    # every condition is predicted and planned, and every spot's true T1
+    # drawn, before anything is written, so a bad condition or spot leaves
+    # no partial output
     conditions = []
     taken = set()
     for index, cfg in enumerate(args.config):
@@ -206,7 +197,12 @@ def cmd_simulate(args) -> int:
             name = f"{name}_{index}"
         taken.add(name)
         t1_pred = predict(sc).t1
-        conditions.append((name, cfg, sc, index, t1_pred, measurement_plan(sc, t1_pred)))
+        plan = measurement_plan(sc, t1_pred)
+        # the condition index is part of the stream key, so conditions never
+        # share a stream, whatever seeds their configs carry
+        spots = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(index,)),
+                           args.spots)
+        conditions.append((name, cfg, sc, index, t1_pred, plan, spots))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,17 +216,11 @@ def cmd_simulate(args) -> int:
     outputs = []
     summaries = []
     summary_doc = {"conditions": {}, "separation": None}
-    for name, cfg, sc, index, t1_pred, plan in conditions:
+    for name, cfg, sc, index, t1_pred, plan, spots in conditions:
         cond_dir = out_dir / name
         cond_dir.mkdir(exist_ok=True)
         t1_hats = []
-        # the condition index is part of the stream key, so conditions never
-        # share a stream, whatever seeds their configs carry
-        stream = np.random.SeedSequence(sc.seed, spawn_key=(index,))
-        spots = simulate_spot_ensemble(t1_sampler(sc), args.spots, plan, stream)
-        for j, spot in enumerate(spots):
-            if spot.curve is None:
-                raise ParameterError(spot.fit.message)
+        for j, spot in enumerate(simulate_spot_ensemble(*spots, plan)):
             write_curve(spot.curve, cond_dir / f"spot_{j:04d}_curve.tsv")
             write_fit_json(spot.fit, cond_dir / f"spot_{j:04d}_fit.json",
                            plan=plan, seed=sc.seed,
@@ -266,7 +256,7 @@ def cmd_simulate(args) -> int:
     outputs.append("summary.json")
     _write_manifest(out_dir / "manifest.json", "simulate",
                     [_config_entry(cfg, sc, condition_index=index)
-                     for _, cfg, sc, index, _, _ in conditions], outputs)
+                     for _, cfg, sc, index, *_ in conditions], outputs)
 
     for (name, *_), summ in zip(conditions, summaries):
         if summ is not None:

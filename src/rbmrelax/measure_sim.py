@@ -293,33 +293,23 @@ def fit_exponential(curve: RelaxationCurve) -> FitResult:
 
 @dataclass(frozen=True)
 class SpotResult:
-    """One simulated spot: its true T1, its curve (None when the sampler
-    gave an invalid T1) and its fit."""
+    """One simulated spot: its true T1, its curve and its fit."""
 
     t1_true: float
-    curve: RelaxationCurve | None
+    curve: RelaxationCurve
     fit: FitResult
 
 
-def simulate_spot_ensemble(t1_sampler, n_spots: int, plan: MeasurementPlan,
-                           stream: np.random.SeedSequence):
+def simulate_spot_ensemble(t1_true, rngs, plan: MeasurementPlan):
     """Simulate and fit many detection spots, yielding one SpotResult each.
 
-    t1_sampler(rng) draws one spot's true T1 from the spot-to-spot
-    distribution.  Spot j draws everything from the j-th child spawned from
-    stream, so the ensemble is reproducible and insensitive to execution
-    order.  Fit failures and invalid sampler values are flagged per spot
+    Spot j has true T1 t1_true[j] and draws its curve from rngs[j]; both
+    come from scenario.draw_spots, so the ensemble is reproducible and
+    insensitive to execution order.  Fit failures are flagged per spot
     (converged=False), never fatal.
     """
-    if n_spots < 2:
-        raise ParameterError(f"need >= 2 spots, got {n_spots}")
-    for child in stream.spawn(n_spots):
-        rng = np.random.default_rng(child)
-        t1_spot = float(t1_sampler(rng))
-        if not (math.isfinite(t1_spot) and t1_spot > 0.0):
-            yield SpotResult(t1_spot, None,
-                             failed_fit(f"sampler produced invalid t1 {t1_spot!r}"))
-            continue
+    for t1_spot, rng in zip(t1_true, rngs, strict=True):
+        t1_spot = float(t1_spot)
         curve = simulate_curve(t1_spot, plan, rng)
         try:
             fit = fit_exponential(curve)

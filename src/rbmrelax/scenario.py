@@ -3,10 +3,11 @@
 A Scenario bundles the particle, both magnetic baths, the solvent, the
 tracked molecule, and the acquisition settings.  predict is the one place
 the forward chain is put together: bath fields -> fluctuation rates ->
-noise sources -> T1.  Sweeps, spot sampling and the density sensitivity
-curve all read it; ScenarioPrediction.as_dict names every output once, in
-the order the t1 report prints them.  The solvent mixture, with its
-viscosity interpolant, is built once per scenario (Scenario.mixture).
+noise sources -> T1.  Sweeps, spot sampling (draw_spots: every spot of a
+condition in one array call) and the density sensitivity curve all read
+it; ScenarioPrediction.as_dict names every output once, in the order the
+t1 report prints them.  The solvent mixture, with its viscosity
+interpolant, is built once per scenario (Scenario.mixture).
 This module also owns the INI-style config format (strict schema,
 unknown keys are errors) and its canonical serialization used for run
 hashing.
@@ -132,6 +133,12 @@ class Scenario:
     seed: int = 12345
 
     def __post_init__(self):
+        # the key stays in the schema and the config hash, but the closed
+        # forms of predict hold for a centered sensor only
+        if self.sensor_offset != 0.0:
+            raise ParameterError(
+                f"sensor_offset must be 0 (the bath closed forms assume a centered "
+                f"sensor), got {self.sensor_offset!r}")
         # constituent types carry most invariants; build probes eagerly so
         # a bad scenario fails at construction, not first use
         self.geometry()
@@ -162,9 +169,7 @@ class Scenario:
     # constituent builders
 
     def geometry(self, diameter: float | None = None) -> ParticleGeometry:
-        return ParticleGeometry(
-            diameter=self.diameter if diameter is None else diameter,
-            sensor_depth_offset=self.sensor_offset)
+        return ParticleGeometry(diameter=self.diameter if diameter is None else diameter)
 
     def surface_source_bath(self, areal_density: float | None = None) -> SurfaceBath:
         return SurfaceBath(
@@ -292,23 +297,27 @@ def measurement_plan(sc: Scenario, t1_expected: float):
         contrast=sc.contrast, include_reference=sc.include_reference)
 
 
-def t1_sampler(sc: Scenario):
-    """Per-spot T1 sampler with log-normal density and size jitter.
+def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
+    """True T1 of every spot, from one array predict, with log-normal
+    density and size jitter.
 
-    Each call draws, in fixed order, a diameter factor, a molecular-density
-    factor, and a surface-density factor (median-preserving log-normals with
-    the configured relative spreads), then runs the full forward model.  The
-    draw order is fixed even at zero jitter so stream layouts stay
-    comparable across configurations.
+    Spot j draws from the j-th child spawned from stream, in fixed order, a
+    diameter factor, a molecular-density factor, and a surface-density
+    factor (median-preserving log-normals with the configured relative
+    spreads).  The draw order is fixed even at zero jitter so stream layouts
+    stay comparable across configurations.  Returns the T1 array and the
+    spots' generators, each left where its curve draws begin; a spot outside
+    the model's domain raises before any curve is drawn.
     """
-
-    def sample(rng) -> float:
-        d = sc.diameter * math.exp(rng.normal(0.0, sc.diameter_jitter))
-        n = sc.gd_density * math.exp(rng.normal(0.0, sc.density_jitter))
-        sigma = sc.surface_density * math.exp(rng.normal(0.0, sc.density_jitter))
-        return predict(sc, gd_density=n, diameter=d, surface_density=sigma).t1
-
-    return sample
+    if n_spots < 2:
+        raise ParameterError(f"need >= 2 spots, got {n_spots}")
+    rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
+    spreads = (sc.diameter_jitter, sc.density_jitter, sc.density_jitter)
+    d, n, sigma = np.array([[math.exp(rng.normal(0.0, s)) for s in spreads]
+                            for rng in rngs]).T
+    pred = predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
+                   surface_density=sc.surface_density * sigma)
+    return pred.t1, rngs
 
 
 def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:

@@ -8,7 +8,7 @@ import pytest
 
 from rbmrelax.cli import main
 from rbmrelax.measure_sim import CURVE_HEADER, simulate_spot_ensemble
-from rbmrelax.scenario import measurement_plan, parse_config, predict, t1_sampler
+from rbmrelax.scenario import draw_spots, measurement_plan, parse_config, predict
 from rbmrelax.table import read_table
 from rbmrelax.validation import OracleCheck, OracleReport
 
@@ -121,11 +121,21 @@ def test_sweep_diameter_monotonic(fast_config, tmp_path):
 
 
 def test_sweep_range_check_before_compute(fast_config, tmp_path, capsys):
+    # predict rejects every out-of-range element; --grid= keeps argparse
+    # from reading a leading minus as an option
     out = tmp_path / "x.tsv"
-    assert main(["sweep", "--config", str(fast_config), "--axis",
-                 "water_fraction", "--grid", "0:1.5:4", "--out",
-                 str(out)]) == 1
-    assert not out.exists()
+    for axis, grid, message in [
+        ("gd_density", "-1,1e25", "number density must be >= 0, got -1.0"),
+        ("water_fraction", "0:1.5:4", "mole fraction must lie in [0, 1], got 1.5"),
+        ("diameter", "0,25e-9", "diameter must be positive, got 0.0"),
+    ]:
+        assert main(["sweep", "--config", str(fast_config), "--axis", axis,
+                     f"--grid={grid}", "--out", str(out)]) == 1
+        assert not list(tmp_path.glob("x.tsv*"))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and message in err[0], axis
     assert main(["sweep", "--config", str(fast_config), "--axis", "gd_density",
                  "--grid", "bogus", "--out", str(out)]) == 1
 
@@ -308,18 +318,15 @@ def test_shipped_acetone_then_water_draw_distinct_streams(tmp_path, monkeypatch,
     import rbmrelax.cli as cli_mod
 
     states = {}
-    real_sampler = cli_mod.t1_sampler
+    real_draw_spots = cli_mod.draw_spots
 
-    def recording_sampler(sc):
-        sample = real_sampler(sc)
+    def recording_draw_spots(sc, stream, n_spots):
+        # each spot's generator state before its jitter draws
+        states[sc.seed] = [np.random.default_rng(child).bit_generator.state["state"]["state"]
+                           for child in stream.spawn(n_spots)]
+        return real_draw_spots(sc, stream, n_spots)
 
-        def draw(rng):
-            states.setdefault(sc.seed, []).append(
-                rng.bit_generator.state["state"]["state"])
-            return sample(rng)
-        return draw
-
-    monkeypatch.setattr(cli_mod, "t1_sampler", recording_sampler)
+    monkeypatch.setattr(cli_mod, "draw_spots", recording_draw_spots)
     configs = Path(__file__).resolve().parents[1] / "configs"
     assert main(["simulate", "--config", str(configs / "gd_acetone_x046_25nm.ini"),
                  "--config", str(configs / "gd_water_25nm.ini"), "--spots", "3",
@@ -335,8 +342,8 @@ def test_simulate_files_come_from_the_one_engine(fast_config, tmp_path, capsys):
                  "--out", str(out)]) == 0
     sc = parse_config(fast_config)
     plan = measurement_plan(sc, predict(sc).t1)
-    stream = np.random.SeedSequence(sc.seed, spawn_key=(0,))
-    spots = list(simulate_spot_ensemble(t1_sampler(sc), 3, plan, stream))
+    t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 3)
+    spots = list(simulate_spot_ensemble(t1_true, rngs, plan))
     assert len(spots) == 3
     for j, spot in enumerate(spots):
         doc = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
@@ -370,8 +377,9 @@ def test_bad_viscosity_table_fails_t1_before_output(tmp_path, capsys, body, mess
 
 
 def test_simulate_bad_later_condition_leaves_no_output(tmp_path, capsys):
-    # the second condition fails in its forward model (no closed form for an
-    # off-center sensor); the first condition's spots must not be written
+    # the second condition fails when its config is read (a nonzero sensor
+    # offset has no closed form); the first condition's spots must not be
+    # written
     good = tmp_path / "good.ini"
     good.write_text(FAST_BODY)
     off = tmp_path / "off.ini"
@@ -385,6 +393,45 @@ def test_simulate_bad_later_condition_leaves_no_output(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_simulate_spot_outside_domain_leaves_no_output(tmp_path, capsys):
+    # a density jitter of 5 (a factor of e^5 per sigma) puts spot 11 of seed
+    # 1234 beyond the tau_c bound while spot 0 stays inside; every spot is
+    # drawn before anything is written, so spot 0 is not written either
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(FAST_BODY + "\n[spots]\ndensity_jitter = 5\n")
+    sc = parse_config(cfg)
+    inside = []
+    for child in np.random.SeedSequence(sc.seed, spawn_key=(0,)).spawn(20):
+        rng = np.random.default_rng(child)
+        d, n, sigma = (math.exp(rng.normal(0.0, s)) for s in
+                       (sc.diameter_jitter, sc.density_jitter, sc.density_jitter))
+        try:
+            predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
+                    surface_density=sc.surface_density * sigma)
+            inside.append(True)
+        except ValueError:
+            inside.append(False)
+    assert inside[0] and not all(inside)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--spots", "20",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "tau_c must lie in [1e-15, 1000] s" in err[0]
+
+
+def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
+    off = tmp_path / "off.ini"
+    off.write_text("[particle]\nsensor_offset_nm = 1\n")
+    assert main(["oracle", "quadrature", "--config", str(off)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "sensor_offset must be 0" in err[0]
 
 
 @pytest.mark.parametrize("verb", [("sweep", "--axis", "gd_density"), ("sensitivity",)])

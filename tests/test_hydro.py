@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbmrelax.errors import ConfigError, ParameterError
 from rbmrelax.hydro import (
@@ -55,6 +56,21 @@ def test_rbm_rate_microviscosity_speedup():
     assert rbm_rate(fast) > rbm_rate(slow)
     ratio = rbm_rate(fast) / rbm_rate(slow)
     assert ratio == pytest.approx(1.0 / microviscosity_factor(0.5e-9, 0.25e-9), rel=1e-12)
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_floats(1e-11, 1e-8), a_s=_floats(0.0, 1e-9), eta=_floats(1e-4, 1.0),
+       temperature=_floats(1.0, 1000.0), factor=_floats(1.001, 100.0))
+def test_rbm_rate_decreases_in_viscosity_and_radius(a, a_s, eta, temperature, factor):
+    base = rbm_rate(HydroParams(a=a, a_s=a_s, eta=eta, temperature=temperature))
+    assert rbm_rate(HydroParams(a=a, a_s=a_s, eta=eta * factor,
+                                temperature=temperature)) < base
+    assert rbm_rate(HydroParams(a=a * factor, a_s=a_s, eta=eta,
+                                temperature=temperature)) < base
 
 
 def test_translational_values():

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbmrelax.errors import ConfigError, ParameterError
 from rbmrelax.measure_sim import (
@@ -92,6 +93,32 @@ def test_simulate_tracks_expected_signal():
         assert abs(y - mu) < 5.0 * err
 
 
+NO_REFERENCE = MeasurementPlan(dark_times=PLAN.dark_times, shots_per_point=10_000_000,
+                               detection_window=500e-9, photon_rate=1e5,
+                               contrast=0.2, include_reference=False)
+
+
+def test_simulate_without_reference_tracks_expected_signal():
+    curve = simulate_curve(T1_REF, NO_REFERENCE, seed=7)
+    for tau, y, err in curve.points:
+        assert err > 0.0
+        assert abs(y - expected_signal(tau, T1_REF, 0.2)) < 5.0 * err
+
+
+@pytest.mark.parametrize("shots, photon_rate", [(10_000_000, 1e5), (2, 1.0)])
+def test_simulate_without_reference_stderr(shots, photon_rate):
+    # the signal total alone is Poisson, normalised by its expected
+    # reference total D; at 2 shots of 1e-6 counts most totals are 0 and
+    # the variance floor of 1 count applies
+    plan = MeasurementPlan(dark_times=PLAN.dark_times, shots_per_point=shots,
+                           detection_window=500e-9, photon_rate=photon_rate,
+                           contrast=0.2, include_reference=False)
+    denom = shots * plan.counts_per_shot
+    curve = simulate_curve(T1_REF, plan, seed=3)
+    for _, y, err in curve.points:
+        assert err == pytest.approx(math.sqrt(max(y * denom, 1.0)) / denom, rel=1e-12)
+
+
 def test_simulate_single_shot_sentinel():
     one = MeasurementPlan(dark_times=PLAN.dark_times, shots_per_point=1,
                           detection_window=500e-9, photon_rate=1e5,
@@ -119,6 +146,23 @@ def test_fit_order_invariant():
     b = fit_exponential(shuffled)
     assert b.t1_hat == a.t1_hat
     assert b.covariance == a.covariance
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_k=st.floats(-3.0, 3.0))
+def test_fit_scales_with_tau(seed, log_k):
+    # rescaling every dark time by k rescales the fitted T1 and its error by
+    # k and leaves amplitude and baseline alone
+    k = 10.0 ** log_k
+    curve = simulate_curve(T1_REF, PLAN, seed=seed)
+    scaled = RelaxationCurve(points=tuple((t * k, y, e) for t, y, e in curve.points))
+    a, b = fit_exponential(curve), fit_exponential(scaled)
+    assert a.converged == b.converged
+    if a.converged:
+        assert b.t1_hat == pytest.approx(k * a.t1_hat, rel=1e-6)
+        assert b.t1_stderr == pytest.approx(k * a.t1_stderr, rel=1e-6)
+        assert b.amplitude == pytest.approx(a.amplitude, rel=1e-6)
+        assert b.baseline == pytest.approx(a.baseline, rel=1e-6)
 
 
 def test_fit_unweighted_on_zero_stderr():
@@ -209,13 +253,17 @@ def test_separation_scores_hand_values():
     assert separation_scores(b, a) == scores
 
 
+def _spot_rngs(seed, n_spots):
+    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_spots)]
+
+
 def test_spot_ensemble_reproducible_and_accurate():
     plan = MeasurementPlan(dark_times=PLAN.dark_times,
                            shots_per_point=1_000_000_000,
                            detection_window=500e-9, photon_rate=1e5,
                            contrast=0.2)
-    spots = list(simulate_spot_ensemble(lambda rng: T1_REF, n_spots=5, plan=plan,
-                                        stream=np.random.SeedSequence(2026)))
+    t1_true = np.full(5, T1_REF)
+    spots = list(simulate_spot_ensemble(t1_true, _spot_rngs(2026, 5), plan))
     fits = [s.fit for s in spots]
     assert len(fits) == 5
     assert all(s.t1_true == T1_REF and len(s.curve.points) == len(plan.dark_times)
@@ -224,18 +272,7 @@ def test_spot_ensemble_reproducible_and_accurate():
         assert fit.converged
         assert fit.t1_hat == pytest.approx(T1_REF, rel=1e-2)
         assert abs(fit.t1_hat - T1_REF) < 5.0 * fit.t1_stderr
-    again = simulate_spot_ensemble(lambda rng: T1_REF, n_spots=5, plan=plan,
-                                   stream=np.random.SeedSequence(2026))
+    again = simulate_spot_ensemble(t1_true, _spot_rngs(2026, 5), plan)
     assert [s.fit.t1_hat for s in again] == [f.t1_hat for f in fits]
-    with pytest.raises(ParameterError):
-        list(simulate_spot_ensemble(lambda rng: T1_REF, n_spots=1, plan=plan,
-                                    stream=np.random.SeedSequence(1)))
-
-
-def test_spot_ensemble_flags_bad_sampler():
-    spots = list(simulate_spot_ensemble(lambda rng: -1.0, n_spots=3, plan=PLAN,
-                                        stream=np.random.SeedSequence(1)))
-    assert all(s.curve is None for s in spots)
-    fits = [s.fit for s in spots]
-    assert all(not f.converged for f in fits)
-    assert all(math.isnan(f.t1_hat) for f in fits)
+    with pytest.raises(ValueError):
+        list(simulate_spot_ensemble(t1_true, _spot_rngs(2026, 4), plan))

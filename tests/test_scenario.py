@@ -17,12 +17,12 @@ from rbmrelax.scenario import (
     Scenario,
     config_hash,
     density_sensitivity_curve,
+    draw_spots,
     measurement_plan,
     parse_config,
     predict,
     scenario_from_text,
     serialize_scenario,
-    t1_sampler,
     with_seed,
 )
 
@@ -94,6 +94,15 @@ def test_scenario_validation():
         Scenario(n_dark_times=3)
     with pytest.raises(ParameterError):
         Scenario(density_jitter=-0.01)
+
+
+@pytest.mark.parametrize("value", ["1", "-0.5", "nan"])
+def test_sensor_offset_rejected_when_read(value):
+    # the closed forms of predict hold for a centered sensor only; the key
+    # stays in the schema at 0
+    with pytest.raises(ParameterError, match=r"^sensor_offset must be 0 "):
+        scenario_from_text(f"[particle]\nsensor_offset_nm = {value}\n")
+    assert scenario_from_text("[particle]\nsensor_offset_nm = 0\n") == Scenario()
 
 
 def test_serialize_parse_roundtrip():
@@ -168,22 +177,47 @@ def test_config_units_scale_exactly(tmp_path):
     assert sc.t1_bulk == 4e-3
 
 
-def test_t1_sampler_zero_jitter_is_deterministic():
+def test_draw_spots_zero_jitter_is_deterministic():
     sc = Scenario(gd_density=OPTIMAL_DENSITY_CAL)
-    sample = t1_sampler(sc)
-    rng = np.random.default_rng(0)
-    assert sample(rng) == pytest.approx(predict(sc).t1, rel=1e-14)
+    t1, rngs = draw_spots(sc, np.random.SeedSequence(0), 4)
+    assert t1.shape == (4,) and len(rngs) == 4
+    assert t1 == pytest.approx(predict(sc).t1, rel=1e-14)
 
 
-def test_t1_sampler_jitter_spreads():
+def test_draw_spots_jitter_spreads():
     sc = Scenario(gd_density=OPTIMAL_DENSITY_CAL, diameter_jitter=0.05,
                   density_jitter=0.05)
-    sample = t1_sampler(sc)
-    rng = np.random.default_rng(1)
-    draws = [sample(rng) for _ in range(50)]
-    assert np.std(draws) > 0.0
-    rng2 = np.random.default_rng(1)
-    assert sample(rng2) == draws[0]
+    t1, _ = draw_spots(sc, np.random.SeedSequence(1), 50)
+    assert np.std(t1) > 0.0
+    again, _ = draw_spots(sc, np.random.SeedSequence(1), 50)
+    assert again.tolist() == t1.tolist()
+    with pytest.raises(ParameterError, match="need >= 2 spots, got 1"):
+        draw_spots(sc, np.random.SeedSequence(1), 1)
+
+
+def _scalar_spots(sc, stream, n_spots):
+    # the per-spot reference: the same three draws per spawned child, then
+    # one scalar predict per spot
+    t1, states = [], []
+    for child in stream.spawn(n_spots):
+        rng = np.random.default_rng(child)
+        d = sc.diameter * math.exp(rng.normal(0.0, sc.diameter_jitter))
+        n = sc.gd_density * math.exp(rng.normal(0.0, sc.density_jitter))
+        sigma = sc.surface_density * math.exp(rng.normal(0.0, sc.density_jitter))
+        t1.append(predict(sc, gd_density=n, diameter=d, surface_density=sigma).t1)
+        states.append(rng.bit_generator.state)
+    return np.array(t1), states
+
+
+@pytest.mark.parametrize("name", ["gd_water_25nm", "gd_acetone_x046_25nm"])
+def test_draw_spots_matches_scalar_predict(name):
+    sc = parse_config(CONFIG_DIR / f"{name}.ini")
+    t1, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)
+    ref, states = _scalar_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)
+    assert np.std(ref) > 0.0
+    np.testing.assert_allclose(t1, ref, rtol=1e-15, atol=0.0)
+    # each generator is left just after its spot's three jitter draws
+    assert [rng.bit_generator.state for rng in rngs] == states
 
 
 def test_measurement_plan_wiring():
