@@ -2,8 +2,8 @@
 
 Two bath geometries are supported: spins spread over the particle surface
 with an areal density, and molecules filling the exterior volume with a
-number density.  Closed forms exist for a sensor at the particle center;
-a Monte Carlo dipolar sum validates them and covers off-center sensors.
+number density.  The sensor sits at the particle center, where closed
+forms exist; a Monte Carlo dipolar sum validates them.
 
 The closed forms rest on two geometric constants that the Monte Carlo
 oracle checks rather than assumes:
@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import GAMMA_E, HBAR, MU0_OVER_4PI, OMEGA_0
-from .core_relax import NoiseSource, rate_contribution
-from .errors import NoSolutionError, ParameterError, nonnegative, positive, require
+from .constants import GAMMA_E, HBAR, MU0_OVER_4PI
+from .errors import ParameterError, nonnegative, positive, require
 
 # Orientation-averaged variance factor of a single dipole (see module
 # docstring) and the transverse fraction for a randomly oriented sensor.
@@ -56,19 +55,13 @@ def moment_sq(spin: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class ParticleGeometry:
-    """Spherical particle hosting the sensor.
-
-    sensor_depth_offset displaces the sensor from the center along a fixed
-    axis; 0 means exactly centered.  diameter may be a numpy array.
-    """
+    """Spherical particle with the sensor at its center; diameter may be a
+    numpy array."""
 
     diameter: float
-    sensor_depth_offset: float = 0.0
 
     def __post_init__(self):
         require(positive(self.diameter), "diameter must be positive, got {!r}", self.diameter)
-        require(abs(self.sensor_depth_offset) < self.diameter / 2.0,
-                "sensor offset must stay inside the particle")
 
     @property
     def radius(self) -> float:
@@ -114,12 +107,6 @@ class VolumeBath:
             raise ParameterError(f"standoff must be >= 0, got {self.standoff!r}")
 
 
-def _require_centered(g: ParticleGeometry):
-    if g.sensor_depth_offset != 0.0:
-        raise ParameterError(
-            "no closed form for an off-center sensor; use b_perp_mc instead")
-
-
 def surface_amplitude(bath: SurfaceBath) -> float:
     """Amplitude A such that B_perp^2 = A * sigma / r0^4, units T^2 m^2."""
     return MU0_OVER_4PI**2 * moment_sq(bath.spin_quantum_number, bath.gamma) \
@@ -139,7 +126,6 @@ def b_perp_sq_surface(g: ParticleGeometry, bath: SurfaceBath):
     transverse fraction over the sphere gives A_s * sigma / r0^4; linear in
     the areal density.
     """
-    _require_centered(g)
     return surface_amplitude(bath) * bath.areal_density / g.radius**4
 
 
@@ -149,7 +135,6 @@ def b_perp_sq_volume(g: ParticleGeometry, bath: VolumeBath):
     The exterior integral of r^-6 from r_min = r0 + standoff outward gives
     A_v * n / r_min^3; linear in the number density.
     """
-    _require_centered(g)
     r_min = g.radius + bath.standoff
     return volume_amplitude(bath) * bath.number_density / r_min**3
 
@@ -171,15 +156,6 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _perp_sq(bfield: np.ndarray, axis: np.ndarray | None) -> np.ndarray:
-    # centered, isotropic ensembles may use the lab z axis; otherwise a
-    # random sensor axis per sample keeps the estimator unbiased
-    if axis is None:
-        return bfield[:, 0] ** 2 + bfield[:, 1] ** 2
-    proj = np.einsum("ij,ij->i", bfield, axis)
-    return np.einsum("ij,ij->i", bfield, bfield) - proj**2
-
-
 def _unit_vectors(rng: np.random.Generator, k: int) -> np.ndarray:
     v = rng.standard_normal((k, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -195,17 +171,15 @@ def _dipole_samples(rng, k, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarr
     pos = _unit_vectors(rng, k) * radii[:, None]
     moments = _unit_vectors(rng, k)
 
-    sensor = np.array([0.0, 0.0, g.sensor_depth_offset])
-    disp = pos - sensor
-    dist = np.linalg.norm(disp, axis=1)
-    rhat = disp / dist[:, None]
+    dist = np.linalg.norm(pos, axis=1)
+    rhat = pos / dist[:, None]
 
     mu = math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
     cosang = np.einsum("ij,ij->i", moments, rhat)
     field = MU0_OVER_4PI * mu * (3.0 * cosang[:, None] * rhat - moments) / dist[:, None] ** 3
-
-    axis = None if g.sensor_depth_offset == 0.0 else _unit_vectors(rng, k)
-    return _perp_sq(field, axis)
+    # the ensemble is isotropic about the centered sensor, so the lab z
+    # axis serves as the sensor axis
+    return field[:, 0] ** 2 + field[:, 1] ** 2
 
 
 def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
@@ -262,26 +236,3 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     return McFieldResult(mean=mean, stderr=stderr, samples=samples, seed=seed,
                          tail_fraction=tail_fraction,
                          tail_warning=bool(stderr > 0.0 and tail > stderr))
-
-
-def calibrate_surface_density(t1_measured: float, g: ParticleGeometry,
-                              t1_bulk: float, omega0=OMEGA_0,
-                              tau_c_surface: float = 1.0 / 18.0e9,
-                              spin: float = 0.5, gamma: float = GAMMA_E) -> float:
-    """Areal spin density that reproduces a measured bare-particle T1.
-
-    B_perp^2 is linear in sigma, so the inversion is closed-form:
-    sigma = (1/t1_measured - 1/t1_bulk) / rate-per-unit-density.
-    """
-    if not (math.isfinite(t1_measured) and t1_measured > 0.0):
-        raise ParameterError(f"t1_measured must be positive, got {t1_measured!r}")
-    if t1_measured >= t1_bulk:
-        raise NoSolutionError(
-            f"t1_measured ({t1_measured:g} s) must be shorter than t1_bulk ({t1_bulk:g} s)")
-    rate_needed = 1.0 / t1_measured - 1.0 / t1_bulk
-    unit_bath = SurfaceBath(areal_density=1.0, spin_quantum_number=spin, gamma=gamma)
-    b2_per_sigma = b_perp_sq_surface(g, unit_bath)
-    rate_per_sigma = rate_contribution(
-        NoiseSource(gamma=gamma, b_perp_sq=b2_per_sigma, tau_c=tau_c_surface), omega0)
-    return rate_needed / rate_per_sigma
-

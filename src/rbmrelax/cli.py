@@ -193,7 +193,8 @@ def cmd_simulate(args) -> int:
     for index, cfg in enumerate(args.config):
         sc = with_seed(parse_config(cfg), args.seed)
         name = Path(cfg).stem
-        if name in taken:
+        # a.ini, a_2.ini, d/a.ini: the first suffix may be taken already
+        while name in taken:
             name = f"{name}_{index}"
         taken.add(name)
         t1_pred = predict(sc).t1

@@ -11,6 +11,8 @@ sampling the transverse noise at the level splitting.
 
 Field variances and correlation times may be numpy arrays; the spectral
 density, the rate contributions and the T1 combination broadcast over them.
+A motional-narrowing curve (rate against fluctuation rate R at fixed
+field variance) is one call with tau_c = 1/R an array; it peaks at R = omega0.
 """
 
 from __future__ import annotations
@@ -67,16 +69,6 @@ class NoiseSource:
         require(in_range | (positive(self.tau_c) & (self.b_perp_sq == 0.0)),
                 f"tau_c must lie in [{TAU_C_MIN:g}, {TAU_C_MAX:g}] s, got {{!r}}",
                 self.tau_c)
-
-    @property
-    def rate(self):
-        """Fluctuation rate 1/tau_c in 1/s."""
-        return 1.0 / self.tau_c
-
-    def with_rate(self, rate) -> "NoiseSource":
-        """Copy of this source with tau_c = 1/rate."""
-        require(positive(rate), "rate must be finite and positive, got {!r}", rate)
-        return NoiseSource(self.gamma, self.b_perp_sq, 1.0 / rate, self.label)
 
 
 def lorentzian_psd(source: NoiseSource, omega):
@@ -135,22 +127,3 @@ def t1_total(sources, t1_bulk: float = T1_BULK_DEFAULT, omega0=OMEGA_0) -> Relax
     total = bulk + sum(rates.values())
     return RelaxationResult(t1=1.0 / total, rate_total=total, rate_bulk=bulk,
                             per_source_rates=rates)
-
-
-def motional_narrowing_curve(source_template: NoiseSource, omega0, rate_grid):
-    """Rate contribution versus fluctuation rate at fixed field variance.
-
-    For each R in the grid the template's correlation time is replaced by
-    1/R.  Returns a list of (rate, contribution) pairs.  The curve has a
-    single maximum at R = omega0: both the fast- and slow-fluctuation limits
-    decouple the sensor from the noise.
-
-    The grid must be sorted ascending and strictly positive.
-    """
-    w = _as_omega(omega0)
-    grid = [float(r) for r in rate_grid]
-    if any(r <= 0.0 or not math.isfinite(r) for r in grid):
-        raise ParameterError("rate grid must be finite and positive")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("rate grid must be sorted ascending")
-    return [(r, rate_contribution(source_template.with_rate(r), w)) for r in grid]

@@ -22,10 +22,6 @@ class ConfigError(ValueError):
     """A scenario config file is malformed or violates the schema."""
 
 
-class NoSolutionError(ValueError):
-    """A calibration or inversion has no solution in the search bracket."""
-
-
 class SingularityError(ArithmeticError):
     """Evaluation at or too close to a removable divergence."""
 

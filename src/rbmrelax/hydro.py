@@ -276,9 +276,3 @@ def default_table_path() -> Path:
 # Literature-typical effective molecular radii, m.  Configurable per scenario.
 A_S_WATER_DEFAULT = 0.14e-9
 A_S_ACETONE_DEFAULT = 0.25e-9
-
-
-def reference_mixture() -> SolventMixture:
-    """Water/acetone mixture backed by the shipped viscosity table."""
-    return SolventMixture(viscosity_table=load_viscosity_table(default_table_path()),
-                          a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)

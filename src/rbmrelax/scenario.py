@@ -12,8 +12,8 @@ This module also owns the INI-style config format (strict schema,
 unknown keys are errors) and its canonical serialization used for run
 hashing.
 
-The calibrated constants below were derived once (see calibration.py) and
-are frozen here so that importing the package never re-runs root searches:
+The calibrated constants below were derived once (see tools/calibrate.py)
+and are frozen here so that importing the package never re-runs root searches:
 
 * MOLECULE_RADIUS_CAL: hydrodynamic radius of the magnetic molecule; root
   of rbm_rate(a) = 14.2 GHz in pure acetone at 298 K.
@@ -28,7 +28,11 @@ are frozen here so that importing the package never re-runs root searches:
 * OPTIMAL_DENSITY_CAL: the density at that optimum; default grid center
   for density sweeps.
 
-Regression tests re-derive each value through calibration.py.
+Regression tests re-derive each value through tools/calibrate.py.
+
+The bath closed forms hold for a sensor at the particle center, so
+sensor_offset ([particle] sensor_offset_nm) must be 0; it stays in the
+schema and in the canonical text behind config_hash.
 """
 
 from __future__ import annotations
@@ -133,8 +137,6 @@ class Scenario:
     seed: int = 12345
 
     def __post_init__(self):
-        # the key stays in the schema and the config hash, but the closed
-        # forms of predict hold for a centered sensor only
         if self.sensor_offset != 0.0:
             raise ParameterError(
                 f"sensor_offset must be 0 (the bath closed forms assume a centered "
@@ -144,17 +146,18 @@ class Scenario:
         self.geometry()
         self.surface_source_bath()
         self.molecular_bath()
-        if not (TAU_C_MIN <= 1.0 / self.surface_rate <= TAU_C_MAX):
-            raise ParameterError(f"surface_rate {self.surface_rate!r} out of range")
         for name in ("vibration_rate", "kappa_dip", "density_jitter", "diameter_jitter",
                      "a_s_water", "a_s_other"):
             v = getattr(self, name)
             require(nonnegative(v), f"{name} must be finite and >= 0, got {{!r}}", v)
-        for name in ("molecule_radius", "temperature", "t1_bulk", "detection_window",
-                     "photon_rate", "tau_min", "tau_span_factor", "acquisition_time"):
+        for name in ("surface_rate", "molecule_radius", "temperature", "t1_bulk",
+                     "detection_window", "photon_rate", "tau_min", "tau_span_factor",
+                     "acquisition_time"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ParameterError(f"{name} must be positive, got {v!r}")
+        if not (TAU_C_MIN <= 1.0 / self.surface_rate <= TAU_C_MAX):
+            raise ParameterError(f"surface_rate {self.surface_rate!r} out of range")
         if not (0.0 <= self.x_water <= 1.0):
             raise ParameterError(f"x_water must lie in [0, 1], got {self.x_water!r}")
         if not (0.0 < self.contrast < 1.0):

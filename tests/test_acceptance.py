@@ -7,19 +7,20 @@ the live verdict lines and the test outcomes.
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from rbmrelax.cli import main as cli_main
 from rbmrelax.constants import OMEGA_0
-from rbmrelax.core_relax import NoiseSource, motional_narrowing_curve
+from rbmrelax.core_relax import NoiseSource, rate_contribution
 from rbmrelax.bath import (
     ParticleGeometry,
     SurfaceBath,
     VolumeBath,
     b_perp_sq_surface,
     b_perp_sq_volume,
-    calibrate_surface_density,
 )
 from rbmrelax.hydro import microviscosity_factor, rbm_rate
 from rbmrelax.measure_sim import (
@@ -37,6 +38,9 @@ from rbmrelax.scenario import (
 )
 from rbmrelax.sensitivity import SensitivityInputs, delta_r_min
 from rbmrelax.validation import check_bath_mc, check_sensitivity_ratio
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from calibrate import calibrate_surface  # noqa: E402
 
 SEED = 20260822
 
@@ -67,8 +71,7 @@ def test_02_mixture_rate_range(capsys):
 
 def test_03_bare_particle_baseline(capsys):
     t1 = predict(Scenario()).t1
-    sigma = calibrate_surface_density(130e-6, ParticleGeometry(25e-9),
-                                      t1_bulk=3e-3)
+    sigma = calibrate_surface(130e-6, 25e-9, t1_bulk=3e-3)
     sigma_nm2 = sigma * 1e-18
     ok = abs(t1 / 130e-6 - 1.0) <= 0.10 and 0.5 <= sigma_nm2 <= 2.0
     assert report(capsys, "bare particle baseline", ok,
@@ -150,10 +153,10 @@ def test_08_property_suite(capsys, tmp_path):
     if not check_lorentzian_quadrature().passed:
         failures.append("lorentzian normalization")
 
-    template = NoiseSource(gamma=1.76e11, b_perp_sq=1e-9, tau_c=1e-9)
-    grid = tuple(OMEGA_0 * f for f in (0.1, 0.5, 1.0, 2.0, 10.0))
-    curve = motional_narrowing_curve(template, OMEGA_0, grid)
-    if max(curve, key=lambda p: p[1])[0] != OMEGA_0:
+    grid = OMEGA_0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0])
+    curve = rate_contribution(NoiseSource(gamma=1.76e11, b_perp_sq=1e-9,
+                                          tau_c=1.0 / grid), OMEGA_0)
+    if grid[curve.argmax()] != OMEGA_0:
         failures.append("narrowing peak not at resonance")
 
     fr = [microviscosity_factor(0.5e-9, u * 0.5e-9)
@@ -205,8 +208,6 @@ def test_08_property_suite(capsys, tmp_path):
 
 
 def test_09_two_solvent_demo(capsys, tmp_path):
-    from pathlib import Path
-
     configs = Path(__file__).resolve().parents[1] / "configs"
     water = configs / "gd_water_25nm.ini"
     acetone = configs / "gd_acetone_x046_25nm.ini"

@@ -9,11 +9,10 @@ from rbmrelax.bath import (
     b_perp_mc,
     b_perp_sq_surface,
     b_perp_sq_volume,
-    calibrate_surface_density,
     moment_sq,
 )
 from rbmrelax.constants import GAMMA_E, HBAR
-from rbmrelax.errors import NoSolutionError, ParameterError
+from rbmrelax.errors import ParameterError
 
 GEOM = ParticleGeometry(diameter=25.0e-9)
 SURFACE = SurfaceBath(areal_density=1.0e18, spin_quantum_number=0.5)
@@ -61,19 +60,9 @@ def test_volume_standoff_shortens_field():
     assert far / near == pytest.approx((12.5 / 17.5) ** 3, rel=1e-12)
 
 
-def test_closed_form_rejects_off_center():
-    shifted = ParticleGeometry(diameter=25.0e-9, sensor_depth_offset=5.0e-9)
-    with pytest.raises(ParameterError):
-        b_perp_sq_surface(shifted, SURFACE)
-    with pytest.raises(ParameterError):
-        b_perp_sq_volume(shifted, VOLUME)
-
-
 def test_geometry_validation():
     with pytest.raises(ParameterError):
         ParticleGeometry(diameter=0.0)
-    with pytest.raises(ParameterError):
-        ParticleGeometry(diameter=25e-9, sensor_depth_offset=13e-9)
 
 
 def test_mc_matches_surface_closed_form():
@@ -110,18 +99,6 @@ def test_mc_chunking_invariant():
     assert abs(big.mean - small.mean) < 5.0 * small.stderr
 
 
-def test_mc_off_center_consistent():
-    # off-center has no closed form; check it reduces to the centered value
-    # as the offset goes to zero and grows as the sensor nears the shell
-    centered = b_perp_mc(GEOM, SURFACE, samples=200_000, seed=21)
-    slight = b_perp_mc(ParticleGeometry(25e-9, sensor_depth_offset=1e-12),
-                       SURFACE, samples=200_000, seed=21)
-    near = b_perp_mc(ParticleGeometry(25e-9, sensor_depth_offset=10e-9),
-                     SURFACE, samples=200_000, seed=21)
-    assert slight.mean == pytest.approx(centered.mean, rel=0.02)
-    assert near.mean > 2.0 * centered.mean
-
-
 def test_mc_zero_density_shortcut():
     mc = b_perp_mc(GEOM, SurfaceBath(areal_density=0.0), samples=50_000, seed=3)
     assert mc.mean == 0.0 and mc.stderr == 0.0
@@ -138,22 +115,3 @@ def test_mc_tail_warning_on_tight_cutoff():
     assert mc.tail_warning
     with pytest.raises(ParameterError):
         b_perp_mc(GEOM, VOLUME, samples=10_000, seed=4, cutoff_factor=0.9)
-
-
-def test_calibrate_surface_density_inverts_forward_model():
-    from rbmrelax.core_relax import NoiseSource, t1_total
-
-    sigma_true = 1.3e18
-    bath = SurfaceBath(areal_density=sigma_true)
-    b2 = b_perp_sq_surface(GEOM, bath)
-    t1 = t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=b2, tau_c=1.0 / 18e9)],
-                  t1_bulk=3e-3).t1
-    sigma_hat = calibrate_surface_density(t1, GEOM, t1_bulk=3e-3)
-    assert sigma_hat == pytest.approx(sigma_true, rel=1e-12)
-
-
-def test_calibrate_surface_density_requires_shortening():
-    with pytest.raises(NoSolutionError):
-        calibrate_surface_density(3e-3, GEOM, t1_bulk=3e-3)
-    with pytest.raises(ParameterError):
-        calibrate_surface_density(-1e-4, GEOM, t1_bulk=3e-3)

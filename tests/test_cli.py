@@ -424,6 +424,43 @@ def test_simulate_spot_outside_domain_leaves_no_output(tmp_path, capsys):
     assert len(err) == 1 and "tau_c must lie in [1e-15, 1000] s" in err[0]
 
 
+@pytest.mark.parametrize("value", ["0", "-0"])
+def test_zero_surface_rate_is_a_parameter_error(tmp_path, capsys, value):
+    cfg = tmp_path / "still.ini"
+    cfg.write_text(f"[surface_bath]\nfluctuation_rate_ghz = {value}\n")
+    out = tmp_path / "report.txt"
+    assert main(["t1", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not list(tmp_path.glob("report.txt*"))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: surface_rate must be positive")
+
+
+def test_simulate_condition_names_never_collide(tmp_path, capsys):
+    # a.ini and d/a.ini share a stem, and the first suffix, a_2, is taken
+    # by a_2.ini: every condition must still get a directory of its own
+    (tmp_path / "d").mkdir()
+    configs = [tmp_path / "a.ini", tmp_path / "a_2.ini", tmp_path / "d" / "a.ini"]
+    for cfg in configs:
+        cfg.write_text(FAST_BODY)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--spots", "5", "--out", str(out)]
+    for cfg in configs:
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    names = sorted(summary["conditions"])
+    assert len(names) == 3
+    assert sorted(summary["conditions"][n]["config"] for n in names) == \
+        sorted(str(c) for c in configs)
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert len(outputs) == len(set(outputs)) == 3 * 2 * 5 + 1
+    for name in names:
+        assert len(list((out / name).glob("spot_*"))) == 2 * 5
+
+
 def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
     off = tmp_path / "off.ini"
     off.write_text("[particle]\nsensor_offset_nm = 1\n")

@@ -17,11 +17,16 @@ from rbmrelax.hydro import (
     microviscosity_factor,
     mixture_viscosity,
     rbm_rate,
-    reference_mixture,
     total_rate,
     translational_diffusivity,
     translational_rate,
 )
+
+
+def reference_mixture() -> SolventMixture:
+    """Water/acetone mixture backed by the shipped viscosity table."""
+    return SolventMixture(viscosity_table=load_viscosity_table(default_table_path()),
+                          a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)
 
 
 def test_microviscosity_continuum_limit():

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbmrelax import calibration
 from rbmrelax.errors import ConfigError, ParameterError
 from rbmrelax.scenario import (
-    KAPPA_DIP_CAL,
-    MOLECULE_RADIUS_CAL,
     OPTIMAL_DENSITY_CAL,
-    SURFACE_DENSITY_CAL,
-    VIBRATION_RATE_CAL,
     Scenario,
     config_hash,
     density_sensitivity_curve,
@@ -27,18 +22,6 @@ from rbmrelax.scenario import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def test_calibration_chain_reproduces_frozen_constants():
-    # the shipped defaults must stay reproducible from their anchors
-    assert calibration.calibrate_molecule_radius() == pytest.approx(
-        MOLECULE_RADIUS_CAL, rel=1e-12)
-    assert calibration.calibrate_surface() == pytest.approx(
-        SURFACE_DENSITY_CAL, rel=1e-12)
-    gd = calibration.calibrate_gd_bath()
-    assert gd.vibration_rate == pytest.approx(VIBRATION_RATE_CAL, rel=1e-12)
-    assert gd.kappa_dip == pytest.approx(KAPPA_DIP_CAL, rel=1e-12)
-    assert gd.optimal_density == pytest.approx(OPTIMAL_DENSITY_CAL, rel=1e-12)
 
 
 def test_bare_particle_t1_anchor():
@@ -103,6 +86,13 @@ def test_sensor_offset_rejected_when_read(value):
     with pytest.raises(ParameterError, match=r"^sensor_offset must be 0 "):
         scenario_from_text(f"[particle]\nsensor_offset_nm = {value}\n")
     assert scenario_from_text("[particle]\nsensor_offset_nm = 0\n") == Scenario()
+
+
+@pytest.mark.parametrize("value", ["0", "-0", "0.0"])
+def test_zero_surface_rate_rejected_when_read(value):
+    # checked positive before its inverse is taken
+    with pytest.raises(ParameterError, match=r"^surface_rate must be positive, got "):
+        scenario_from_text(f"[surface_bath]\nfluctuation_rate_ghz = {value}\n")
 
 
 def test_serialize_parse_roundtrip():

@@ -1,9 +1,11 @@
-"""The verbs that only evaluate the forward model never load scipy.
+"""The verbs that only evaluate the forward model never load scipy, and
+the package holds no module that no verb loads.
 
 Each case runs in a fresh interpreter, because this test session has
-imported scipy already.
+imported scipy and every package module already.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +57,24 @@ assert main(["fit", f"{out}/sim/gd_water_25nm/spot_0000_curve.tsv"]) == 0
 assert main(["oracle", "quadrature"]) == 0
 assert "scipy.optimize" in scipy_loaded() and "scipy.integrate" in scipy_loaded()
 """)
+
+
+def test_every_package_module_is_reachable_from_the_cli(tmp_path):
+    stdout = run_fresh(tmp_path, """\
+assert main(["t1", "--config", cfg]) == 0
+assert main(["sweep", "--config", cfg, "--axis", "gd_density", "--grid", "0,1e24",
+             "--out", f"{out}/sweep.tsv"]) == 0
+assert main(["sensitivity", "--config", sens, "--grid", "1e24:1e27:4:log",
+             "--out", f"{out}/sens.tsv"]) == 0
+assert main(["simulate", "--config", cfg, "--spots", "2", "--out", f"{out}/sim"]) == 0
+assert main(["fit", f"{out}/sim/gd_water_25nm/spot_0000_curve.tsv"]) == 0
+assert main(["oracle", "quadrature"]) == 0
+import json
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "rbmrelax" or m.startswith("rbmrelax."))))
+""")
+    loaded = json.loads(stdout.splitlines()[-2])
+    package = SRC / "rbmrelax"
+    shipped = sorted("rbmrelax" if p.stem == "__init__" else f"rbmrelax.{p.stem}"
+                     for p in package.glob("*.py"))
+    assert loaded == shipped

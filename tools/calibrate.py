@@ -13,9 +13,12 @@ once against reference anchor values:
   rate 6.9 GHz at a total rate of 60.2 GHz for a 20 nm particle at
   C = 0.2, 1e5 counts/s, 500 ns window, 10 s averaging.
 
-Run this module (python -m rbmrelax.calibration) to print every derived
-constant; the frozen copies live in scenario.py and are covered by
-regression tests.
+Run it from the repository root to print every derived constant:
+
+    PYTHONPATH=src python3 tools/calibrate.py
+
+The frozen copies live in rbmrelax/scenario.py; tests/test_calibrate.py
+re-derives each of them.  No CLI verb needs this script.
 """
 
 from __future__ import annotations
@@ -24,17 +27,27 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .constants import OMEGA_0, ROOM_TEMPERATURE, T1_BULK_DEFAULT
-from .bath import ParticleGeometry, VolumeBath, calibrate_surface_density, volume_amplitude
-from .errors import NoSolutionError
-from .hydro import (
+from rbmrelax.bath import (
+    ParticleGeometry,
+    SurfaceBath,
+    VolumeBath,
+    b_perp_sq_surface,
+    volume_amplitude,
+)
+from rbmrelax.constants import GAMMA_E, OMEGA_0, ROOM_TEMPERATURE, T1_BULK_DEFAULT
+from rbmrelax.core_relax import NoiseSource, rate_contribution
+from rbmrelax.errors import positive, require
+from rbmrelax.hydro import (
+    A_S_ACETONE_DEFAULT,
+    A_S_WATER_DEFAULT,
     SolventMixture,
+    default_table_path,
     hydro_params_at,
+    load_viscosity_table,
     rbm_rate,
-    reference_mixture,
     translational_rate,
 )
-from .sensitivity import SensitivityInputs, delta_r_min
+from rbmrelax.sensitivity import SensitivityInputs, delta_r_min
 
 # Anchor values the calibration reproduces.
 ACETONE_ROTATIONAL_RATE = 14.2e9   # 1/s, molecule tumbling in pure acetone
@@ -48,6 +61,16 @@ READOUT_CONTRAST = 0.2
 PHOTON_RATE = 1e5                  # counts/s
 DETECTION_WINDOW = 500e-9          # s
 ACQUISITION_TIME = 10.0            # s
+
+
+class NoSolutionError(ValueError):
+    """A calibration has no solution in its search bracket."""
+
+
+def reference_mixture() -> SolventMixture:
+    """Water/acetone mixture backed by the shipped viscosity table."""
+    return SolventMixture(viscosity_table=load_viscosity_table(default_table_path()),
+                          a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)
 
 
 def calibrate_molecule_radius(mixture: SolventMixture | None = None,
@@ -74,10 +97,23 @@ def calibrate_surface(t1_target: float = BARE_T1_25NM,
                       diameter: float = BARE_DIAMETER,
                       t1_bulk: float = T1_BULK_DEFAULT,
                       surface_rate: float = SURFACE_RATE) -> float:
-    """Areal surface-spin density matching the bare-particle T1 anchor."""
-    return calibrate_surface_density(
-        t1_measured=t1_target, g=ParticleGeometry(diameter=diameter),
-        t1_bulk=t1_bulk, tau_c_surface=1.0 / surface_rate)
+    """Areal surface-spin density (spin-1/2 electrons) at which a bare
+    particle relaxes at t1_target.
+
+    B_perp^2 is linear in sigma, so the inversion is closed-form:
+    sigma = (1/t1_target - 1/t1_bulk) / rate-per-unit-density.
+    """
+    require(positive(t1_target), "t1_target must be positive, got {!r}", t1_target)
+    if t1_target >= t1_bulk:
+        raise NoSolutionError(
+            f"t1_target ({t1_target:g} s) must be shorter than t1_bulk ({t1_bulk:g} s)")
+    rate_needed = 1.0 / t1_target - 1.0 / t1_bulk
+    b2_per_sigma = b_perp_sq_surface(ParticleGeometry(diameter=diameter),
+                                     SurfaceBath(areal_density=1.0))
+    rate_per_sigma = rate_contribution(
+        NoiseSource(gamma=GAMMA_E, b_perp_sq=b2_per_sigma, tau_c=1.0 / surface_rate),
+        OMEGA_0)
+    return rate_needed / rate_per_sigma
 
 
 def _log_curvature_terms(r: float, omega0: float) -> float:

@@ -17,7 +17,9 @@ The matrix, for the shipped configs:
 * `sweep` on every axis, with the 5,001-point grids of the benchmark;
 * `sensitivity` on the benchmark's density grid and on the default grid;
 * `simulate` of gd_water + gd_acetone, 200 spots each, seed 77;
-* `fit --out` on three of the simulated curves.
+* `fit --out` on three of the simulated curves;
+* `oracle all`, whose report goes to stdout and is saved as a data file
+  (the one run of the Monte Carlo dipolar sum).
 
 Prints the number of compared files and each differing path, and exits 1
 when a file differs or exists on one side only, or when a command fails
@@ -51,30 +53,36 @@ FITTED = ("gd_water_25nm/spot_0000", "gd_water_25nm/spot_0123",
 
 
 def matrix(out: Path) -> list:
-    """(name, argv) of every CLI run, writing below out."""
+    """(name, argv, stdout file or None) of every CLI run, writing below out.
+
+    Stdout is kept only where it is the run's data: it names the output
+    paths otherwise, which differ between the two trees.
+    """
     runs = []
     for c in CONFIGS:
         cfg = f"configs/{c}.ini"
-        runs.append((f"t1 {c}", ["t1", "--config", cfg, "--out", str(out / f"t1_{c}.txt")]))
+        runs.append((f"t1 {c}", ["t1", "--config", cfg, "--out", str(out / f"t1_{c}.txt")],
+                     None))
         for axis, grid in SWEEPS.items():
             runs.append((f"sweep {axis} {c}",
                          ["sweep", "--config", cfg, "--axis", axis, "--grid", grid,
-                          "--out", str(out / f"sweep_{axis}_{c}.tsv")]))
+                          "--out", str(out / f"sweep_{axis}_{c}.tsv")], None))
         runs.append((f"sensitivity {c}",
                      ["sensitivity", "--config", cfg, "--grid", SENSITIVITY_GRID,
-                      "--out", str(out / f"sensitivity_{c}.tsv")]))
+                      "--out", str(out / f"sensitivity_{c}.tsv")], None))
         runs.append((f"sensitivity default-grid {c}",
                      ["sensitivity", "--config", cfg,
-                      "--out", str(out / f"sensitivity_default_{c}.tsv")]))
+                      "--out", str(out / f"sensitivity_default_{c}.tsv")], None))
     sim = out / "simulate"
     argv = ["simulate", "--spots", str(SPOTS), "--seed", str(SEED), "--out", str(sim)]
     for c in SIMULATE:
         argv += ["--config", f"configs/{c}.ini"]
-    runs.append(("simulate", argv))
+    runs.append(("simulate", argv, None))
     for spot in FITTED:
         runs.append((f"fit {spot}",
                      ["fit", str(sim / f"{spot}_curve.tsv"),
-                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")]))
+                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")], None))
+    runs.append(("oracle all", ["oracle", "all"], out / "oracle_all.txt"))
     return runs
 
 
@@ -83,10 +91,11 @@ def run_matrix(side: str, src: Path, out: Path) -> list:
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
     failed = []
-    for name, argv in matrix(out):
+    for name, argv, stdout_file in matrix(out):
         proc = subprocess.run([sys.executable, "-m", "rbmrelax.cli", *argv], cwd=ROOT,
-                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                              text=True)
+                              env=env, capture_output=True, text=True)
+        if stdout_file is not None:
+            stdout_file.write_text(proc.stdout)
         if proc.returncode:
             failed.append(f"{name} failed ({side}): "
                           f"exit {proc.returncode}: {proc.stderr.strip()}")
