@@ -22,6 +22,7 @@ be numpy arrays, validated element by element.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,9 @@ class ParticleGeometry:
 
     def __post_init__(self):
         require(positive(self.diameter), "diameter must be positive, got {!r}", self.diameter)
+        # the surface field divides by radius**4, which must not underflow
+        require(self.radius**4 >= sys.float_info.min,
+                "diameter {!r} m is too small: its radius**4 underflows", self.diameter)
 
     @property
     def radius(self) -> float:

@@ -20,14 +20,15 @@ curves, sensitivity curves) use the one format of rbmrelax.table.
 measurement plan and the true T1 of every spot (scenario.draw_spots, one
 array predict per condition), so a spot outside the model's domain fails
 the run with nothing written.  It then writes each spot's curve and fit as
-measure_sim.simulate_spot_ensemble yields it.
+measure_sim.simulate_spot_ensemble returns it, every spot of a condition
+fitted in one batch.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep picks its columns
 from ScenarioPrediction.as_dict by name.
-Only ``simulate``, ``fit`` and ``oracle`` load scipy; they import
-measure_sim and validation when they run, so start-up of the other verbs
-stays at numpy's cost.
+Only ``oracle`` loads scipy, for its quadrature check.  ``simulate`` and
+``fit`` import measure_sim when they run, and ``oracle`` validation, so
+start-up of every verb stays at numpy's cost.
 """
 
 from __future__ import annotations

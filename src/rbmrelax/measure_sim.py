@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, ParameterError
 from .table import read_table, write_table
@@ -131,12 +130,20 @@ def simulate_curve(t1_true: float, plan: MeasurementPlan, seed) -> RelaxationCur
     shots = plan.shots_per_point
     mu_ref_shot = plan.counts_per_shot
 
+    # one draw over the (signal, reference) means of every dark time, in
+    # the order of one scalar draw per total
+    means = []
+    for tau in plan.dark_times:
+        means.append(shots * (mu_ref_shot * expected_signal(tau, t1_true, plan.contrast)))
+        if plan.include_reference:
+            means.append(shots * mu_ref_shot)
+    totals = iter(rng.poisson(means).tolist())
+
     points = []
     for tau in plan.dark_times:
-        mu_sig_shot = mu_ref_shot * expected_signal(tau, t1_true, plan.contrast)
-        sig_total = int(rng.poisson(shots * mu_sig_shot))
+        sig_total = next(totals)
         if plan.include_reference:
-            ref_total = int(rng.poisson(shots * mu_ref_shot))
+            ref_total = next(totals)
             denom = max(ref_total, 1)
             y = sig_total / denom
             # var(S/R) ~ (1/R^2) (var S + y^2 var R), Poisson variances
@@ -200,14 +207,29 @@ def failed_fit(message: str) -> FitResult:
                      converged=False, message=message)
 
 
-def _model(params, tau):
-    b, a, t1 = params
-    return b + a * np.exp(np.clip(-tau / t1, -700.0, 50.0))
+# The search for T1 runs in x = ln T1 over the range where the model can
+# still change: below a hundredth of the shortest positive dark time every
+# point has decayed by e^-100, and beyond 1e8 times the longest one the
+# decay's curvature, (tau/T1)^2, is lost in double precision, so the model
+# is a straight line.  An optimum on either bound is not converged.
+_SEARCH_BELOW = math.log(1e2)
+_SEARCH_ABOVE = math.log(1e8)
+_GRID_POINTS = 64          # coarse grid that brackets the minimum
+_GOLDEN_STEPS = 20         # narrows the bracket by 0.618**20
+_BRACKET_TOL = 1e-12       # converged width in ln T1, i.e. relative T1
+_MAX_POLISH = 100
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_CONVERGED = "converged: relative T1 bracket below 1e-12"
+_TOO_SHORT = "tau grid too short: must reach 2x the t1 guess or span a decade"
+_ON_BOUND = "not converged: optimum on the T1 search bound"
+_OPEN = "not converged: T1 bracket did not close"
+_NOT_FINITE = "not converged: covariance not finite"
 
 
-def _starting_point(tau, y):
-    # baseline from the tail, amplitude from the head-tail swing, t1 from
-    # where the signal first crosses baseline + amplitude/e
+def _t1_guess(tau, y) -> float:
+    # where the signal first crosses baseline + amplitude/e, with the
+    # baseline from the tail and the amplitude from the head-tail swing
     b0 = float(y[-1])
     a0 = float(y[0] - y[-1])
     if abs(a0) < 1e-12:
@@ -217,78 +239,215 @@ def _starting_point(tau, y):
     t10 = float(crossing[0]) if crossing.size else float(np.median(tau))
     if t10 <= 0.0:
         t10 = float(np.median(tau[tau > 0])) if np.any(tau > 0) else 1.0
-    return b0, a0, t10
+    return t10
+
+
+class _Rows:
+    """Sorted curves of a batch, one per row, and the fit problem projected
+    onto x = ln T1: at fixed T1 the best baseline and amplitude are linear.
+
+    Every reduction runs along a row, so a row's numbers do not depend on
+    which other rows share its batch.
+    """
+
+    def __init__(self, tau, y, w):
+        self.tau, self.y, self.w = tau, y, w
+        self.W = w * w
+        self.s0 = self.W.sum(axis=-1)
+        y_bar = (self.W * y).sum(axis=-1) / self.s0
+        self.y_bar, self.dy = y_bar, y - y_bar[:, None]
+        self.syy = (self.W * self.dy * self.dy).sum(axis=-1)
+
+    def __getitem__(self, rows) -> "_Rows":
+        return _Rows(self.tau[rows], self.y[rows], self.w[rows])
+
+    def project(self, x):
+        """At T1 = exp(x) per row: the decay e, its weighted mean, e less that
+        mean, the weighted norm of the latter, and the best amplitude, from
+        the weighted 2x2 normal equations solved in centered form."""
+        e = np.exp(-self.tau / np.exp(x)[:, None])
+        e_bar = (self.W * e).sum(axis=-1) / self.s0
+        de = e - e_bar[:, None]
+        see = (self.W * de * de).sum(axis=-1)
+        sey = (self.W * de * self.dy).sum(axis=-1)
+        amp = np.divide(sey, see, out=np.zeros_like(see), where=see > 0.0)
+        return e, e_bar, de, see, amp
+
+    def chi2(self, x):
+        """chi2 at the best baseline and amplitude: the weighted spread of y
+        less the part the centered decay explains.  It steers the bracket
+        only; the reported chi2 sums the residuals themselves."""
+        _, _, _, see, amp = self.project(x)
+        return self.syy - amp * amp * see
+
+    def slope(self, x):
+        """Half the derivative of chi2 in x, and its Gauss-Newton curvature.
+
+        At the best baseline and amplitude the derivative takes only the
+        model's own x derivative d (variable projection); the curvature is
+        the weighted norm of d with its projection onto (1, e) removed.
+        """
+        e, e_bar, de, see, amp = self.project(x)
+        d = amp[:, None] * e * self.tau / np.exp(x)[:, None]
+        r = (self.y_bar - amp * e_bar)[:, None] + amp[:, None] * e - self.y
+        dd = d - ((self.W * d).sum(axis=-1) / self.s0)[:, None]
+        beta = np.divide((self.W * de * dd).sum(axis=-1), see,
+                         out=np.zeros_like(see), where=see > 0.0)
+        rest = dd - beta[:, None] * de
+        return (self.W * r * d).sum(axis=-1), (self.W * rest * rest).sum(axis=-1)
+
+
+def _search(rows: _Rows, x_lo, x_hi):
+    """Minimize chi2 over x in [x_lo, x_hi] per row.
+
+    A coarse grid brackets the minimum, golden-section steps narrow the
+    bracket, and safeguarded Gauss-Newton steps on the slope close it: a
+    step that leaves the bracket or fails to halve the previous one is
+    replaced by bisection.  Each Newton probe overshoots by a quarter of
+    the tolerance, so probes land on both sides of the root.  Returns the
+    bracket midpoint, whether the grid minimum lay on a search bound, and
+    the final bracket width.
+    """
+    grid = x_lo[:, None] + (x_hi - x_lo)[:, None] * np.linspace(0.0, 1.0, _GRID_POINTS)
+    k = np.column_stack([rows.chi2(grid[:, i]) for i in range(_GRID_POINTS)]).argmin(axis=-1)
+    on_bound = (k == 0) | (k == _GRID_POINTS - 1)
+    k = np.clip(k, 1, _GRID_POINTS - 2)
+    pick = np.arange(k.size)
+    a, b = grid[pick, k - 1], grid[pick, k + 1]
+
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = rows.chi2(c), rows.chi2(d)
+    for _ in range(_GOLDEN_STEPS):
+        left = fc < fd                      # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, b - _INV_PHI * (b - a), a + _INV_PHI * (b - a))
+        f_new = rows.chi2(new)
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+
+    x, lo, hi = np.where(fc < fd, c, d), a, b
+    g, h = rows.slope(x)
+    dx_old = hi - lo
+    for _ in range(_MAX_POLISH):
+        act = np.flatnonzero(hi - lo >= _BRACKET_TOL)
+        if act.size == 0:
+            break
+        xa, lo_a, hi_a = x[act], lo[act], hi[act]
+        step = np.divide(-g[act], h[act], out=np.full(act.size, np.inf), where=h[act] > 0.0)
+        newton = xa + step + np.copysign(_BRACKET_TOL / 4.0, step)
+        take = (newton > lo_a) & (newton < hi_a) & (np.abs(step) < 0.5 * dx_old[act])
+        probe = np.where(take, newton, 0.5 * (lo_a + hi_a))
+        g[act], h[act] = rows[act].slope(probe)
+        rising = g[act] > 0.0               # the minimum lies left of the probe
+        hi[act] = np.where(rising, probe, hi_a)
+        lo[act] = np.where(rising, lo_a, probe)
+        dx_old[act] = np.abs(probe - xa)
+        x[act] = probe
+    return 0.5 * (lo + hi), on_bound, hi - lo
+
+
+def _invert(jtj):
+    """Inverse of each curvature matrix; one that is singular or inverts to
+    non-finite values is pseudo-inverted instead, and flagged.  A matrix
+    with non-finite entries is left non-finite: LAPACK's SVD may never
+    return on one."""
+    try:
+        cov = np.linalg.inv(jtj)
+        singular = ~np.isfinite(cov).all(axis=(1, 2))
+    except np.linalg.LinAlgError:
+        cov, singular = np.full_like(jtj, np.nan), np.ones(len(jtj), dtype=bool)
+    for i in np.flatnonzero(singular):
+        try:
+            cov[i] = np.linalg.inv(jtj[i])
+            singular[i] = not np.isfinite(cov[i]).all()
+        except np.linalg.LinAlgError:
+            pass
+        if singular[i] and np.isfinite(jtj[i]).all():
+            cov[i] = np.linalg.pinv(jtj[i])
+    return cov, singular
+
+
+def fit_curves(tau, y, sig) -> list:
+    """Fit b + A exp(-tau/T1) to every row of (n_curves, n_points) arrays.
+
+    Weighted least squares, solved by variable projection (Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): for each trial T1 the
+    baseline and amplitude follow in closed form, which leaves a 1-D search
+    in ln T1 (_search), run for all rows at once.  Weights are inverse
+    per-point variances; a row with any stderr of 0 (the shots=1 sentinel)
+    is fitted unweighted.  Standard errors come from the analytic Jacobian
+    at the optimum: for weighted fits the unscaled (J^T J)^-1 of the
+    whitened residuals (errors are known, not estimated), for unweighted
+    fits scaled by the residual variance.  Point order within a row is
+    irrelevant, and so is which other rows share the batch.
+
+    Returns one FitResult per row.  A row whose grid is too short to fit
+    gets a failed fit ("tau grid too short"); a fit converges when its T1 is
+    bracketed to a relative 1e-12 inside the search range, and is reported
+    with converged=False otherwise, never raised.
+    """
+    n_points = tau.shape[-1]
+    if n_points < _MIN_FIT_POINTS:
+        raise ParameterError(f"need >= {_MIN_FIT_POINTS} points to fit, got {n_points}")
+    order = np.argsort(tau, axis=-1, kind="stable")
+    tau, y, sig = (np.take_along_axis(v, order, axis=-1) for v in (tau, y, sig))
+    weighted = (sig > 0.0).all(axis=-1)
+    w = np.where(weighted[:, None], 1.0 / np.where(sig > 0.0, sig, 1.0), 1.0)
+
+    # the grid must reach twice the curve's own T1 guess or span a decade
+    pos_min = np.where(tau > 0.0, tau, np.inf).min(axis=-1)
+    tau_max = tau[:, -1]
+    ok = tau_max / pos_min >= 10.0
+    for i in np.flatnonzero(~ok):
+        ok[i] = tau_max[i] >= 2.0 * _t1_guess(tau[i], y[i])
+    results = [failed_fit(_TOO_SHORT)] * len(ok)
+    todo = np.flatnonzero(ok)
+    if todo.size == 0:
+        return results
+
+    rows = _Rows(tau[todo], y[todo], w[todo])
+    x, on_bound, width = _search(rows, np.log(pos_min[todo]) - _SEARCH_BELOW,
+                                 np.log(tau_max[todo]) + _SEARCH_ABOVE)
+    t1 = np.exp(x)
+    e, e_bar, _, _, amp = rows.project(x)
+    base = rows.y_bar - amp * e_bar
+    r = (base[:, None] + amp[:, None] * e - rows.y) * rows.w
+    red_chi2 = (r * r).sum(axis=-1) / (n_points - 3)
+
+    cols = (rows.w, rows.w * e,
+            rows.w * (amp[:, None] * e * rows.tau / t1[:, None] ** 2))
+    jtj = np.empty((todo.size, 3, 3))
+    for p in range(3):
+        for q in range(p, 3):
+            jtj[:, p, q] = jtj[:, q, p] = (cols[p] * cols[q]).sum(axis=-1)
+    cov, singular = _invert(jtj)
+    unweighted = ~weighted[todo]
+    cov[unweighted] *= red_chi2[unweighted, None, None]
+    cov = (cov + cov.transpose(0, 2, 1)) / 2.0
+    finite = np.isfinite(cov).all(axis=(1, 2))
+    converged = finite & ~on_bound & (width < _BRACKET_TOL)
+    t1_hat = np.where(converged, t1, np.nan)
+    stderr = np.where(converged, np.sqrt(np.maximum(cov[:, 2, 2], 0.0)), np.nan)
+    message = np.select([converged, ~finite, on_bound], [_CONVERGED, _NOT_FINITE, _ON_BOUND], _OPEN)
+    for i, *fields in zip(todo.tolist(), t1_hat.tolist(), stderr.tolist(), amp.tolist(),
+                          base.tolist(), cov.tolist(), red_chi2.tolist(),
+                          converged.tolist(), message.tolist(), singular.tolist()):
+        results[i] = FitResult(*fields)
+    return results
 
 
 def fit_exponential(curve: RelaxationCurve) -> FitResult:
-    """Weighted nonlinear least squares for a single-exponential decay.
+    """Fit one curve: the one-row case of fit_curves.
 
-    Damped least-squares iteration with an analytic Jacobian; weights are
-    inverse per-point variances, falling back to an unweighted fit when any
-    stderr is 0 (the shots=1 sentinel).  Standard errors come from the local
-    curvature at the optimum: for weighted fits the unscaled (J^T J)^-1 of
-    the whitened residuals (errors are known, not estimated), for unweighted
-    fits scaled by the residual variance.  Point order is irrelevant.
-
-    Non-convergence is reported via converged=False, never raised.
+    A grid too short to fit raises ParameterError here; non-convergence is
+    reported via converged=False, never raised.
     """
     tau, y, sig = curve.arrays()
-    if tau.size < _MIN_FIT_POINTS:
-        raise ParameterError(f"need >= {_MIN_FIT_POINTS} points to fit, got {tau.size}")
-    order = np.argsort(tau, kind="stable")
-    tau, y, sig = tau[order], y[order], sig[order]
-
-    weighted = bool(np.all(sig > 0.0))
-    w = 1.0 / sig if weighted else np.ones_like(tau)
-
-    b0, a0, t10 = _starting_point(tau, y)
-    pos = tau[tau > 0.0]
-    decade_span = pos.size > 0 and pos.max() / pos.min() >= 10.0
-    if tau.max() < 2.0 * t10 and not decade_span:
-        raise ParameterError(
-            "tau grid too short: must reach 2x the t1 guess or span a decade")
-
-    def residuals(p):
-        return (_model(p, tau) - y) * w
-
-    def jac(p):
-        _, a, t1 = p
-        e = np.exp(np.clip(-tau / t1, -700.0, 50.0))
-        cols = np.column_stack([np.ones_like(tau), e, a * e * tau / t1**2])
-        return cols * w[:, None]
-
-    res = least_squares(residuals, x0=[b0, a0, t10], jac=jac, method="lm",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-    b_hat, a_hat, t1_hat = (float(v) for v in res.x)
-    dof = tau.size - 3
-    chi2 = float(2.0 * res.cost)
-    red_chi2 = chi2 / dof if dof > 0 else math.nan
-
-    jtj = res.jac.T @ res.jac
-    singular = False
-    try:
-        cov = np.linalg.inv(jtj)
-        if not np.all(np.isfinite(cov)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
-        singular = True
-    if not weighted and dof > 0:
-        cov = cov * red_chi2
-    cov = (cov + cov.T) / 2.0
-
-    converged = bool(res.success) and res.status != 0 and t1_hat > 0.0 \
-        and math.isfinite(t1_hat)
-    message = res.message if converged else f"not converged: {res.message}"
-    if converged:
-        return FitResult(t1_hat=t1_hat, t1_stderr=float(math.sqrt(max(cov[2, 2], 0.0))),
-                         amplitude=a_hat, baseline=b_hat,
-                         covariance=tuple(map(tuple, cov)), reduced_chi_sq=red_chi2,
-                         converged=True, message=message, singular_curvature=singular)
-    return FitResult(t1_hat=math.nan, t1_stderr=math.nan, amplitude=a_hat,
-                     baseline=b_hat, covariance=tuple(map(tuple, cov)),
-                     reduced_chi_sq=red_chi2, converged=False, message=message,
-                     singular_curvature=singular)
+    fit, = fit_curves(tau[None], y[None], sig[None])
+    if fit.message == _TOO_SHORT:
+        raise ParameterError(fit.message)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -300,22 +459,21 @@ class SpotResult:
     fit: FitResult
 
 
-def simulate_spot_ensemble(t1_true, rngs, plan: MeasurementPlan):
-    """Simulate and fit many detection spots, yielding one SpotResult each.
+def simulate_spot_ensemble(t1_true, rngs, plan: MeasurementPlan) -> list:
+    """Simulate many detection spots and fit them in one batch, one
+    SpotResult each.
 
     Spot j has true T1 t1_true[j] and draws its curve from rngs[j]; both
     come from scenario.draw_spots, so the ensemble is reproducible and
     insensitive to execution order.  Fit failures are flagged per spot
     (converged=False), never fatal.
     """
-    for t1_spot, rng in zip(t1_true, rngs, strict=True):
-        t1_spot = float(t1_spot)
-        curve = simulate_curve(t1_spot, plan, rng)
-        try:
-            fit = fit_exponential(curve)
-        except ParameterError as exc:
-            fit = failed_fit(str(exc))
-        yield SpotResult(t1_spot, curve, fit)
+    t1_true = [float(t) for t in t1_true]
+    curves = [simulate_curve(t1_spot, plan, rng)
+              for t1_spot, rng in zip(t1_true, rngs, strict=True)]
+    points = np.array([curve.points for curve in curves])
+    fits = fit_curves(points[..., 0], points[..., 1], points[..., 2])
+    return [SpotResult(*spot) for spot in zip(t1_true, curves, fits)]
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,9 @@ OPTIMAL_DENSITY_CAL = 6.89475863191954133e+25   # 1/m^3
 # 1 millimolar of molecules in SI number density.
 PER_M3_PER_MM = 6.02214076e23
 
+# Longest dark-time grid, in units of the predicted T1.
+MAX_TAU_SPAN_FACTOR = 100.0
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -156,6 +159,10 @@ class Scenario:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ParameterError(f"{name} must be positive, got {v!r}")
+        if self.tau_span_factor > MAX_TAU_SPAN_FACTOR:
+            raise ParameterError(
+                f"tau_span_factor must be <= {MAX_TAU_SPAN_FACTOR:g} (a grid to 100 T1 "
+                f"already samples e^-100 of the decay), got {self.tau_span_factor!r}")
         if not (TAU_C_MIN <= 1.0 / self.surface_rate <= TAU_C_MAX):
             raise ParameterError(f"surface_rate {self.surface_rate!r} out of range")
         if not (0.0 <= self.x_water <= 1.0):
@@ -288,7 +295,7 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
 def measurement_plan(sc: Scenario, t1_expected: float):
     """Acquisition plan (a measure_sim.MeasurementPlan) with the default
     log-spaced tau grid."""
-    # imported here: measure_sim loads scipy, which the forward model avoids
+    # imported here: the forward verbs never load the simulation and fit
     from .measure_sim import MeasurementPlan, default_dark_times
 
     return MeasurementPlan(

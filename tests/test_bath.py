@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rbmrelax.bath import (
@@ -63,6 +64,11 @@ def test_volume_standoff_shortens_field():
 def test_geometry_validation():
     with pytest.raises(ParameterError):
         ParticleGeometry(diameter=0.0)
+    # radius**4 underflows to 0 in double precision, for a scalar or an element
+    with pytest.raises(ParameterError, match=r"^diameter 1e-300 m is too small"):
+        ParticleGeometry(diameter=1e-300)
+    with pytest.raises(ParameterError, match=r"^diameter 1e-300 m is too small"):
+        ParticleGeometry(diameter=np.array([25e-9, 1e-300]))
 
 
 def test_mc_matches_surface_closed_form():

@@ -178,16 +178,19 @@ def test_simulate_two_conditions_separation(fast_config, tmp_path, capsys):
 
 
 def test_fit_reproduces_simulate_fit(fast_config, tmp_path, capsys):
+    # simulate fits a condition in one batch, fit one curve alone: every fit
+    # field must come out the same, bit for bit
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(fast_config), "--spots", "2",
                  "--out", str(out)]) == 0
-    curve = out / "fast" / "spot_0000_curve.tsv"
-    stored = json.loads((out / "fast" / "spot_0000_fit.json").read_text())
-    capsys.readouterr()
-    assert main(["fit", str(curve)]) == 0
-    refit = json.loads(capsys.readouterr().out)
-    assert refit["t1_hat_s"] == pytest.approx(stored["t1_hat_s"], rel=1e-9)
-    assert refit["converged"]
+    for j in range(2):
+        stored = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
+        refit_path = tmp_path / f"refit_{j}.json"
+        assert main(["fit", str(out / "fast" / f"spot_{j:04d}_curve.tsv"),
+                     "--out", str(refit_path)]) == 0
+        refit = json.loads(refit_path.read_text())
+        assert refit["converged"]
+        assert refit == {key: stored[key] for key in refit}
 
 
 def test_fit_shuffled_rows_identical(fast_config, tmp_path, capsys):
@@ -481,3 +484,36 @@ def test_density_grid_beyond_tau_c_bound_rejected(fast_config, tmp_path, capsys,
     assert not list(tmp_path.glob("grid.tsv*"))
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "tau_c must lie in [1e-15, 1000] s" in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["t1", "--config", "{cfg}", "--out", "{out}"],
+    ["sweep", "--config", "{fast}", "--axis", "diameter", "--grid", "1e-300,25e-9",
+     "--out", "{out}"],
+])
+def test_underflowing_diameter_is_a_parameter_error(fast_config, tmp_path, capsys, argv):
+    # at 1e-300 nm the particle radius**4 underflows to 0; a config and a
+    # sweep grid meet the same check, before any output
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text("[particle]\ndiameter_nm = 1e-300\n")
+    out = tmp_path / "out.txt"
+    argv = [a.format(cfg=cfg, fast=fast_config, out=out) for a in argv]
+    assert main(argv) == 1
+    assert not list(tmp_path.glob("out.txt*"))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and re.match(r"error: diameter 1e-30\d m is too small", err[0])
+
+
+def test_tau_span_factor_above_100_leaves_no_output(tmp_path, capsys):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[measurement]\ntau_span_factor = 1e300\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--spots", "2",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tau_span_factor must be <= 100")

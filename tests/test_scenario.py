@@ -88,6 +88,13 @@ def test_sensor_offset_rejected_when_read(value):
     assert scenario_from_text("[particle]\nsensor_offset_nm = 0\n") == Scenario()
 
 
+@pytest.mark.parametrize("value", ["100.0000001", "1e300", "inf"])
+def test_tau_span_factor_above_100_rejected_when_read(value):
+    with pytest.raises(ParameterError, match=r"^tau_span_factor must be"):
+        scenario_from_text(f"[measurement]\ntau_span_factor = {value}\n")
+    assert scenario_from_text("[measurement]\ntau_span_factor = 100\n").tau_span_factor == 100.0
+
+
 @pytest.mark.parametrize("value", ["0", "-0", "0.0"])
 def test_zero_surface_rate_rejected_when_read(value):
     # checked positive before its inverse is taken
@@ -310,7 +317,7 @@ SCENARIOS = st.builds(
     include_reference=st.booleans(),
     n_dark_times=st.integers(4, 1000),
     tau_min=_floats(1e-9, 1e-3),
-    tau_span_factor=_floats(1e-3, 1e3),
+    tau_span_factor=_floats(1e-3, 100.0),
     acquisition_time=_floats(1e-3, 1e6),
     density_jitter=_floats(0.0, 1.0),
     diameter_jitter=_floats(0.0, 1.0),
