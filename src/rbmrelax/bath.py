@@ -39,6 +39,7 @@ _GEOM = ISOTROPIC_VARIANCE_FACTOR * TRANSVERSE_FRACTION  # 4/3
 # Monte Carlo defaults
 MIN_MC_SAMPLES = 10_000
 DEFAULT_CUTOFF_FACTOR = 20.0
+# samples per spawned stream; changing it changes every Monte Carlo result
 _CHUNK = 250_000
 
 
@@ -160,30 +161,60 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _unit_vectors(rng: np.random.Generator, k: int) -> np.ndarray:
-    v = rng.standard_normal((k, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms sqrt(x*x + y*y + z*z) of a (3, k) array; the same sum, in
+    the same order, as np.linalg.norm(axis=1) of its transpose."""
+    s = v[0] * v[0]
+    s += v[1] * v[1]
+    s += v[2] * v[2]
+    return np.sqrt(s, out=s)
+
+
+def _unit_columns(rng: np.random.Generator, k: int) -> np.ndarray:
+    v = np.ascontiguousarray(rng.standard_normal((k, 3)).T)
+    v /= _norms(v)
+    return v
 
 
 def _dipole_samples(rng, k, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
-    """Per-spin transverse field variance samples, T^2."""
+    """Per-spin transverse field variance samples, T^2.
+
+    Draws, in this order: the radii (volume bath only, one rng.random(k)),
+    the positions and the moment orientations (one standard_normal((k, 3))
+    each).  That order fixes every Monte Carlo number.  The arithmetic runs
+    in place on contiguous (3, k) copies, one row per Cartesian component.
+    """
     if isinstance(bath, SurfaceBath):
-        radii = np.full(k, g.radius)
+        radii = g.radius
     else:
         u = rng.random(k)
         radii = np.cbrt(r_min**3 + u * (r_cut**3 - r_min**3))
-    pos = _unit_vectors(rng, k) * radii[:, None]
-    moments = _unit_vectors(rng, k)
+    pos = _unit_columns(rng, k)
+    pos *= radii
+    moments = _unit_columns(rng, k)
 
-    dist = np.linalg.norm(pos, axis=1)
-    rhat = pos / dist[:, None]
+    dist = _norms(pos)
+    rhat = pos
+    rhat /= dist
 
-    mu = math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
-    cosang = np.einsum("ij,ij->i", moments, rhat)
-    field = MU0_OVER_4PI * mu * (3.0 * cosang[:, None] * rhat - moments) / dist[:, None] ** 3
+    cos3 = moments[0] * rhat[0]
+    cos3 += moments[1] * rhat[1]
+    cos3 += moments[2] * rhat[2]
+    cos3 *= 3.0
+    scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
+    dist3 = dist**3
     # the ensemble is isotropic about the centered sensor, so the lab z
-    # axis serves as the sensor axis
-    return field[:, 0] ** 2 + field[:, 1] ** 2
+    # axis serves as the sensor axis and only the x and y field components
+    # are formed
+    fx, fy = rhat[0], rhat[1]
+    for f, m in ((fx, moments[0]), (fy, moments[1])):
+        f *= cos3
+        f -= m
+        f *= scale
+        f /= dist3
+        f *= f
+    fx += fy
+    return fx
 
 
 def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
@@ -194,9 +225,10 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     uniformly in the exterior shell out to cutoff_factor * r_min (volume
     bath, with the analytic r^-6 tail beyond the cutoff added back).  Spin
     orientations are isotropic.  Sampling is split into fixed-size chunks,
-    each drawing from its own spawned child stream, and chunk statistics are
-    merged by weighted average, so the result is reproducible for a given
-    (samples, seed) regardless of how chunks are dispatched.
+    each drawing from its own spawned child stream; the sums of x and x^2
+    run over every chunk, and the mean and variance come from those totals,
+    so the result is reproducible for a given (samples, seed) regardless of
+    how chunks are dispatched.
 
     Returns the estimated mean and standard error of B_perp^2 in T^2;
     deterministic for fixed inputs.

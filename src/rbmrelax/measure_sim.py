@@ -225,6 +225,7 @@ _TOO_SHORT = "tau grid too short: must reach 2x the t1 guess or span a decade"
 _ON_BOUND = "not converged: optimum on the T1 search bound"
 _OPEN = "not converged: T1 bracket did not close"
 _NOT_FINITE = "not converged: covariance not finite"
+_NOT_POSITIVE = "not converged: T1 variance not positive"
 
 
 def _t1_guess(tau, y) -> float:
@@ -384,8 +385,9 @@ def fit_curves(tau, y, sig) -> list:
 
     Returns one FitResult per row.  A row whose grid is too short to fit
     gets a failed fit ("tau grid too short"); a fit converges when its T1 is
-    bracketed to a relative 1e-12 inside the search range, and is reported
-    with converged=False otherwise, never raised.
+    bracketed to a relative 1e-12 inside the search range and its T1
+    variance is finite and positive, and is reported with converged=False
+    otherwise, never raised.
     """
     n_points = tau.shape[-1]
     if n_points < _MIN_FIT_POINTS:
@@ -426,10 +428,14 @@ def fit_curves(tau, y, sig) -> list:
     cov[unweighted] *= red_chi2[unweighted, None, None]
     cov = (cov + cov.transpose(0, 2, 1)) / 2.0
     finite = np.isfinite(cov).all(axis=(1, 2))
-    converged = finite & ~on_bound & (width < _BRACKET_TOL)
+    # a chi2 that keeps falling toward T1 -> infinity leaves no curvature in
+    # T1, and its variance can come out zero or negative
+    positive = cov[:, 2, 2] > 0.0
+    converged = finite & ~on_bound & positive & (width < _BRACKET_TOL)
     t1_hat = np.where(converged, t1, np.nan)
     stderr = np.where(converged, np.sqrt(np.maximum(cov[:, 2, 2], 0.0)), np.nan)
-    message = np.select([converged, ~finite, on_bound], [_CONVERGED, _NOT_FINITE, _ON_BOUND], _OPEN)
+    message = np.select([converged, ~finite, on_bound, ~positive],
+                        [_CONVERGED, _NOT_FINITE, _ON_BOUND, _NOT_POSITIVE], _OPEN)
     for i, *fields in zip(todo.tolist(), t1_hat.tolist(), stderr.tolist(), amp.tolist(),
                           base.tolist(), cov.tolist(), red_chi2.tolist(),
                           converged.tolist(), message.tolist(), singular.tolist()):

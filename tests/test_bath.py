@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from rbmrelax.bath import (
+    DEFAULT_CUTOFF_FACTOR,
     ParticleGeometry,
     SurfaceBath,
     VolumeBath,
+    _dipole_samples,
     b_perp_mc,
     b_perp_sq_surface,
     b_perp_sq_volume,
     moment_sq,
 )
-from rbmrelax.constants import GAMMA_E, HBAR
+from rbmrelax.constants import GAMMA_E, HBAR, MU0_OVER_4PI
 from rbmrelax.errors import ParameterError
 
 GEOM = ParticleGeometry(diameter=25.0e-9)
@@ -121,3 +123,54 @@ def test_mc_tail_warning_on_tight_cutoff():
     assert mc.tail_warning
     with pytest.raises(ParameterError):
         b_perp_mc(GEOM, VOLUME, samples=10_000, seed=4, cutoff_factor=0.9)
+
+
+def reference_samples(rng, k, g, bath, r_min, r_cut):
+    """The row-wise (k, 3) dipole kernel that _dipole_samples replaced: unit
+    vectors through np.linalg.norm, cos theta through einsum, and all three
+    field components formed.  It lives here only, as the reference."""
+    def unit_vectors():
+        v = rng.standard_normal((k, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    if isinstance(bath, SurfaceBath):
+        radii = np.full(k, g.radius)
+    else:
+        u = rng.random(k)
+        radii = np.cbrt(r_min**3 + u * (r_cut**3 - r_min**3))
+    pos = unit_vectors() * radii[:, None]
+    moments = unit_vectors()
+    dist = np.linalg.norm(pos, axis=1)
+    rhat = pos / dist[:, None]
+    mu = math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
+    cosang = np.einsum("ij,ij->i", moments, rhat)
+    field = MU0_OVER_4PI * mu * (3.0 * cosang[:, None] * rhat - moments) / dist[:, None] ** 3
+    return field[:, 0] ** 2 + field[:, 1] ** 2
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("k", [10_000, 10_001, 250_000])
+def test_dipole_kernel_matches_reference(bath, k):
+    # einsum's order of the three products in cos theta depends on the
+    # build, so samples agree to rounding, not bit for bit
+    r_min = GEOM.radius
+    r_cut = None if isinstance(bath, SurfaceBath) else DEFAULT_CUTOFF_FACTOR * r_min
+    rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+    got = _dipole_samples(rng, k, GEOM, bath, r_min, r_cut)
+    want = reference_samples(rng_ref, k, GEOM, bath, r_min, r_cut)
+    assert got.shape == (k,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # both kernels use up the same draws
+    assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("bath, seed, mean, stderr", [
+    (SURFACE, 9, 1.7756356164888528e-09, 2.309005390236922e-12),
+    (VOLUME, 10, 1.9492646701975638e-08, 2.3434540067281385e-09),
+], ids=["surface", "volume"])
+def test_mc_pinned_across_two_chunks(bath, seed, mean, stderr):
+    # recorded with the reference kernel above; any change to the draws,
+    # their order or the chunking moves these far beyond 1e-12
+    mc = b_perp_mc(GEOM, bath, samples=260_000, seed=seed)
+    assert mc.mean == pytest.approx(mean, rel=1e-12)
+    assert mc.stderr == pytest.approx(stderr, rel=1e-12)

@@ -181,3 +181,24 @@ def test_non_finite_curvature_is_not_converged():
         fit, = fit_curves(taus[None], y[None], np.full((1, 8), 1e-170))
     assert not fit.converged
     assert fit.message == "not converged: covariance not finite"
+
+
+def test_non_positive_t1_variance_is_not_converged():
+    # a 5,000-shot curve whose true T1 (43.7 us) sits inside the grid, but
+    # whose noise leaves a near-straight line: chi2 keeps falling toward
+    # T1 -> infinity, the bracket closes near 4,450 s, and the T1 variance
+    # of the curvature matrix comes out negative
+    curve = RelaxationCurve((
+        (1e-06, 0.94921875, 0.08501458940399313),
+        (2.15887914036145e-06, 1.0465116279069768, 0.09111067924819671),
+        (4.6607591426877845e-06, 1.0338983050847457, 0.09439468192660438),
+        (1.0062015691397573e-05, 0.8365758754863813, 0.07731976836167237),
+        (2.1722675786147812e-05, 0.9826086956521739, 0.09203327716749454),
+        (4.689663162754928e-05, 0.9537815126050421, 0.0884858790042825),
+        (0.00010124415977393096, 0.8640350877192983, 0.0840475982658144),
+        (0.0002185739046193613, 0.7586206896551724, 0.07149541261247877)))
+    fit = fit_exponential(curve)
+    assert fit.covariance[2][2] < 0.0
+    assert not fit.converged
+    assert fit.message == "not converged: T1 variance not positive"
+    assert math.isnan(fit.t1_hat) and math.isnan(fit.t1_stderr)
