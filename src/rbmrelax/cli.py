@@ -19,9 +19,10 @@ curves, sensitivity curves) use the one format of rbmrelax.table.
 ``simulate`` plans every condition before it writes: its prediction,
 measurement plan and the true T1 of every spot (scenario.draw_spots, one
 array predict per condition), so a spot outside the model's domain fails
-the run with nothing written.  It then writes each spot's curve and fit as
-measure_sim.simulate_spot_ensemble returns it, every spot of a condition
-fitted in one batch.
+the run with nothing written.  Per condition, one measure_sim.simulate_curve
+call then draws every spot's curve as a row of the tau, signal and stderr
+arrays, and one measure_sim.fit_curves call fits the rows; each spot's row
+and fit go to its own two files.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep picks its columns
@@ -179,9 +180,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .measure_sim import (
+        fit_curves,
         gaussian_summary,
         separation_scores,
-        simulate_spot_ensemble,
+        simulate_curve,
         write_curve,
         write_fit_json,
     )
@@ -218,20 +220,21 @@ def cmd_simulate(args) -> int:
     outputs = []
     summaries = []
     summary_doc = {"conditions": {}, "separation": None}
-    for name, cfg, sc, index, t1_pred, plan, spots in conditions:
+    for name, cfg, sc, index, t1_pred, plan, (t1_true, rngs) in conditions:
         cond_dir = out_dir / name
         cond_dir.mkdir(exist_ok=True)
         t1_hats = []
-        for j, spot in enumerate(simulate_spot_ensemble(*spots, plan)):
-            write_curve(spot.curve, cond_dir / f"spot_{j:04d}_curve.tsv")
-            write_fit_json(spot.fit, cond_dir / f"spot_{j:04d}_fit.json",
+        tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
+        for j, fit in enumerate(fit_curves(tau, signal, stderr)):
+            write_curve(tau[j], signal[j], stderr[j], cond_dir / f"spot_{j:04d}_curve.tsv")
+            write_fit_json(fit, cond_dir / f"spot_{j:04d}_fit.json",
                            plan=plan, seed=sc.seed,
                            extra={"condition": name, "spot": j,
-                                  "t1_true_s": spot.t1_true})
+                                  "t1_true_s": float(t1_true[j])})
             outputs += [f"{name}/spot_{j:04d}_curve.tsv",
                         f"{name}/spot_{j:04d}_fit.json"]
-            if spot.fit.converged:
-                t1_hats.append(spot.fit.t1_hat)
+            if fit.converged:
+                t1_hats.append(fit.t1_hat)
 
         cond_doc = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
@@ -276,8 +279,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     from .measure_sim import fit_exponential, read_curve, write_fit_json
 
-    curve = read_curve(args.data)
-    fit = fit_exponential(curve)
+    fit = fit_exponential(*read_curve(args.data))
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)
@@ -302,7 +304,7 @@ def cmd_sensitivity(args) -> int:
           f"{curve.argmin_density:.6g} /m^3 (r_total {curve.rate_at_min:.6g} /s)")
     for n in curve.skipped:
         print(f"notice: grid point {n:.6g} /m^3 skipped "
-              "(rate sits on the level splitting)")
+              "(rate sits on the level splitting)", file=sys.stderr)
     if curve.boundary_warning:
         print("warning: minimum lies on the grid boundary; widen the grid",
               file=sys.stderr)

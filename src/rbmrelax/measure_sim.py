@@ -10,6 +10,11 @@ equal length.  Expected normalized signal:
 so s(0) = 1 and the long-tau thermal limit is 1 - C.  All counts are
 Poisson; both the signal and reference Poisson errors propagate into the
 per-point standard error through first-order ratio statistics.
+
+A curve is three float arrays, tau, signal and stderr, with one row per
+spot: simulate_curve draws every spot of a condition and forms their
+signals and errors in one numpy pass, fit_curves fits the rows in one
+batch, and the curve files hold one row of them each.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, positive, require
 from .table import read_table, write_table
 
 _MIN_FIT_POINTS = 4
@@ -81,81 +86,49 @@ def default_dark_times(t1_expected: float, n_points: int = 12,
     return tuple(np.geomspace(tau_min, tau_max, n_points))
 
 
-def expected_signal(tau: float, t1: float, contrast: float) -> float:
-    """Noise-free normalized signal at dark time tau."""
-    return 1.0 - contrast + contrast * math.exp(-tau / t1)
+def simulate_curve(t1_true, rngs, plan: MeasurementPlan):
+    """Simulate one relaxation curve per spot with photon shot noise.
 
-
-@dataclass(frozen=True)
-class RelaxationCurve:
-    """Normalized relaxation signal versus dark time.
-
-    points: tuple of (tau_s, signal, stderr).
-    """
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple((float(t), float(y), float(e)) for t, y, e in self.points)
-        for t, y, e in pts:
-            if t < 0.0 or not math.isfinite(t):
-                raise ParameterError(f"bad dark time {t!r}")
-            if not math.isfinite(y):
-                raise ParameterError(f"bad signal value {y!r}")
-            if e < 0.0 or not math.isfinite(e):
-                raise ParameterError(f"bad stderr {e!r}")
-        object.__setattr__(self, "points", pts)
-
-    def arrays(self):
-        a = np.array(self.points, dtype=float)
-        return a[:, 0], a[:, 1], a[:, 2]
-
-
-def simulate_curve(t1_true: float, plan: MeasurementPlan, seed) -> RelaxationCurve:
-    """Simulate one relaxation curve with photon shot noise.
-
-    Per dark time, expected signal counts per shot are
-    counts_per_shot * s(tau) and reference counts are counts_per_shot; the
-    normalized signal is the ratio of shot-summed totals.  A sum of
-    independent Poisson draws is itself Poisson, so only the totals are
-    drawn.  Deterministic for a fixed seed.
+    Spot j has true T1 t1_true[j] and draws its counts from rngs[j]; both
+    come from scenario.draw_spots, so the curves are reproducible and
+    insensitive to execution order.  Per dark time, expected signal counts
+    per shot are counts_per_shot * s(tau) and reference counts are
+    counts_per_shot; the normalized signal is the ratio of shot-summed
+    totals.  A sum of independent Poisson draws is itself Poisson, so only
+    the totals are drawn: one draw per spot over the (signal, reference)
+    means of its dark times in turn.
 
     With shots_per_point == 1 the per-point error is not estimable from the
     data; stderr is set to 0 as a sentinel that downstream fits treat as
-    "unweighted".
+    "unweighted".  Returns tau, signal and stderr as (n_spots, n_points)
+    arrays.
     """
-    if not (math.isfinite(t1_true) and t1_true > 0.0):
-        raise ParameterError(f"t1_true must be positive, got {t1_true!r}")
-    rng = np.random.default_rng(seed)
-    shots = plan.shots_per_point
-    mu_ref_shot = plan.counts_per_shot
+    t1_true = np.asarray(t1_true, dtype=float)
+    require(positive(t1_true), "t1_true must be positive, got {!r}", t1_true)
+    shots, mu_shot, contrast = plan.shots_per_point, plan.counts_per_shot, plan.contrast
+    # math.exp, not numpy's SIMD exp, which rounds some means differently
+    decay = np.array([[math.exp(-tau / t1) for tau in plan.dark_times]
+                      for t1 in t1_true.tolist()])
+    means = shots * (mu_shot * (1.0 - contrast + contrast * decay))
+    if plan.include_reference:
+        means = np.stack([means, np.full_like(means, shots * mu_shot)], axis=-1)
+    totals = np.array([rng.poisson(m) for rng, m in zip(rngs, means, strict=True)])
 
-    # one draw over the (signal, reference) means of every dark time, in
-    # the order of one scalar draw per total
-    means = []
-    for tau in plan.dark_times:
-        means.append(shots * (mu_ref_shot * expected_signal(tau, t1_true, plan.contrast)))
-        if plan.include_reference:
-            means.append(shots * mu_ref_shot)
-    totals = iter(rng.poisson(means).tolist())
-
-    points = []
-    for tau in plan.dark_times:
-        sig_total = next(totals)
-        if plan.include_reference:
-            ref_total = next(totals)
-            denom = max(ref_total, 1)
-            y = sig_total / denom
-            # var(S/R) ~ (1/R^2) (var S + y^2 var R), Poisson variances
-            # estimated by the observed totals (floored at 1 count)
-            err = math.sqrt(max(sig_total, 1) + y**2 * max(ref_total, 1)) / denom
-        else:
-            denom = shots * mu_ref_shot
-            y = sig_total / denom
-            err = math.sqrt(max(sig_total, 1)) / denom
-        points.append((tau, y, err if shots > 1 else 0.0))
-
-    return RelaxationCurve(points=tuple(points))
+    if plan.include_reference:
+        sig, ref = totals[..., 0], np.maximum(totals[..., 1], 1)
+        signal = sig / ref
+        # var(S/R) ~ (1/R^2) (var S + y^2 var R), Poisson variances
+        # estimated by the observed totals (floored at 1 count); float_power
+        # squares with libm's pow, as the scalar reference in
+        # tests/test_simulate_batch.py does: y * y rounds about 0.1% of the
+        # squares differently
+        err = np.sqrt(np.maximum(sig, 1) + np.float_power(signal, 2) * ref) / ref
+    else:
+        sig, denom = totals, shots * mu_shot
+        signal = sig / denom
+        err = np.sqrt(np.maximum(sig, 1)) / denom
+    tau = np.broadcast_to(plan.dark_times, signal.shape)
+    return tau, signal, err if shots > 1 else np.zeros_like(signal)
 
 
 @dataclass(frozen=True)
@@ -443,43 +416,16 @@ def fit_curves(tau, y, sig) -> list:
     return results
 
 
-def fit_exponential(curve: RelaxationCurve) -> FitResult:
+def fit_exponential(tau, signal, stderr) -> FitResult:
     """Fit one curve: the one-row case of fit_curves.
 
     A grid too short to fit raises ParameterError here; non-convergence is
     reported via converged=False, never raised.
     """
-    tau, y, sig = curve.arrays()
-    fit, = fit_curves(tau[None], y[None], sig[None])
+    fit, = fit_curves(*(np.asarray(v, dtype=float)[None] for v in (tau, signal, stderr)))
     if fit.message == _TOO_SHORT:
         raise ParameterError(fit.message)
     return fit
-
-
-@dataclass(frozen=True)
-class SpotResult:
-    """One simulated spot: its true T1, its curve and its fit."""
-
-    t1_true: float
-    curve: RelaxationCurve
-    fit: FitResult
-
-
-def simulate_spot_ensemble(t1_true, rngs, plan: MeasurementPlan) -> list:
-    """Simulate many detection spots and fit them in one batch, one
-    SpotResult each.
-
-    Spot j has true T1 t1_true[j] and draws its curve from rngs[j]; both
-    come from scenario.draw_spots, so the ensemble is reproducible and
-    insensitive to execution order.  Fit failures are flagged per spot
-    (converged=False), never fatal.
-    """
-    t1_true = [float(t) for t in t1_true]
-    curves = [simulate_curve(t1_spot, plan, rng)
-              for t1_spot, rng in zip(t1_true, rngs, strict=True)]
-    points = np.array([curve.points for curve in curves])
-    fits = fit_curves(points[..., 0], points[..., 1], points[..., 2])
-    return [SpotResult(*spot) for spot in zip(t1_true, curves, fits)]
 
 
 @dataclass(frozen=True)
@@ -521,19 +467,23 @@ def separation_scores(a: GaussianSummary, b: GaussianSummary) -> dict:
 CURVE_HEADER = ("tau_s", "signal", "stderr")
 
 
-def write_curve(curve: RelaxationCurve, path) -> None:
-    """Write a curve as a table (see rbmrelax.table), lossless at 17
+def write_curve(tau, signal, stderr, path) -> None:
+    """Write one curve as a table (see rbmrelax.table), lossless at 17
     significant digits."""
-    write_table(path, CURVE_HEADER, curve.points)
+    write_table(path, CURVE_HEADER, zip(tau.tolist(), signal.tolist(), stderr.tolist()))
 
 
-def read_curve(path) -> RelaxationCurve:
-    """Parse a curve table; row numbers in errors."""
+def read_curve(path):
+    """tau, signal and stderr of a curve table, as float arrays; row numbers
+    in format errors, and a negative dark time or stderr rejected."""
     rows, _ = read_table(path, CURVE_HEADER, "curve file")
+    tau, signal, stderr = np.array(rows).T
     try:
-        return RelaxationCurve(points=rows)
+        require(tau >= 0.0, "bad dark time {!r}", tau)
+        require(stderr >= 0.0, "bad stderr {!r}", stderr)
     except ParameterError as exc:
         raise ConfigError(f"{path}: invalid curve data: {exc}") from exc
+    return tau, signal, stderr
 
 
 def write_fit_json(fit: FitResult, path, plan: MeasurementPlan | None = None,

@@ -26,7 +26,7 @@ from rbmrelax.hydro import microviscosity_factor, rbm_rate
 from rbmrelax.measure_sim import (
     default_dark_times,
     MeasurementPlan,
-    fit_exponential,
+    fit_curves,
     simulate_curve,
 )
 from rbmrelax.scenario import (
@@ -114,14 +114,11 @@ def test_06_fit_calibration_study(capsys):
                            shots_per_point=2_000_000,
                            detection_window=500e-9, photon_rate=1e5,
                            contrast=0.2)
-    hats, errs = [], []
-    for child in np.random.SeedSequence(SEED).spawn(250):
-        fit = fit_exponential(simulate_curve(t1_true, plan,
-                                             np.random.default_rng(child)))
-        if fit.converged:
-            hats.append(fit.t1_hat)
-            errs.append(fit.t1_stderr)
-    hats, errs = np.array(hats), np.array(errs)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(SEED).spawn(250)]
+    fits = [f for f in fit_curves(*simulate_curve(np.full(250, t1_true), rngs, plan))
+            if f.converged]
+    hats = np.array([f.t1_hat for f in fits])
+    errs = np.array([f.t1_stderr for f in fits])
     n = hats.size
     bias = float(hats.mean() - t1_true)
     se_combined = math.sqrt(float((errs**2).sum())) / n

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from rbmrelax.cli import main
-from rbmrelax.measure_sim import CURVE_HEADER, simulate_spot_ensemble
+from rbmrelax.constants import OMEGA_0
+from rbmrelax.measure_sim import CURVE_HEADER, fit_curves, simulate_curve
 from rbmrelax.scenario import draw_spots, measurement_plan, parse_config, predict
+from rbmrelax.sensitivity import CURVE_COLUMNS
 from rbmrelax.table import read_table
 from rbmrelax.validation import OracleCheck, OracleReport
 
@@ -226,6 +228,20 @@ def test_fit_error_paths(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "absent.tsv")]) == 1
 
 
+@pytest.mark.parametrize("row, message", [
+    ("-1e-5\t0.92\t1e-3", "bad dark time -1e-05"),
+    ("1e-5\t0.92\t-1e-3", "bad stderr -0.001"),
+])
+def test_fit_rejects_negative_dark_time_or_stderr(tmp_path, capsys, row, message):
+    path = tmp_path / "negative.tsv"
+    path.write_text("tau_s\tsignal\tstderr\n1e-6\t0.99\t1e-3\n" + row
+                    + "\n1e-4\t0.87\t1e-3\n3e-4\t0.81\t1e-3\n1e-3\t0.8\t1e-3\n")
+    assert main(["fit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: invalid curve data: {message}\n"
+
+
 def test_sensitivity_time_scaling(fast_config, tmp_path, capsys):
     # reuse the fast config but with 16x the averaging time
     slow = tmp_path / "slow.ini"
@@ -259,6 +275,23 @@ def test_sensitivity_default_grid(fast_config, tmp_path, capsys):
     assert out.exists()
     manifest = json.loads((tmp_path / "sens.tsv.manifest.json").read_text())
     assert manifest["command"] == "sensitivity"
+
+
+def test_sensitivity_resonant_point_notice_on_stderr(tmp_path, capsys):
+    # without the vibrational term the total rate is linear in density, so
+    # two predictions place one grid density on the level splitting
+    cfg = tmp_path / "novib.ini"
+    cfg.write_text("[molecular_bath]\nvibration_rate_ghz = 0\n")
+    rates = predict(parse_config(cfg), gd_density=np.array([0.0, 1e26])).gd_rates.r_total
+    resonant = float((OMEGA_0 - rates[0]) / (rates[1] - rates[0]) * 1e26)
+    out = tmp_path / "sens.tsv"
+    assert main(["sensitivity", "--config", str(cfg), "--grid",
+                 f"1e24,1e25,{resonant!r},1e26,1e27", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "notice: grid point" not in captured.out
+    assert f"notice: grid point {resonant:.6g} /m^3 skipped" in captured.err
+    _, meta = read_table(out, CURVE_COLUMNS, "sensitivity curve")
+    assert float(meta["skipped_densities"]) == resonant
 
 
 def test_oracle_quadrature(capsys):
@@ -366,17 +399,17 @@ def test_simulate_files_come_from_the_one_engine(fast_config, tmp_path, capsys):
     sc = parse_config(fast_config)
     plan = measurement_plan(sc, predict(sc).t1)
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 3)
-    spots = list(simulate_spot_ensemble(t1_true, rngs, plan))
-    assert len(spots) == 3
-    for j, spot in enumerate(spots):
+    tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
+    fits = fit_curves(tau, signal, stderr)
+    assert len(fits) == 3
+    for j, fit in enumerate(fits):
         doc = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
         rows, _ = read_table(out / "fast" / f"spot_{j:04d}_curve.tsv",
                              CURVE_HEADER, "curve file")
-        assert doc["t1_true_s"] == spot.t1_true
-        assert rows == spot.curve.points
-        assert same_fields({key: doc[key] for key in spot.fit.as_dict()},
-                           spot.fit.as_dict())
-    assert [s.fit.converged for s in spots] == [False, True, True]
+        assert doc["t1_true_s"] == t1_true[j]
+        assert np.array_equal(np.array(rows), np.column_stack((tau[j], signal[j], stderr[j])))
+        assert same_fields({key: doc[key] for key in fit.as_dict()}, fit.as_dict())
+    assert [f.converged for f in fits] == [False, True, True]
 
 
 @pytest.mark.parametrize("body, message", [

@@ -16,9 +16,7 @@ from scipy.optimize import least_squares
 
 from rbmrelax.measure_sim import (
     MeasurementPlan,
-    RelaxationCurve,
     default_dark_times,
-    expected_signal,
     fit_curves,
     fit_exponential,
     simulate_curve,
@@ -73,11 +71,19 @@ def lm_reference(tau, y, sig):
     return t1, math.sqrt(max(cov[2, 2], 0.0)), converged, singular
 
 
+# Each case is a (tau, signal, stderr) triple of (n_curves, n_points) arrays.
+
 def simulated(config: str, n_spots: int):
     sc = parse_config(CONFIGS / config)
     plan = measurement_plan(sc, predict(sc).t1)
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), n_spots)
-    return [simulate_curve(float(t), plan, rng) for t, rng in zip(t1_true, rngs)]
+    return simulate_curve(t1_true, rngs, plan)
+
+
+def seeded(plan, seeds):
+    # spot j draws from default_rng(seeds[j])
+    return simulate_curve(np.full(len(seeds), T1_REF),
+                          [np.random.default_rng(seed) for seed in seeds], plan)
 
 
 def unweighted_curves(n):
@@ -85,33 +91,28 @@ def unweighted_curves(n):
     # 5e5 counts per shot keep the decay resolved
     plan = MeasurementPlan(dark_times=default_dark_times(T1_REF), shots_per_point=1,
                            detection_window=500e-9, photon_rate=1e12, contrast=0.2)
-    return [simulate_curve(T1_REF, plan, seed) for seed in range(n)]
+    return seeded(plan, range(n))
 
 
 def near_flat_curves(n):
     # a 1e-6 amplitude on a unit baseline, resolved at 1% noise
     rng = np.random.default_rng(5)
-    taus = default_dark_times(T1_REF)
-    curves = []
-    for _ in range(n):
-        pts = []
-        for tau in taus:
-            mu = 1.0 + 1e-6 * math.exp(-tau / T1_REF)
-            pts.append((tau, mu + rng.normal(0.0, 1e-8), 1e-8))
-        curves.append(RelaxationCurve(points=tuple(pts)))
-    return curves
+    tau = np.tile(default_dark_times(T1_REF), (n, 1))
+    y = 1.0 + 1e-6 * np.exp(-tau / T1_REF) + rng.normal(0.0, 1e-8, tau.shape)
+    return tau, y, np.full_like(tau, 1e-8)
 
 
 def unit_test_curves():
     # the noise-free, shuffled and rescaled curves the unit tests fit
     plan = MeasurementPlan(dark_times=default_dark_times(T1_REF), shots_per_point=200_000,
                            detection_window=500e-9, photon_rate=1e5, contrast=0.2)
-    exact = RelaxationCurve(points=tuple((t, expected_signal(t, T1_REF, 0.2), 1e-6)
-                                         for t in plan.dark_times))
-    noisy = [simulate_curve(T1_REF, plan, seed) for seed in (5, 42, 99)]
-    scaled = [RelaxationCurve(points=tuple((t * k, y, e) for t, y, e in noisy[0].points))
-              for k in (1e-3, 1e3)]
-    return [exact, RelaxationCurve(points=exact.points[::-1])] + noisy + scaled
+    tau = np.array(plan.dark_times)
+    exact = np.array([tau, 0.8 + 0.2 * np.exp(-tau / T1_REF), np.full_like(tau, 1e-6)])
+    noisy = np.array(seeded(plan, (5, 42, 99))).transpose(1, 0, 2)
+    tau0, y0, sig0 = noisy[0]
+    scaled = [(tau0 * k, y0, sig0) for k in (1e-3, 1e3)]
+    curves = np.array([exact, exact[:, ::-1], *noisy, *scaled])
+    return curves[:, 0], curves[:, 1], curves[:, 2]
 
 
 CASES = {
@@ -131,11 +132,9 @@ def test_batched_fit_matches_lm_reference(case):
     # subtraction that leaves T1 and its error as they are
     shift = 1.0 if case == "near_flat" else 0.0
     curves = CASES[case]()
-    points = np.array([c.points for c in curves])
-    fits = fit_curves(points[..., 0], points[..., 1], points[..., 2])
-    assert len(fits) == len(curves)
-    for curve, fit in zip(curves, fits):
-        tau, y, sig = curve.arrays()
+    fits = fit_curves(*curves)
+    assert len(fits) == len(curves[0])
+    for tau, y, sig, fit in zip(*curves, fits):
         t1, stderr, converged, singular = lm_reference(tau, y - shift, sig)
         assert (fit.converged, fit.singular_curvature) == (converged, singular)
         assert fit.converged
@@ -147,11 +146,10 @@ def test_fit_is_batch_invariant():
     # a row's fit must not depend on the rows sharing its batch: the same
     # bits alone, in a batch of 500 and in a reversed batch
     curves = simulated("gd_water_25nm.ini", 500)
-    points = np.array([c.points for c in curves])
-    together = fit_curves(points[..., 0], points[..., 1], points[..., 2])
-    reversed_ = fit_curves(points[::-1, :, 0], points[::-1, :, 1], points[::-1, :, 2])[::-1]
-    for curve, fit, fit_rev in zip(curves, together, reversed_):
-        alone = fit_exponential(curve)
+    together = fit_curves(*curves)
+    reversed_ = fit_curves(*(v[::-1] for v in curves))[::-1]
+    for tau, y, sig, fit, fit_rev in zip(*curves, together, reversed_):
+        alone = fit_exponential(tau, y, sig)
         assert alone.as_dict() == fit.as_dict() == fit_rev.as_dict()
 
 
@@ -167,7 +165,7 @@ def test_optimum_beyond_the_search_range_is_not_converged():
 
 
 def test_converged_message_fits_the_old_width():
-    fit = fit_exponential(unit_test_curves()[0])
+    fit = fit_exponential(*(v[0] for v in unit_test_curves()))
     assert fit.converged and len(fit.message) <= 44
 
 
@@ -188,7 +186,7 @@ def test_non_positive_t1_variance_is_not_converged():
     # whose noise leaves a near-straight line: chi2 keeps falling toward
     # T1 -> infinity, the bracket closes near 4,450 s, and the T1 variance
     # of the curvature matrix comes out negative
-    curve = RelaxationCurve((
+    curve = np.array((
         (1e-06, 0.94921875, 0.08501458940399313),
         (2.15887914036145e-06, 1.0465116279069768, 0.09111067924819671),
         (4.6607591426877845e-06, 1.0338983050847457, 0.09439468192660438),
@@ -197,7 +195,7 @@ def test_non_positive_t1_variance_is_not_converged():
         (4.689663162754928e-05, 0.9537815126050421, 0.0884858790042825),
         (0.00010124415977393096, 0.8640350877192983, 0.0840475982658144),
         (0.0002185739046193613, 0.7586206896551724, 0.07149541261247877)))
-    fit = fit_exponential(curve)
+    fit = fit_exponential(*curve.T)
     assert fit.covariance[2][2] < 0.0
     assert not fit.converged
     assert fit.message == "not converged: T1 variance not positive"

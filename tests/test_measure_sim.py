@@ -9,15 +9,13 @@ from rbmrelax.errors import ConfigError, ParameterError
 from rbmrelax.measure_sim import (
     CURVE_HEADER,
     MeasurementPlan,
-    RelaxationCurve,
     default_dark_times,
-    expected_signal,
+    fit_curves,
     fit_exponential,
     gaussian_summary,
     read_curve,
     separation_scores,
     simulate_curve,
-    simulate_spot_ensemble,
     write_curve,
     write_fit_json,
 )
@@ -32,18 +30,18 @@ PLAN = MeasurementPlan(
 )
 
 
+def expected_signal(tau, t1, contrast=0.2):
+    return 1.0 - contrast + contrast * np.exp(-np.asarray(tau) / t1)
+
+
 def synthetic_curve(t1, plan, stderr=1e-6):
-    pts = [(tau, expected_signal(tau, t1, plan.contrast), stderr)
-           for tau in plan.dark_times]
-    return RelaxationCurve(points=tuple(pts))
+    tau = np.array(plan.dark_times)
+    return tau, expected_signal(tau, t1, plan.contrast), np.full_like(tau, stderr)
 
 
-def test_expected_signal_anchor():
-    # 1 - C + C/e at tau = T1
-    assert expected_signal(T1_REF, T1_REF, 0.2) == pytest.approx(
-        0.87357588823428856, rel=1e-15)
-    assert expected_signal(0.0, T1_REF, 0.2) == 1.0
-    assert expected_signal(1e3 * T1_REF, T1_REF, 0.2) == pytest.approx(0.8)
+def one_curve(plan, seed, t1=T1_REF):
+    """tau, signal and stderr of one spot drawn from default_rng(seed)."""
+    return tuple(v[0] for v in simulate_curve([t1], [np.random.default_rng(seed)], plan))
 
 
 def test_default_dark_times_geometry():
@@ -73,11 +71,9 @@ def test_plan_validation():
 
 
 def test_simulate_deterministic_per_seed():
-    a = simulate_curve(T1_REF, PLAN, seed=42)
-    b = simulate_curve(T1_REF, PLAN, seed=42)
-    c = simulate_curve(T1_REF, PLAN, seed=43)
-    assert a.points == b.points
-    assert a.points != c.points
+    a, b, c = (np.array(one_curve(PLAN, seed)) for seed in (42, 42, 43))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_simulate_tracks_expected_signal():
@@ -85,9 +81,8 @@ def test_simulate_tracks_expected_signal():
                           shots_per_point=10_000_000,
                           detection_window=500e-9, photon_rate=1e5,
                           contrast=0.2)
-    curve = simulate_curve(T1_REF, big, seed=7)
-    for tau, y, err in curve.points:
-        mu = expected_signal(tau, T1_REF, 0.2)
+    for tau, y, err in zip(*one_curve(big, 7)):
+        mu = expected_signal(tau, T1_REF)
         assert y == pytest.approx(mu, abs=5e-3)
         assert err > 0.0
         assert abs(y - mu) < 5.0 * err
@@ -99,10 +94,9 @@ NO_REFERENCE = MeasurementPlan(dark_times=PLAN.dark_times, shots_per_point=10_00
 
 
 def test_simulate_without_reference_tracks_expected_signal():
-    curve = simulate_curve(T1_REF, NO_REFERENCE, seed=7)
-    for tau, y, err in curve.points:
+    for tau, y, err in zip(*one_curve(NO_REFERENCE, 7)):
         assert err > 0.0
-        assert abs(y - expected_signal(tau, T1_REF, 0.2)) < 5.0 * err
+        assert abs(y - expected_signal(tau, T1_REF)) < 5.0 * err
 
 
 @pytest.mark.parametrize("shots, photon_rate", [(10_000_000, 1e5), (2, 1.0)])
@@ -114,8 +108,8 @@ def test_simulate_without_reference_stderr(shots, photon_rate):
                            detection_window=500e-9, photon_rate=photon_rate,
                            contrast=0.2, include_reference=False)
     denom = shots * plan.counts_per_shot
-    curve = simulate_curve(T1_REF, plan, seed=3)
-    for _, y, err in curve.points:
+    _, signal, stderr = one_curve(plan, 3)
+    for y, err in zip(signal, stderr):
         assert err == pytest.approx(math.sqrt(max(y * denom, 1.0)) / denom, rel=1e-12)
 
 
@@ -123,13 +117,13 @@ def test_simulate_single_shot_sentinel():
     one = MeasurementPlan(dark_times=PLAN.dark_times, shots_per_point=1,
                           detection_window=500e-9, photon_rate=1e5,
                           contrast=0.2)
-    curve = simulate_curve(T1_REF, one, seed=1)
-    assert all(e == 0.0 for _, _, e in curve.points)
+    _, _, stderr = one_curve(one, 1)
+    assert np.all(stderr == 0.0)
 
 
 def test_fit_recovers_noise_free_curve():
     curve = synthetic_curve(T1_REF, PLAN)
-    fit = fit_exponential(curve)
+    fit = fit_exponential(*curve)
     assert fit.converged
     assert fit.t1_hat == pytest.approx(T1_REF, rel=1e-10)
     assert fit.amplitude == pytest.approx(0.2, rel=1e-8)
@@ -139,11 +133,10 @@ def test_fit_recovers_noise_free_curve():
 
 def test_fit_order_invariant():
     curve = synthetic_curve(T1_REF, PLAN)
-    pts = list(curve.points)
-    random.Random(0).shuffle(pts)
-    shuffled = RelaxationCurve(points=tuple(pts))
-    a = fit_exponential(curve)
-    b = fit_exponential(shuffled)
+    order = list(range(len(PLAN.dark_times)))
+    random.Random(0).shuffle(order)
+    a = fit_exponential(*curve)
+    b = fit_exponential(*(v[order] for v in curve))
     assert b.t1_hat == a.t1_hat
     assert b.covariance == a.covariance
 
@@ -154,9 +147,8 @@ def test_fit_scales_with_tau(seed, log_k):
     # rescaling every dark time by k rescales the fitted T1 and its error by
     # k and leaves amplitude and baseline alone
     k = 10.0 ** log_k
-    curve = simulate_curve(T1_REF, PLAN, seed=seed)
-    scaled = RelaxationCurve(points=tuple((t * k, y, e) for t, y, e in curve.points))
-    a, b = fit_exponential(curve), fit_exponential(scaled)
+    tau, signal, stderr = one_curve(PLAN, seed)
+    a, b = fit_exponential(tau, signal, stderr), fit_exponential(tau * k, signal, stderr)
     assert a.converged == b.converged
     if a.converged:
         assert b.t1_hat == pytest.approx(k * a.t1_hat, rel=1e-6)
@@ -166,9 +158,7 @@ def test_fit_scales_with_tau(seed, log_k):
 
 
 def test_fit_unweighted_on_zero_stderr():
-    pts = [(tau, expected_signal(tau, T1_REF, 0.2), 0.0)
-           for tau in PLAN.dark_times]
-    fit = fit_exponential(RelaxationCurve(points=tuple(pts)))
+    fit = fit_exponential(*synthetic_curve(T1_REF, PLAN, stderr=0.0))
     assert fit.converged
     assert fit.t1_hat == pytest.approx(T1_REF, rel=1e-8)
 
@@ -178,14 +168,12 @@ def test_fit_span_precondition():
     # T1 guess is about 3.5 ms, so the grid neither reaches twice the guess
     # nor spans a decade
     taus = np.linspace(1e-3, 5e-3, 9)
-    pts = [(t, expected_signal(t, 10e-3, 0.2), 1e-3) for t in taus]
     with pytest.raises(ParameterError, match="tau grid too short"):
-        fit_exponential(RelaxationCurve(points=tuple(pts)))
+        fit_exponential(taus, expected_signal(taus, 10e-3), np.full_like(taus, 1e-3))
 
 
 def test_fit_statistical_pull(tmp_path):
-    curve = simulate_curve(T1_REF, PLAN, seed=99)
-    fit = fit_exponential(curve)
+    fit = fit_exponential(*one_curve(PLAN, 99))
     assert fit.converged
     assert abs(fit.t1_hat - T1_REF) < 5.0 * fit.t1_stderr
     # chi-square per dof should be order unity for a correct error model
@@ -201,11 +189,11 @@ def test_fit_statistical_pull(tmp_path):
 
 
 def test_curve_roundtrip(tmp_path):
-    curve = simulate_curve(T1_REF, PLAN, seed=5)
+    curve = one_curve(PLAN, 5)
     path = tmp_path / "curve.tsv"
-    write_curve(curve, path)
+    write_curve(*curve, path)
     again = read_curve(path)
-    assert again.points == curve.points
+    assert np.array_equal(np.array(again), np.array(curve))
 
 
 def test_read_curve_errors(tmp_path):
@@ -263,16 +251,15 @@ def test_spot_ensemble_reproducible_and_accurate():
                            detection_window=500e-9, photon_rate=1e5,
                            contrast=0.2)
     t1_true = np.full(5, T1_REF)
-    spots = list(simulate_spot_ensemble(t1_true, _spot_rngs(2026, 5), plan))
-    fits = [s.fit for s in spots]
+    curves = simulate_curve(t1_true, _spot_rngs(2026, 5), plan)
+    assert all(v.shape == (5, len(plan.dark_times)) for v in curves)
+    fits = fit_curves(*curves)
     assert len(fits) == 5
-    assert all(s.t1_true == T1_REF and len(s.curve.points) == len(plan.dark_times)
-               for s in spots)
     for fit in fits:
         assert fit.converged
         assert fit.t1_hat == pytest.approx(T1_REF, rel=1e-2)
         assert abs(fit.t1_hat - T1_REF) < 5.0 * fit.t1_stderr
-    again = simulate_spot_ensemble(t1_true, _spot_rngs(2026, 5), plan)
-    assert [s.fit.t1_hat for s in again] == [f.t1_hat for f in fits]
+    again = fit_curves(*simulate_curve(t1_true, _spot_rngs(2026, 5), plan))
+    assert [f.t1_hat for f in again] == [f.t1_hat for f in fits]
     with pytest.raises(ValueError):
-        list(simulate_spot_ensemble(t1_true, _spot_rngs(2026, 4), plan))
+        simulate_curve(t1_true, _spot_rngs(2026, 4), plan)

@@ -23,15 +23,21 @@ The matrix, for the shipped configs:
 
 Prints the number of compared files and each differing path, and exits 1
 when a file differs or exists on one side only, or when a command fails
-in either tree (every run of the matrix is meant to succeed).  Only the
-standard library is used.
+in either tree (every run of the matrix is meant to succeed).  For a
+differing .tsv or .json file it also prints how many of its numbers differ
+and the largest difference in ulps, so a last-digit drift reads as one.
+Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
+import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import tarfile
@@ -108,6 +114,53 @@ def data_files(out: Path) -> set:
                                     or p.name.endswith(".manifest.json"))}
 
 
+def numbers(path: Path) -> list:
+    """Every number of a .json document, or every numeric field of a .tsv
+    table, metadata comments included, in file order."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        found = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                for key in sorted(node):
+                    walk(node[key])
+            elif isinstance(node, list):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                found.append(float(node))
+
+        walk(json.loads(text))
+        return found
+    found = []
+    for token in re.split(r"[\s,=]+", text):
+        try:
+            found.append(float(token))
+        except ValueError:
+            pass
+    return found
+
+
+def _ordered(x: float) -> int:
+    # the bits of a double as an integer that counts ulps across zero
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(1 << 63) - bits
+
+
+def number_diff(a: Path, b: Path) -> str:
+    """How many numbers of two data files differ, and by at most how many
+    ulps; NaN equals NaN."""
+    xs, ys = numbers(a), numbers(b)
+    if len(xs) != len(ys):
+        return f"{len(xs)} against {len(ys)} numbers"
+    ulps = [abs(_ordered(x) - _ordered(y)) for x, y in zip(xs, ys)
+            if x != y and not (math.isnan(x) and math.isnan(y))]
+    if not ulps:
+        return f"all {len(xs)} numbers equal, the text differs"
+    return f"{len(ulps)} of {len(xs)} numbers differ, by at most {max(ulps)} ulp"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against")
@@ -137,8 +190,10 @@ def main(argv=None) -> int:
             differing.append(f"{name} (only in {side})")
         common = sorted(files["rev"] & files["here"])
         for name in common:
-            if not filecmp.cmp(outs["rev"] / name, outs["here"] / name, shallow=False):
-                differing.append(name)
+            a, b = outs["rev"] / name, outs["here"] / name
+            if not filecmp.cmp(a, b, shallow=False):
+                differing.append(f"{name}: {number_diff(a, b)}"
+                                 if a.suffix in (".tsv", ".json") else name)
 
     print(f"{len(common)} data files compared against {args.rev}, "
           f"{len(differing)} differences")
