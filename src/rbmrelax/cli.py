@@ -27,7 +27,8 @@ and fit go to its own two files.
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep picks its columns
 from ScenarioPrediction.as_dict by name.
-Only ``oracle`` loads scipy, for its quadrature check.  ``simulate`` and
+No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
+uses validation's own adaptive Gauss-Legendre rule.  ``simulate`` and
 ``fit`` import measure_sim when they run, and ``oracle`` validation, so
 start-up of every verb stays at numpy's cost.
 """
@@ -279,7 +280,11 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     from .measure_sim import fit_exponential, read_curve, write_fit_json
 
-    fit = fit_exponential(*read_curve(args.data))
+    curve = read_curve(args.data)
+    try:
+        fit = fit_exponential(*curve)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.data}: {exc}") from exc
     print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)

@@ -228,6 +228,21 @@ def test_fit_error_paths(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "absent.tsv")]) == 1
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1e-6\t0.99\t1e-3\n1e-4\t0.87\t1e-3\n1e-3\t0.8\t1e-3\n",
+     "need >= 4 points to fit, got 3"),
+    ("0\t0.99\t1e-3\n" * 5,
+     "tau grid too short: must reach 2x the t1 guess or span a decade"),
+])
+def test_fit_rejection_names_the_file(tmp_path, capsys, rows, message):
+    path = tmp_path / "short.tsv"
+    path.write_text("tau_s\tsignal\tstderr\n" + rows)
+    assert main(["fit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("row, message", [
     ("-1e-5\t0.92\t1e-3", "bad dark time -1e-05"),
     ("1e-5\t0.92\t-1e-3", "bad stderr -0.001"),

@@ -1,8 +1,10 @@
-"""Only the oracle verb loads scipy, and the package holds no module that
-no verb loads.
+"""No verb loads scipy, and the package holds no module that no verb loads.
 
-Each case runs in a fresh interpreter, because this test session has
-imported scipy and every package module already.
+scipy is a test-only dependency: the tests use it as the reference for
+the numpy PCHIP, the batched fit and the oracle's quadrature.  Each case
+runs in a fresh interpreter, because this test session has imported scipy
+and every package module already; one of them blocks scipy outright, so
+that any import of it fails.
 """
 
 import json
@@ -14,15 +16,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def run_fresh(tmp_path, body: str) -> str:
+def run_fresh(tmp_path, body: str, block_scipy: bool = False) -> str:
     script = f"""\
 import sys
+if {block_scipy!r}:
+    sys.modules["scipy"] = None  # every import of scipy now fails
 sys.path.insert(0, {str(SRC)!r})
 import rbmrelax.cli
 from rbmrelax.cli import main
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None and (m == "scipy" or m.startswith("scipy.")))
 
 assert not scipy_loaded(), scipy_loaded()
 cfg = {str(CONFIGS / "gd_water_25nm.ini")!r}
@@ -50,18 +55,25 @@ assert not scipy_loaded(), scipy_loaded()
 """)
 
 
-def test_lazily_imported_verbs_still_work(tmp_path):
-    # simulate and fit import measure_sim when they run, and it fits with
-    # numpy alone; oracle imports validation, whose quadrature is scipy's
-    run_fresh(tmp_path, """\
+def test_every_verb_runs_with_scipy_blocked(tmp_path):
+    stdout = run_fresh(tmp_path, """\
+try:
+    import scipy
+except ImportError:
+    print("scipy blocked")
+assert main(["t1", "--config", cfg]) == 0
+assert main(["sweep", "--config", cfg, "--axis", "gd_density", "--grid", "0,1e24",
+             "--out", f"{out}/sweep.tsv"]) == 0
+assert main(["sensitivity", "--config", sens, "--grid", "1e24:1e27:4:log",
+             "--out", f"{out}/sens.tsv"]) == 0
 assert main(["simulate", "--config", cfg, "--spots", "2", "--out", f"{out}/sim"]) == 0
 assert main(["fit", f"{out}/sim/gd_water_25nm/spot_0000_curve.tsv",
              "--out", f"{out}/fit.json"]) == 0
-assert "rbmrelax.measure_sim" in sys.modules
-assert not scipy_loaded(), scipy_loaded()
-assert main(["oracle", "quadrature"]) == 0
-assert "scipy.integrate" in scipy_loaded()
-""")
+assert main(["oracle", "all"]) == 0
+""", block_scipy=True)
+    lines = stdout.splitlines()
+    assert lines[0] == "scipy blocked"
+    assert "overall: PASS" in lines
 
 
 def test_every_package_module_is_reachable_from_the_cli(tmp_path):

@@ -1,9 +1,14 @@
+import dataclasses
+
 import pytest
 
+import rbmrelax.validation as validation
+from rbmrelax.bath import VolumeBath
 from rbmrelax.errors import ParameterError
 from rbmrelax.validation import (
     OracleCheck,
     OracleReport,
+    check_bath_mc,
     check_lorentzian_quadrature,
     check_sensitivity_ratio,
     format_report,
@@ -15,6 +20,26 @@ def test_quadrature_check_passes():
     check = check_lorentzian_quadrature()
     assert check.passed
     assert check.details["worst_rel_err_full"] < 1e-6
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_bath_mc_reports_the_volume_tail_warning(monkeypatch, forced):
+    # the shipped reference point never warns; a forced warning on the
+    # volume bath's result must reach the report as it is
+    if forced:
+        real = validation.b_perp_mc
+
+        def warned(geometry, bath, **kwargs):
+            result = real(geometry, bath, **kwargs)
+            if isinstance(bath, VolumeBath):
+                result = dataclasses.replace(result, tail_warning=True)
+            return result
+
+        monkeypatch.setattr(validation, "b_perp_mc", warned)
+    check = check_bath_mc(samples=20_000)
+    assert check.details["volume_tail_warning"] is forced
+    assert f"      volume_tail_warning = {forced}" in format_report(
+        OracleReport(checks=(check,))).splitlines()
 
 
 def test_sensitivity_ratio_check_passes():
