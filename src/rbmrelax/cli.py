@@ -21,8 +21,9 @@ measurement plan and the true T1 of every spot (scenario.draw_spots, one
 array predict per condition), so a spot outside the model's domain fails
 the run with nothing written.  Per condition, one measure_sim.simulate_curve
 call then draws every spot's curve as a row of the tau, signal and stderr
-arrays, and one measure_sim.fit_curves call fits the rows; each spot's row
-and fit go to its own two files.
+arrays, one measure_sim.fit_curves call fits the rows, and one write_curve
+and one write_fit_json call write every spot's row and fit to its own two
+files.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep picks its columns
@@ -224,18 +225,16 @@ def cmd_simulate(args) -> int:
     for name, cfg, sc, index, t1_pred, plan, (t1_true, rngs) in conditions:
         cond_dir = out_dir / name
         cond_dir.mkdir(exist_ok=True)
-        t1_hats = []
         tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
-        for j, fit in enumerate(fit_curves(tau, signal, stderr)):
-            write_curve(tau[j], signal[j], stderr[j], cond_dir / f"spot_{j:04d}_curve.tsv")
-            write_fit_json(fit, cond_dir / f"spot_{j:04d}_fit.json",
-                           plan=plan, seed=sc.seed,
-                           extra={"condition": name, "spot": j,
-                                  "t1_true_s": float(t1_true[j])})
-            outputs += [f"{name}/spot_{j:04d}_curve.tsv",
-                        f"{name}/spot_{j:04d}_fit.json"]
-            if fit.converged:
-                t1_hats.append(fit.t1_hat)
+        fits = fit_curves(tau, signal, stderr)
+        stems = [f"{name}/spot_{j:04d}" for j in range(len(fits))]
+        write_curve(tau, signal, stderr, [f"{out_dir}/{s}_curve.tsv" for s in stems])
+        write_fit_json(fits, [f"{out_dir}/{s}_fit.json" for s in stems],
+                       plan=plan, seed=sc.seed, extra={"condition": name},
+                       columns={"spot": range(len(fits)), "t1_true_s": t1_true.tolist()})
+        outputs += [f"{s}_{kind}" for s in stems for kind in ("curve.tsv", "fit.json")]
+        t1_hats = [fit.t1_hat for fit in fits if fit.converged]
+        del fits  # not held while the next condition is fitted
 
         cond_doc = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
@@ -278,17 +277,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .measure_sim import fit_exponential, read_curve, write_fit_json
+    from .measure_sim import fit_exponential, read_curve, render_fit_json, write_fit_json
 
     curve = read_curve(args.data)
     try:
         fit = fit_exponential(*curve)
     except ParameterError as exc:
         raise ParameterError(f"{args.data}: {exc}") from exc
-    print(json.dumps(fit.as_dict(), indent=2, sort_keys=True))
+    text, = render_fit_json([fit])
+    sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        write_fit_json(fit, out)
+        write_fit_json([fit], [out])
         _write_manifest(out.with_name(out.name + ".manifest.json"), "fit",
                         [], [out.name])
     if not fit.converged:

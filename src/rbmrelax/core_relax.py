@@ -116,6 +116,9 @@ def t1_total(sources, t1_bulk: float = T1_BULK_DEFAULT, omega0=OMEGA_0) -> Relax
     """
     if not math.isfinite(t1_bulk) or t1_bulk <= 0.0:
         raise ParameterError(f"t1_bulk must be finite and positive, got {t1_bulk!r}")
+    # the bulk rate is its reciprocal, which must not overflow
+    require(math.isfinite(1.0 / t1_bulk),
+            "t1_bulk {!r} s is too small: its reciprocal overflows", t1_bulk)
     w = _as_omega(omega0)
     rates = {}
     for i, src in enumerate(sources):

@@ -14,20 +14,22 @@ per-point standard error through first-order ratio statistics.
 A curve is three float arrays, tau, signal and stderr, with one row per
 spot: simulate_curve draws every spot of a condition and forms their
 signals and errors in one numpy pass, fit_curves fits the rows in one
-batch, and the curve files hold one row of them each.
+batch, and write_curve and write_fit_json write each row's curve file and
+fit document in one call per condition.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError, positive, require
-from .table import read_table, write_table
+from .table import read_table, table_format
 
 _MIN_FIT_POINTS = 4
 
@@ -467,10 +469,15 @@ def separation_scores(a: GaussianSummary, b: GaussianSummary) -> dict:
 CURVE_HEADER = ("tau_s", "signal", "stderr")
 
 
-def write_curve(tau, signal, stderr, path) -> None:
-    """Write one curve as a table (see rbmrelax.table), lossless at 17
-    significant digits."""
-    write_table(path, CURVE_HEADER, zip(tau.tolist(), signal.tolist(), stderr.tolist()))
+def write_curve(tau, signal, stderr, paths) -> None:
+    """Write row j of the (n_curves, n_points) tau, signal and stderr arrays
+    to paths[j] as a table (see rbmrelax.table), lossless at 17 significant
+    digits: one format call per file."""
+    fmt = table_format(CURVE_HEADER, np.shape(signal)[-1])
+    curves = np.stack((tau, signal, stderr), axis=-1)
+    for path, curve in zip(paths, curves, strict=True):
+        with open(path, "wb") as fh:
+            fh.write((fmt % tuple(curve.ravel().tolist())).encode())
 
 
 def read_curve(path):
@@ -486,12 +493,30 @@ def read_curve(path):
     return tau, signal, stderr
 
 
-def write_fit_json(fit: FitResult, path, plan: MeasurementPlan | None = None,
-                   seed=None, extra: dict | None = None) -> None:
-    """Export a fit as JSON, with the plan and seed for reproducibility."""
-    doc = fit.as_dict()
+def _json_scalar(value) -> str:
+    """value as json.dumps spells it: repr, which json itself calls for an
+    int or a finite float, and json.dumps for the rest."""
+    if type(value) in (int, float) and value - value == 0:
+        return repr(value)
+    return json.dumps(value)
+
+
+def render_fit_json(fits, plan: MeasurementPlan | None = None, seed=None,
+                    extra: dict | None = None, columns: dict | None = None):
+    """Yield each fit's JSON document, json.dumps(doc, indent=2,
+    sort_keys=True) + "\n", where doc is the fit's as_dict() plus the plan,
+    the seed and the keys of extra, which every fit shares, and row j's
+    entry of each list in columns.  No key may repeat.
+
+    json.dumps renders the document once, with a token string in place of
+    each per-row scalar; each fit's text is then one %-format of its
+    scalars, spelled as json spells them.
+    """
+    if not fits:
+        return
+    shared = {}
     if plan is not None:
-        doc["plan"] = {
+        shared["plan"] = {
             "dark_times_s": list(plan.dark_times),
             "shots_per_point": plan.shots_per_point,
             "detection_window_s": plan.detection_window,
@@ -500,7 +525,45 @@ def write_fit_json(fit: FitResult, path, plan: MeasurementPlan | None = None,
             "include_reference": plan.include_reference,
         }
     if seed is not None:
-        doc["seed"] = seed
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        shared["seed"] = seed
+    shared.update(extra or {})
+    columns = columns or {}
+    names = [key for key in fits[0].as_dict() if key != "covariance"]
+    keys = [*names, "covariance", *shared, *columns]
+    if len(set(keys)) < len(keys):
+        raise ParameterError(f"fit JSON keys repeat: {keys}")
+
+    def leaves(fit, row):
+        doc = fit.as_dict()
+        cov = doc.pop("covariance")
+        return [*doc.values(), *cov[0], *cov[1], *cov[2], *row]
+
+    # the tokens must not occur in the shared text, which may hold any string
+    n_leaves = len(names) + 9 + len(columns)
+    for nonce in itertools.count():
+        tokens = [f"<{nonce}:{i}>" for i in range(n_leaves)]
+        it = iter(tokens)
+        doc = {key: next(it) for key in names}
+        doc["covariance"] = [[next(it) for _ in range(3)] for _ in range(3)]
+        doc.update(shared)
+        doc.update((key, next(it)) for key in columns)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        quoted = [json.dumps(token) for token in tokens]
+        if all(text.count(q) == 1 for q in quoted):
+            break
+    template = text.replace("%", "%%")
+    for q in quoted:
+        template = template.replace(q, "%s")
+    in_text = operator.itemgetter(*sorted(range(n_leaves), key=lambda i: text.index(quoted[i])))
+    for fit, *row in zip(fits, *columns.values(), strict=True):
+        yield template % tuple(map(_json_scalar, in_text(leaves(fit, row))))
+
+
+def write_fit_json(fits, paths, plan: MeasurementPlan | None = None, seed=None,
+                   extra: dict | None = None, columns: dict | None = None) -> None:
+    """Write fit j's JSON document (render_fit_json), with the plan and seed
+    for reproducibility, to paths[j]."""
+    texts = render_fit_json(fits, plan, seed, extra, columns)
+    for path, text in zip(paths, texts, strict=True):
+        with open(path, "wb") as fh:
+            fh.write(text.encode())

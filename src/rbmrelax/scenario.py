@@ -87,9 +87,6 @@ VIBRATION_RATE_CAL = 2.85289116413692436e+10    # 1/s
 KAPPA_DIP_CAL = 4.13478003922003705e-16         # (1/s) per (1/m^3)
 OPTIMAL_DENSITY_CAL = 6.89475863191954133e+25   # 1/m^3
 
-# 1 millimolar of molecules in SI number density.
-PER_M3_PER_MM = 6.02214076e23
-
 # Longest dark-time grid, in units of the predicted T1.
 MAX_TAU_SPAN_FACTOR = 100.0
 

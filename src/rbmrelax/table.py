@@ -19,13 +19,24 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def _row_format(n_columns: int) -> str:
+    return "\t".join(["%.17g"] * n_columns)
+
+
 def write_table(path, columns, rows, comments=()) -> None:
     """Write the header, one line per row, then each comment as ``# text``."""
-    fmt = "\t".join(["%.17g"] * len(columns))
+    fmt = _row_format(len(columns))
     lines = ["\t".join(columns)]
     lines += [fmt % tuple(row) for row in rows]
     lines += [f"# {text}" for text in comments]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def table_format(columns, n_rows: int) -> str:
+    """The %-format of a whole table of n_rows rows and no comments, taking
+    the values in row order: one format call gives write_table's text."""
+    header = "\t".join(columns).replace("%", "%%")
+    return header + "\n" + (_row_format(len(columns)) + "\n") * n_rows
 
 
 def read_table(path, columns, what: str):

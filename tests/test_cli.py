@@ -576,6 +576,23 @@ def test_underflowing_diameter_is_a_parameter_error(fast_config, tmp_path, capsy
     assert len(err) == 1 and re.match(r"error: diameter 1e-30\d m is too small", err[0])
 
 
+@pytest.mark.parametrize("argv", [
+    ["t1", "--config", "{cfg}", "--out", "{out}"],
+    ["sweep", "--config", "{cfg}", "--axis", "gd_density", "--grid", "1e23:1e25:3:log",
+     "--out", "{out}"],
+])
+def test_overflowing_bulk_rate_is_a_parameter_error(tmp_path, capsys, argv):
+    # 1 / t1_bulk overflows to inf at 5e-324 s, which made t1_s = 0 rows
+    cfg = tmp_path / "fast_bulk.ini"
+    cfg.write_text("[environment]\nt1_bulk_ms = 5e-321\n")
+    out = tmp_path / "out.txt"
+    assert main([a.format(cfg=cfg, out=out) for a in argv]) == 1
+    assert not list(tmp_path.glob("out.txt*"))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t1_bulk 5e-324 s is too small: its reciprocal overflows\n"
+
+
 def test_tau_span_factor_above_100_leaves_no_output(tmp_path, capsys):
     cfg = tmp_path / "long.ini"
     cfg.write_text("[measurement]\ntau_span_factor = 1e300\n")

@@ -74,6 +74,14 @@ def test_t1_total_no_sources_gives_bulk():
     assert res.t1 == pytest.approx(3e-3, rel=1e-14)
 
 
+def test_t1_total_rejects_a_bulk_t1_whose_rate_overflows():
+    # 1 / 5.6e-309 is still finite; the bulk rate of 5e-309 s is not
+    assert t1_total([], t1_bulk=5.6e-309).t1 > 0.0
+    for t1_bulk in (5e-309, 5e-324):
+        with pytest.raises(ParameterError, match="reciprocal overflows"):
+            t1_total([], t1_bulk=t1_bulk)
+
+
 def test_t1_total_rejects_duplicate_labels():
     a = NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="x")
     b = NoiseSource(gamma=GAMMA_E, b_perp_sq=2e-9, tau_c=1e-9, label="x")

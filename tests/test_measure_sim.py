@@ -179,7 +179,7 @@ def test_fit_statistical_pull(tmp_path):
     # chi-square per dof should be order unity for a correct error model
     assert 0.2 < fit.reduced_chi_sq < 5.0
     out = tmp_path / "fit.json"
-    write_fit_json(fit, out, plan=PLAN, seed=99, extra={"spot": 0})
+    write_fit_json([fit], [out], plan=PLAN, seed=99, extra={"spot": 0})
     import json
 
     doc = json.loads(out.read_text())
@@ -191,7 +191,7 @@ def test_fit_statistical_pull(tmp_path):
 def test_curve_roundtrip(tmp_path):
     curve = one_curve(PLAN, 5)
     path = tmp_path / "curve.tsv"
-    write_curve(*curve, path)
+    write_curve(*(v[None] for v in curve), [path])
     again = read_curve(path)
     assert np.array_equal(np.array(again), np.array(curve))
 

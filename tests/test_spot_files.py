@@ -1,0 +1,140 @@
+"""The batch writers of simulate's spot files against their references.
+
+Each fit document must equal json.dumps(doc, indent=2, sort_keys=True)
++ "\\n" of the fit's as_dict() with its plan, seed and per-spot keys added,
+and each curve file must equal write_table's, byte for byte, whatever the
+values and condition names.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rbmrelax.cli import main
+from rbmrelax.errors import ParameterError
+from rbmrelax.measure_sim import (
+    _CONVERGED,
+    _NOT_FINITE,
+    _NOT_POSITIVE,
+    _ON_BOUND,
+    _OPEN,
+    _TOO_SHORT,
+    CURVE_HEADER,
+    FitResult,
+    MeasurementPlan,
+    failed_fit,
+    render_fit_json,
+    write_curve,
+    write_fit_json,
+)
+from rbmrelax.table import write_table
+
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+FAILURES = (_NOT_FINITE, _NOT_POSITIVE, _ON_BOUND, _OPEN)
+# quotes, backslashes, non-ASCII text, a literal \u0000 and text that
+# looks like the renderer's own tokens
+NAMES = ('a"b', "back\\slash", "Wasser-Aceton é℃", "\\u0000", "\x00",
+         "<0:0>", '"<0:0>', '<0:0>"', "%s %% %(x)s")
+PLAN = MeasurementPlan(dark_times=(0.0, 1e-6, 1e-5, 1e-4, 1e-3), shots_per_point=100,
+                       detection_window=5e-7, photon_rate=1e5, contrast=0.2)
+
+
+@st.composite
+def fits(draw):
+    kind = draw(st.sampled_from(("converged", "failed", "too_short")))
+    if kind == "too_short":
+        return failed_fit(_TOO_SHORT)
+    converged = kind == "converged"
+    t1 = draw(st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+              if converged else values)
+    return FitResult(
+        t1_hat=t1, t1_stderr=draw(values), amplitude=draw(values), baseline=draw(values),
+        covariance=[[draw(values) for _ in range(3)] for _ in range(3)],
+        reduced_chi_sq=draw(values), converged=converged,
+        message=_CONVERGED if converged else draw(st.sampled_from(FAILURES)),
+        singular_curvature=draw(st.booleans()))
+
+
+def reference(fit, plan=None, seed=None, extra=None):
+    doc = fit.as_dict()
+    if plan is not None:
+        doc["plan"] = {
+            "dark_times_s": list(plan.dark_times),
+            "shots_per_point": plan.shots_per_point,
+            "detection_window_s": plan.detection_window,
+            "photon_rate_per_s": plan.photon_rate,
+            "contrast": plan.contrast,
+            "include_reference": plan.include_reference,
+        }
+    if seed is not None:
+        doc["seed"] = seed
+    doc.update(extra or {})
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(fits(), min_size=1, max_size=4),
+       name=st.one_of(st.sampled_from(NAMES), st.text()),
+       plan=st.sampled_from((None, PLAN)),
+       seed=st.one_of(st.none(), st.integers(0, 2**64)),
+       t1_true=st.lists(values, min_size=4, max_size=4))
+def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, name, plan, seed, t1_true):
+    n = len(batch)
+    columns = {"spot": range(n), "t1_true_s": t1_true[:n]}
+    paths = [tmp_path_factory.mktemp("fits") / f"spot_{j}.json" for j in range(n)]
+    write_fit_json(batch, paths, plan=plan, seed=seed, extra={"condition": name},
+                   columns=columns)
+    for j, (fit, path) in enumerate(zip(batch, paths)):
+        expected = reference(fit, plan, seed,
+                             {"condition": name, "spot": j, "t1_true_s": t1_true[j]})
+        assert path.read_bytes() == expected.encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit=fits())
+def test_one_row_record_without_plan_or_seed(tmp_path_factory, fit):
+    # the fit verb's --out file and stdout
+    path = tmp_path_factory.mktemp("fit") / "fit.json"
+    write_fit_json([fit], [path])
+    assert path.read_bytes() == reference(fit).encode()
+    assert list(render_fit_json([fit])) == [reference(fit)]
+
+
+def test_fit_verb_output_is_a_one_row_record(tmp_path, capsys):
+    curve = tmp_path / "curve.tsv"
+    tau = np.geomspace(1e-6, 5e-4, 8)
+    write_table(curve, CURVE_HEADER, zip(tau, 0.8 + 0.2 * np.exp(-tau / 1e-4),
+                                         np.full(8, 1e-3)))
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(curve), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is True and "plan" not in doc and "seed" not in doc
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert out.read_text() == text
+    assert capsys.readouterr().out == text
+
+
+def test_repeated_key_is_rejected():
+    with pytest.raises(ParameterError, match="keys repeat"):
+        list(render_fit_json([failed_fit(_TOO_SHORT)], extra={"message": "x"}))
+    with pytest.raises(ParameterError, match="keys repeat"):
+        list(render_fit_json([failed_fit(_TOO_SHORT)], seed=1, columns={"seed": [2]}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(values, values, values), min_size=4, max_size=4),
+                     min_size=1, max_size=3))
+def test_curve_files_equal_write_table(tmp_path_factory, rows):
+    tau, signal, stderr = np.moveaxis(np.array(rows, dtype=float), -1, 0)
+    out = tmp_path_factory.mktemp("curves")
+    paths = [out / f"spot_{j}.tsv" for j in range(len(rows))]
+    write_curve(tau, signal, stderr, paths)
+    for j, path in enumerate(paths):
+        ref = out / f"ref_{j}.tsv"
+        write_table(ref, CURVE_HEADER, rows[j])
+        assert path.read_bytes() == ref.read_bytes()

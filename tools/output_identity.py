@@ -18,12 +18,15 @@ The matrix, for the shipped configs:
 * `sensitivity` on the benchmark's density grid and on the default grid;
 * `simulate` of gd_water + gd_acetone, 200 spots each, seed 77;
 * `fit --out` on three of the simulated curves;
+* `simulate` of a 5,000-shot config (FAST below) whose spot 0 does not
+  converge, so its fit file holds NaN and false, and `fit --out` on that
+  curve, which exits 2 and whose stdout is saved as a data file too;
 * `oracle all`, whose report goes to stdout and is saved as a data file
   (the one run of the Monte Carlo dipolar sum).
 
 Prints the number of compared files and each differing path, and exits 1
-when a file differs or exists on one side only, or when a command fails
-in either tree (every run of the matrix is meant to succeed).  For a
+when a file differs or exists on one side only, or when a command exits
+with another code than the matrix expects in either tree.  For a
 differing .tsv or .json file it also prints how many of its numbers differ
 and the largest difference in ulps, so a last-digit drift reads as one.
 Only the standard library is used.
@@ -56,10 +59,25 @@ SIMULATE = ("gd_water_25nm", "gd_acetone_x046_25nm")
 SPOTS, SEED = 200, 77
 FITTED = ("gd_water_25nm/spot_0000", "gd_water_25nm/spot_0123",
           "gd_acetone_x046_25nm/spot_0199")
+# the 5,000-shot config of tests/test_cli.py: its spot 0 has a T1 variance
+# that is not positive, so that fit does not converge
+FAST = """\
+[molecular_bath]
+density_per_m3 = 6.894758631919541e+25
+
+[measurement]
+shots_per_point = 5000
+n_dark_times = 8
+
+[random]
+seed = 1234
+"""
+FAST_SPOTS = 6
 
 
-def matrix(out: Path) -> list:
-    """(name, argv, stdout file or None) of every CLI run, writing below out.
+def matrix(out: Path, fast: Path) -> list:
+    """(name, argv, stdout file or None, expected exit code) of every CLI
+    run, writing below out; fast is the FAST config file.
 
     Stdout is kept only where it is the run's data: it names the output
     paths otherwise, which differ between the two trees.
@@ -68,41 +86,48 @@ def matrix(out: Path) -> list:
     for c in CONFIGS:
         cfg = f"configs/{c}.ini"
         runs.append((f"t1 {c}", ["t1", "--config", cfg, "--out", str(out / f"t1_{c}.txt")],
-                     None))
+                     None, 0))
         for axis, grid in SWEEPS.items():
             runs.append((f"sweep {axis} {c}",
                          ["sweep", "--config", cfg, "--axis", axis, "--grid", grid,
-                          "--out", str(out / f"sweep_{axis}_{c}.tsv")], None))
+                          "--out", str(out / f"sweep_{axis}_{c}.tsv")], None, 0))
         runs.append((f"sensitivity {c}",
                      ["sensitivity", "--config", cfg, "--grid", SENSITIVITY_GRID,
-                      "--out", str(out / f"sensitivity_{c}.tsv")], None))
+                      "--out", str(out / f"sensitivity_{c}.tsv")], None, 0))
         runs.append((f"sensitivity default-grid {c}",
                      ["sensitivity", "--config", cfg,
-                      "--out", str(out / f"sensitivity_default_{c}.tsv")], None))
+                      "--out", str(out / f"sensitivity_default_{c}.tsv")], None, 0))
     sim = out / "simulate"
     argv = ["simulate", "--spots", str(SPOTS), "--seed", str(SEED), "--out", str(sim)]
     for c in SIMULATE:
         argv += ["--config", f"configs/{c}.ini"]
-    runs.append(("simulate", argv, None))
+    runs.append(("simulate", argv, None, 0))
     for spot in FITTED:
         runs.append((f"fit {spot}",
                      ["fit", str(sim / f"{spot}_curve.tsv"),
-                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")], None))
-    runs.append(("oracle all", ["oracle", "all"], out / "oracle_all.txt"))
+                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")], None, 0))
+    runs.append(("simulate fast", ["simulate", "--config", str(fast), "--spots",
+                                   str(FAST_SPOTS), "--out", str(out / "simulate_fast")],
+                 None, 0))
+    runs.append(("fit fast/spot_0000",
+                 ["fit", str(out / "simulate_fast" / fast.stem / "spot_0000_curve.tsv"),
+                  "--out", str(out / "fit_fast_spot_0000.json")],
+                 out / "fit_fast_spot_0000.stdout.json", 2))
+    runs.append(("oracle all", ["oracle", "all"], out / "oracle_all.txt", 0))
     return runs
 
 
-def run_matrix(side: str, src: Path, out: Path) -> list:
+def run_matrix(side: str, src: Path, out: Path, fast: Path) -> list:
     """Run the matrix against one src/ tree; one line per failed run."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
     failed = []
-    for name, argv, stdout_file in matrix(out):
+    for name, argv, stdout_file, code in matrix(out, fast):
         proc = subprocess.run([sys.executable, "-m", "rbmrelax.cli", *argv], cwd=ROOT,
                               env=env, capture_output=True, text=True)
         if stdout_file is not None:
             stdout_file.write_text(proc.stdout)
-        if proc.returncode:
+        if proc.returncode != code:
             failed.append(f"{name} failed ({side}): "
                           f"exit {proc.returncode}: {proc.stderr.strip()}")
     return failed
@@ -181,9 +206,11 @@ def main(argv=None) -> int:
         with tarfile.open(tar_path) as tar:
             tar.extractall(tree, filter="data")
 
+        fast = tmp / "fast.ini"
+        fast.write_text(FAST)
         outs = {"rev": tmp / "out_rev", "here": tmp / "out_here"}
-        differing = (run_matrix("rev", tree / "src", outs["rev"])
-                     + run_matrix("here", ROOT / "src", outs["here"]))
+        differing = (run_matrix("rev", tree / "src", outs["rev"], fast)
+                     + run_matrix("here", ROOT / "src", outs["here"], fast))
         files = {side: data_files(out) for side, out in outs.items()}
         for name in sorted(files["rev"] ^ files["here"]):
             side = "rev" if name in files["rev"] else "here"
