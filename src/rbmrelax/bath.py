@@ -52,7 +52,9 @@ def _check_spin(s: float) -> float:
 def moment_sq(spin: float, gamma: float) -> float:
     """Squared magnitude gamma^2 hbar^2 S(S+1) of a fluctuating moment, (J/T)^2."""
     s = _check_spin(spin)
-    return gamma**2 * HBAR**2 * s * (s + 1.0)
+    m2 = gamma**2 * HBAR**2 * s * (s + 1.0)
+    require(m2 < math.inf, f"spin {s!r} and gamma {gamma!r} give a squared moment of {{!r}}", m2)
+    return m2
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,10 @@ measurement plan and the true T1 of every spot (scenario.draw_spots, one
 array predict per condition), so a spot outside the model's domain fails
 the run with nothing written.  Per condition, one measure_sim.simulate_curve
 call then draws every spot's curve as a row of the tau, signal and stderr
-arrays, one measure_sim.fit_curves call fits the rows, and one write_curve
-and one write_fit_json call write every spot's row and fit to its own two
-files.
+arrays, one measure_sim.fit_curves call fits the rows into columns (one
+array per fit-JSON key), and one write_curve and one write_fit_json call
+write every spot's row and fit to its own two files.  ``fit`` reads row 0
+of the one-row columns of measure_sim.fit_exponential.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep picks its columns
@@ -227,14 +228,13 @@ def cmd_simulate(args) -> int:
         cond_dir.mkdir(exist_ok=True)
         tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
         fits = fit_curves(tau, signal, stderr)
-        stems = [f"{name}/spot_{j:04d}" for j in range(len(fits))]
+        stems = [f"{name}/spot_{j:04d}" for j in range(args.spots)]
         write_curve(tau, signal, stderr, [f"{out_dir}/{s}_curve.tsv" for s in stems])
         write_fit_json(fits, [f"{out_dir}/{s}_fit.json" for s in stems],
                        plan=plan, seed=sc.seed, extra={"condition": name},
-                       columns={"spot": range(len(fits)), "t1_true_s": t1_true.tolist()})
+                       columns={"spot": range(args.spots), "t1_true_s": t1_true})
         outputs += [f"{s}_{kind}" for s in stems for kind in ("curve.tsv", "fit.json")]
-        t1_hats = [fit.t1_hat for fit in fits if fit.converged]
-        del fits  # not held while the next condition is fitted
+        t1_hats = fits["t1_hat_s"][fits["converged"]]
 
         cond_doc = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
@@ -284,15 +284,15 @@ def cmd_fit(args) -> int:
         fit = fit_exponential(*curve)
     except ParameterError as exc:
         raise ParameterError(f"{args.data}: {exc}") from exc
-    text, = render_fit_json([fit])
+    text, = render_fit_json(fit)
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        write_fit_json([fit], [out])
+        write_fit_json(fit, [out])
         _write_manifest(out.with_name(out.name + ".manifest.json"), "fit",
                         [], [out.name])
-    if not fit.converged:
-        print(f"fit did not converge: {fit.message}", file=sys.stderr)
+    if not fit["converged"][0]:
+        print(f"fit did not converge: {fit['message'][0]}", file=sys.stderr)
         return 2
     return 0
 
@@ -319,8 +319,6 @@ def cmd_sensitivity(args) -> int:
 def cmd_oracle(args) -> int:
     from .validation import format_report, run_oracles
 
-    if args.config:
-        parse_config(args.config)  # validated even though checks are fixed-point
     report = run_oracles(args.which)
     print(format_report(report))
     return 0 if report.passed else 3
@@ -376,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="closed form vs numerical cross-checks")
     p.add_argument("which", choices=ORACLE_NAMES)
-    p.add_argument("--config", default=None,
-                   help="optional config to validate alongside the checks")
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -14,8 +14,9 @@ per-point standard error through first-order ratio statistics.
 A curve is three float arrays, tau, signal and stderr, with one row per
 spot: simulate_curve draws every spot of a condition and forms their
 signals and errors in one numpy pass, fit_curves fits the rows in one
-batch, and write_curve and write_fit_json write each row's curve file and
-fit document in one call per condition.
+batch and returns the fits as columns, one array per fit-JSON key with
+one entry per row, and write_curve and write_fit_json write each row's
+curve file and fit document in one call per condition.
 """
 
 from __future__ import annotations
@@ -131,55 +132,6 @@ def simulate_curve(t1_true, rngs, plan: MeasurementPlan):
         err = np.sqrt(np.maximum(sig, 1)) / denom
     tau = np.broadcast_to(plan.dark_times, signal.shape)
     return tau, signal, err if shots > 1 else np.zeros_like(signal)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Exponential-decay fit b + A exp(-tau/T1) with uncertainty report.
-
-    covariance is the 3x3 matrix over (baseline, amplitude, t1);
-    reduced_chi_sq is chi^2 per degree of freedom for weighted fits and the
-    residual variance for unweighted ones.  singular_curvature flags a
-    pseudo-inverted (inflated) covariance.
-    """
-
-    t1_hat: float
-    t1_stderr: float
-    amplitude: float
-    baseline: float
-    covariance: tuple
-    reduced_chi_sq: float
-    converged: bool
-    message: str = ""
-    singular_curvature: bool = False
-
-    def __post_init__(self):
-        cov = tuple(tuple(float(v) for v in row) for row in self.covariance)
-        if len(cov) != 3 or any(len(row) != 3 for row in cov):
-            raise ParameterError("covariance must be 3x3")
-        if self.converged and not (math.isfinite(self.t1_hat) and self.t1_hat > 0.0):
-            raise ParameterError("a converged fit must report a positive t1")
-        object.__setattr__(self, "covariance", cov)
-
-    def as_dict(self) -> dict:
-        return {
-            "t1_hat_s": self.t1_hat,
-            "t1_stderr_s": self.t1_stderr,
-            "amplitude": self.amplitude,
-            "baseline": self.baseline,
-            "covariance": [list(row) for row in self.covariance],
-            "reduced_chi_sq": self.reduced_chi_sq,
-            "converged": self.converged,
-            "message": self.message,
-            "singular_curvature": self.singular_curvature,
-        }
-
-
-def failed_fit(message: str) -> FitResult:
-    zero = ((0.0,) * 3,) * 3
-    return FitResult(t1_hat=math.nan, t1_stderr=math.nan, amplitude=math.nan,
-                     baseline=math.nan, covariance=zero, reduced_chi_sq=math.nan,
-                     converged=False, message=message)
 
 
 # The search for T1 runs in x = ln T1 over the range where the model can
@@ -344,7 +296,7 @@ def _invert(jtj):
     return cov, singular
 
 
-def fit_curves(tau, y, sig) -> list:
+def fit_curves(tau, y, sig) -> dict:
     """Fit b + A exp(-tau/T1) to every row of (n_curves, n_points) arrays.
 
     Weighted least squares, solved by variable projection (Golub and
@@ -358,11 +310,17 @@ def fit_curves(tau, y, sig) -> list:
     fits scaled by the residual variance.  Point order within a row is
     irrelevant, and so is which other rows share the batch.
 
-    Returns one FitResult per row.  A row whose grid is too short to fit
-    gets a failed fit ("tau grid too short"); a fit converges when its T1 is
+    Returns the fits as columns, a dict of arrays with one entry per row:
+    t1_hat_s, t1_stderr_s, amplitude, baseline, covariance (n_curves, 3, 3)
+    over (baseline, amplitude, t1), reduced_chi_sq (chi^2 per degree of
+    freedom for weighted fits, the residual variance for unweighted ones),
+    converged, message (object dtype) and singular_curvature (a
+    pseudo-inverted, inflated covariance).  A fit converges when its T1 is
     bracketed to a relative 1e-12 inside the search range and its T1
-    variance is finite and positive, and is reported with converged=False
-    otherwise, never raised.
+    variance is finite and positive, and is reported with converged false
+    otherwise, never raised; t1_hat_s and t1_stderr_s are NaN unless it
+    converged.  A row whose grid is too short to fit has NaN floats, a zero
+    covariance and the message "tau grid too short".
     """
     n_points = tau.shape[-1]
     if n_points < _MIN_FIT_POINTS:
@@ -378,10 +336,16 @@ def fit_curves(tau, y, sig) -> list:
     ok = tau_max / pos_min >= 10.0
     for i in np.flatnonzero(~ok):
         ok[i] = tau_max[i] >= 2.0 * _t1_guess(tau[i], y[i])
-    results = [failed_fit(_TOO_SHORT)] * len(ok)
+    n = len(ok)
+    fits = {"t1_hat_s": np.full(n, np.nan), "t1_stderr_s": np.full(n, np.nan),
+            "amplitude": np.full(n, np.nan), "baseline": np.full(n, np.nan),
+            "covariance": np.zeros((n, 3, 3)), "reduced_chi_sq": np.full(n, np.nan),
+            "converged": np.zeros(n, dtype=bool),
+            "message": np.full(n, _TOO_SHORT, dtype=object),
+            "singular_curvature": np.zeros(n, dtype=bool)}
     todo = np.flatnonzero(ok)
     if todo.size == 0:
-        return results
+        return fits
 
     rows = _Rows(tau[todo], y[todo], w[todo])
     x, on_bound, width = _search(rows, np.log(pos_min[todo]) - _SEARCH_BELOW,
@@ -411,22 +375,22 @@ def fit_curves(tau, y, sig) -> list:
     stderr = np.where(converged, np.sqrt(np.maximum(cov[:, 2, 2], 0.0)), np.nan)
     message = np.select([converged, ~finite, on_bound, ~positive],
                         [_CONVERGED, _NOT_FINITE, _ON_BOUND, _NOT_POSITIVE], _OPEN)
-    for i, *fields in zip(todo.tolist(), t1_hat.tolist(), stderr.tolist(), amp.tolist(),
-                          base.tolist(), cov.tolist(), red_chi2.tolist(),
-                          converged.tolist(), message.tolist(), singular.tolist()):
-        results[i] = FitResult(*fields)
-    return results
+    for column, values in zip(fits.values(), (t1_hat, stderr, amp, base, cov, red_chi2,
+                                              converged, message, singular)):
+        column[todo] = values
+    return fits
 
 
-def fit_exponential(tau, signal, stderr) -> FitResult:
-    """Fit one curve: the one-row case of fit_curves.
+def fit_exponential(tau, signal, stderr) -> dict:
+    """Fit one curve: the one-row case of fit_curves, whose columns it
+    returns.
 
     A grid too short to fit raises ParameterError here; non-convergence is
-    reported via converged=False, never raised.
+    reported via converged false, never raised.
     """
-    fit, = fit_curves(*(np.asarray(v, dtype=float)[None] for v in (tau, signal, stderr)))
-    if fit.message == _TOO_SHORT:
-        raise ParameterError(fit.message)
+    fit = fit_curves(*(np.asarray(v, dtype=float)[None] for v in (tau, signal, stderr)))
+    if fit["message"][0] == _TOO_SHORT:
+        raise ParameterError(_TOO_SHORT)
     return fit
 
 
@@ -501,19 +465,17 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def render_fit_json(fits, plan: MeasurementPlan | None = None, seed=None,
+def render_fit_json(fits: dict, plan: MeasurementPlan | None = None, seed=None,
                     extra: dict | None = None, columns: dict | None = None):
-    """Yield each fit's JSON document, json.dumps(doc, indent=2,
-    sort_keys=True) + "\n", where doc is the fit's as_dict() plus the plan,
-    the seed and the keys of extra, which every fit shares, and row j's
-    entry of each list in columns.  No key may repeat.
+    """Yield row j's JSON document, json.dumps(doc, indent=2,
+    sort_keys=True) + "\n", where doc holds row j of each fit column
+    (fit_curves) and of each sequence in columns, plus the plan, the seed
+    and the keys of extra, which every row shares.  No key may repeat.
 
     json.dumps renders the document once, with a token string in place of
-    each per-row scalar; each fit's text is then one %-format of its
+    each per-row scalar; each row's text is then one %-format of its
     scalars, spelled as json spells them.
     """
-    if not fits:
-        return
     shared = {}
     if plan is not None:
         shared["plan"] = {
@@ -528,25 +490,21 @@ def render_fit_json(fits, plan: MeasurementPlan | None = None, seed=None,
         shared["seed"] = seed
     shared.update(extra or {})
     columns = columns or {}
-    names = [key for key in fits[0].as_dict() if key != "covariance"]
-    keys = [*names, "covariance", *shared, *columns]
+    keys = [*fits, *shared, *columns]
     if len(set(keys)) < len(keys):
         raise ParameterError(f"fit JSON keys repeat: {keys}")
-
-    def leaves(fit, row):
-        doc = fit.as_dict()
-        cov = doc.pop("covariance")
-        return [*doc.values(), *cov[0], *cov[1], *cov[2], *row]
+    columns = {**fits, **columns}
+    cov = np.reshape(columns.pop("covariance"), (-1, 9)).tolist()
+    values = [np.asarray(column).tolist() for column in columns.values()]
 
     # the tokens must not occur in the shared text, which may hold any string
-    n_leaves = len(names) + 9 + len(columns)
+    n_leaves = len(columns) + 9
     for nonce in itertools.count():
         tokens = [f"<{nonce}:{i}>" for i in range(n_leaves)]
         it = iter(tokens)
-        doc = {key: next(it) for key in names}
+        doc = {key: next(it) for key in columns}
         doc["covariance"] = [[next(it) for _ in range(3)] for _ in range(3)]
         doc.update(shared)
-        doc.update((key, next(it)) for key in columns)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         quoted = [json.dumps(token) for token in tokens]
         if all(text.count(q) == 1 for q in quoted):
@@ -555,14 +513,14 @@ def render_fit_json(fits, plan: MeasurementPlan | None = None, seed=None,
     for q in quoted:
         template = template.replace(q, "%s")
     in_text = operator.itemgetter(*sorted(range(n_leaves), key=lambda i: text.index(quoted[i])))
-    for fit, *row in zip(fits, *columns.values(), strict=True):
-        yield template % tuple(map(_json_scalar, in_text(leaves(fit, row))))
+    for *row, row_cov in zip(*values, cov, strict=True):
+        yield template % tuple(map(_json_scalar, in_text(row + row_cov)))
 
 
-def write_fit_json(fits, paths, plan: MeasurementPlan | None = None, seed=None,
+def write_fit_json(fits: dict, paths, plan: MeasurementPlan | None = None, seed=None,
                    extra: dict | None = None, columns: dict | None = None) -> None:
-    """Write fit j's JSON document (render_fit_json), with the plan and seed
-    for reproducibility, to paths[j]."""
+    """Write row j's JSON document (render_fit_json), with the plan and
+    seed for reproducibility, to paths[j]."""
     texts = render_fit_json(fits, plan, seed, extra, columns)
     for path, text in zip(paths, texts, strict=True):
         with open(path, "wb") as fh:

@@ -18,7 +18,8 @@ The formula broadcasts over arrays of field variance and rate, so a whole
 density grid is one evaluation; grid points on the resonance are masked out
 before it.  optimize_density takes those arrays as SensitivityInputs; the
 scenario's forward model (scenario.density_sensitivity_curve) computes
-them.
+them.  The curve it returns holds its points as one (n, 3) array of
+density, rate and delta_r_min columns.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class SensitivityInputs:
                      "b_perp_sq", "r_total", "gamma_e", "omega0"):
             value = getattr(self, name)
             require(positive(value), f"{name} must be finite and positive, got {{!r}}", value)
+        root = self.contrast * math.sqrt(
+            self.photon_rate * self.detection_window * self.acquisition_time)
+        require(positive(root) and positive(1.0 / root),
+                "shot-noise factor 1 / (C sqrt(D T_D T)) is not finite and positive")
 
 
 def _on_resonance(r_total, omega0):
@@ -85,9 +90,11 @@ def delta_r_min(inp: SensitivityInputs):
     _guard_resonance(r, w)
     prefactor = 1.0 / (inp.contrast * np.sqrt(
         inp.photon_rate * inp.detection_window * inp.acquisition_time))
-    core = np.sqrt(2.0 * math.e * r / (3.0 * inp.gamma_e**2 * inp.b_perp_sq))
-    lor = (r**2 + w**2) ** 1.5 / abs(r**2 - w**2)
-    return prefactor * core * lor
+    # a result beyond the float range fails, as predict does
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        core = np.sqrt(2.0 * math.e * r / (3.0 * inp.gamma_e**2 * inp.b_perp_sq))
+        lor = (r**2 + w**2) ** 1.5 / abs(r**2 - w**2)
+        return prefactor * core * lor
 
 
 def induced_rate(inp: SensitivityInputs, r: float) -> float:
@@ -134,40 +141,29 @@ def delta_r_oracle(inp: SensitivityInputs, perturbation: float | None = None) ->
 class SensitivityCurve:
     """delta_r_min versus bath density, with its minimum located.
 
-    points: tuple of (density 1/m^3, r_total 1/s, delta_r_min 1/s), sorted
-    by density.  skipped lists densities rejected as resonant.
+    points: (n, 3) array of (density 1/m^3, r_total 1/s, delta_r_min 1/s)
+    rows, strictly ascending in density; argmin_index is the row of the
+    smallest delta_r_min.  skipped lists densities rejected as resonant.
     boundary_warning means the minimum sits on the grid edge: either the
     grid is too narrow or the curve has no interior minimum.
     """
 
-    points: tuple
+    points: np.ndarray
     argmin_index: int
     boundary_warning: bool
     skipped: tuple = ()
 
-    def __post_init__(self):
-        pts = tuple((float(n), float(r), float(d)) for n, r, d in self.points)
-        if not pts:
-            raise ParameterError("curve needs at least one point")
-        if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
-            raise ParameterError("curve points must be strictly sorted by density")
-        if not (0 <= self.argmin_index < len(pts)):
-            raise ParameterError("argmin index out of range")
-        if pts[self.argmin_index][2] != min(p[2] for p in pts):
-            raise ParameterError("argmin record inconsistent with points")
-        object.__setattr__(self, "points", pts)
-
     @property
     def argmin_density(self) -> float:
-        return self.points[self.argmin_index][0]
+        return float(self.points[self.argmin_index, 0])
 
     @property
     def rate_at_min(self) -> float:
-        return self.points[self.argmin_index][1]
+        return float(self.points[self.argmin_index, 1])
 
     @property
     def delta_min(self) -> float:
-        return self.points[self.argmin_index][2]
+        return float(self.points[self.argmin_index, 2])
 
 
 def default_density_grid(center: float, decades: float = 3.0,
@@ -214,9 +210,8 @@ def optimize_density(density_grid, inputs: SensitivityInputs) -> SensitivityCurv
 
     idx = int(np.argmin(deltas))
     return SensitivityCurve(
-        points=tuple(zip(grid[keep].tolist(), rates.tolist(), deltas.tolist())),
-        argmin_index=idx, boundary_warning=idx in (0, deltas.size - 1),
-        skipped=tuple(grid[~keep].tolist()))
+        points=np.column_stack((grid[keep], rates, deltas)), argmin_index=idx,
+        boundary_warning=idx in (0, deltas.size - 1), skipped=tuple(grid[~keep].tolist()))
 
 
 CURVE_COLUMNS = ("density_per_m3", "r_total_per_s", "delta_r_min_per_s")
@@ -233,4 +228,4 @@ def write_sensitivity_curve(curve: SensitivityCurve, path) -> None:
     if curve.skipped:
         comments.append("skipped_densities = " +
                         ",".join(f"{n:.17g}" for n in curve.skipped))
-    write_table(path, CURVE_COLUMNS, curve.points, comments)
+    write_table(path, CURVE_COLUMNS, curve.points.tolist(), comments)

@@ -115,10 +115,9 @@ def test_06_fit_calibration_study(capsys):
                            detection_window=500e-9, photon_rate=1e5,
                            contrast=0.2)
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(SEED).spawn(250)]
-    fits = [f for f in fit_curves(*simulate_curve(np.full(250, t1_true), rngs, plan))
-            if f.converged]
-    hats = np.array([f.t1_hat for f in fits])
-    errs = np.array([f.t1_stderr for f in fits])
+    fits = fit_curves(*simulate_curve(np.full(250, t1_true), rngs, plan))
+    hats = fits["t1_hat_s"][fits["converged"]]
+    errs = fits["t1_stderr_s"][fits["converged"]]
     n = hats.size
     bias = float(hats.mean() - t1_true)
     se_combined = math.sqrt(float((errs**2).sum())) / n

@@ -416,15 +416,16 @@ def test_simulate_files_come_from_the_one_engine(fast_config, tmp_path, capsys):
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 3)
     tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
     fits = fit_curves(tau, signal, stderr)
-    assert len(fits) == 3
-    for j, fit in enumerate(fits):
+    assert len(fits["converged"]) == 3
+    for j in range(3):
+        fit = {key: column.tolist()[j] for key, column in fits.items()}
         doc = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
         rows, _ = read_table(out / "fast" / f"spot_{j:04d}_curve.tsv",
                              CURVE_HEADER, "curve file")
         assert doc["t1_true_s"] == t1_true[j]
         assert np.array_equal(np.array(rows), np.column_stack((tau[j], signal[j], stderr[j])))
-        assert same_fields({key: doc[key] for key in fit.as_dict()}, fit.as_dict())
-    assert [f.converged for f in fits] == [False, True, True]
+        assert same_fields({key: doc[key] for key in fit}, fit)
+    assert fits["converged"].tolist() == [False, True, True]
 
 
 @pytest.mark.parametrize("body, message", [
@@ -535,13 +536,33 @@ def test_simulate_condition_names_never_collide(tmp_path, capsys):
 
 
 def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
+    # oracle takes no config: its checks are fixed-point, so --config is a
+    # usage error, even with a config that the other verbs reject
     off = tmp_path / "off.ini"
     off.write_text("[particle]\nsensor_offset_nm = 1\n")
     assert main(["oracle", "quadrature", "--config", str(off)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and "sensor_offset must be 0" in err[0]
+    assert len(err) == 1 and "unrecognized arguments: --config" in err[0]
+
+
+@pytest.mark.parametrize("body, verb, code, message", [
+    # S(S+1) overflows: the molecular field was NaN times a zero density
+    ("[molecular_bath]\nspin = 1e300\n", "t1", 1, "give a squared moment of inf"),
+    # D T_D T underflows to 0, and delta_r_min was 1/0 = inf
+    ("[measurement]\nacquisition_time_s = 5e-324\n", "sensitivity", 1, "shot-noise factor"),
+    # delta_r_min itself overflows to inf
+    ("[measurement]\ncontrast = 1e-300\n", "sensitivity", 2, "overflow encountered"),
+])
+def test_overflowing_input_fails_before_output(tmp_path, capsys, body, verb, code, message):
+    cfg = tmp_path / "extreme.ini"
+    cfg.write_text(body)
+    out = tmp_path / "out.tsv"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == code
+    assert not list(tmp_path.glob("out.tsv*"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
 
 
 @pytest.mark.parametrize("verb", [("sweep", "--axis", "gd_density"), ("sensitivity",)])

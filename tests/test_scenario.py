@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbmrelax.errors import ConfigError, ParameterError
 from rbmrelax.scenario import (
+    _SCHEMA,
     OPTIMAL_DENSITY_CAL,
     Scenario,
     config_hash,
@@ -347,3 +348,54 @@ def test_t1_falls_as_gd_density_rises(start, steps, diameter, x_water):
     t1 = predict(sc, gd_density=grid).t1
     assert t1.shape == grid.shape
     assert np.all(np.diff(t1) < 0.0)
+
+
+# every float key of the config schema, by its Scenario attribute
+FLOAT_KEYS = sorted(attr for attr, _, _ in _SCHEMA.values()
+                    if isinstance(getattr(Scenario(), attr), float))
+EXTREMES = (5e-324, 1e-300, 1e-30, 1.0, 1e30, 1e300)
+# the errors the CLI maps to exit 1 (bad input) or 2 (numerical failure)
+TYPED = (ConfigError, ParameterError, ArithmeticError)
+
+
+def _typed_or(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None when it raises one of the package's
+    typed errors."""
+    try:
+        return fn(*args, **kwargs)
+    except TYPED:
+        return None
+
+
+def _finite(*values) -> bool:
+    return all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(FLOAT_KEYS), st.sampled_from(EXTREMES),
+                                 min_size=1, max_size=2))
+# inputs that once gave a silent inf or NaN: an overflowing bulk rate,
+# S(S+1), shot-noise factor and delta_r_min
+@example(overrides={"t1_bulk": 5e-324})
+@example(overrides={"gd_spin": 1e300})
+@example(overrides={"acquisition_time": 5e-324})
+@example(overrides={"contrast": 1e-300})
+def test_extreme_float_keys_fail_typed_or_stay_finite(overrides):
+    # one or two float keys at an extreme magnitude, in SI units: each stage
+    # either raises a typed error or returns finite numbers, with T1 > 0,
+    # never a silent NaN, inf or zero
+    sc = _typed_or(Scenario, **overrides)
+    if sc is None:
+        return
+    pred = _typed_or(predict, sc)
+    if pred is not None:
+        assert _finite(*pred.as_dict().values()) and pred.t1 > 0.0
+        plan = _typed_or(measurement_plan, sc, pred.t1)
+        if plan is not None:
+            assert _finite(plan.dark_times, plan.detection_window, plan.photon_rate)
+    spots = _typed_or(draw_spots, sc, np.random.SeedSequence(0), 2)
+    if spots is not None:
+        assert _finite(spots[0]) and np.all(spots[0] > 0.0)
+    curve = _typed_or(density_sensitivity_curve, sc)
+    if curve is not None:
+        assert _finite(curve.points) and np.all(curve.points > 0.0)

@@ -8,7 +8,6 @@ from rbmrelax.constants import OMEGA_0
 from rbmrelax.errors import ParameterError, SingularityError
 from rbmrelax.sensitivity import (
     CURVE_COLUMNS,
-    SensitivityCurve,
     SensitivityInputs,
     default_density_grid,
     delta_r_min,
@@ -142,15 +141,21 @@ def test_boundary_warning_on_monotonic_curve():
     assert curve.argmin_index == len(curve.points) - 1
 
 
-def test_curve_validation():
-    pts = ((1e24, 1e9, 5.0), (1e25, 2e9, 3.0), (1e26, 4e9, 7.0))
-    with pytest.raises(ParameterError):
-        SensitivityCurve(points=pts, argmin_index=0, boundary_warning=False)
-    curve = SensitivityCurve(points=pts, argmin_index=1, boundary_warning=False)
-    assert curve.argmin_density == 1e25
-    with pytest.raises(ParameterError):
-        SensitivityCurve(points=((1e25, 1e9, 5.0), (1e25, 2e9, 3.0)),
-                         argmin_index=1, boundary_warning=False)
+@pytest.mark.parametrize("rate", ["crossing", "resonant", "constant"])
+def test_curve_points_hold_the_curve_invariants(rate):
+    # what SensitivityCurve once re-checked on every curve: an (n, 3) float
+    # array strictly ascending in density, whose argmin row holds the least
+    # delta_r_min
+    grid = np.array(default_density_grid(1e26, decades=4.0, per_decade=10))
+    if rate == "resonant":
+        grid = np.sort(np.append(grid, (OMEGA_0 - 1e9) / 1e-17))
+    r_total = 1e12 if rate == "constant" else 1e9 + 1e-17 * grid
+    curve = optimize_density(grid, synthetic_bath(grid, r_total))
+    n = grid.size - len(curve.skipped)
+    assert curve.points.shape == (n, 3) and curve.points.dtype == float
+    assert np.all(np.diff(curve.points[:, 0]) > 0.0)
+    assert 0 <= curve.argmin_index < n
+    assert curve.delta_min == curve.points[:, 2].min()
 
 
 def test_curve_file_roundtrip(tmp_path):
@@ -163,7 +168,7 @@ def test_curve_file_roundtrip(tmp_path):
     path = tmp_path / "sens.tsv"
     write_sensitivity_curve(curve, path)
     rows, meta = read_table(path, CURVE_COLUMNS, "sensitivity curve")
-    assert rows == curve.points
+    assert rows == tuple(map(tuple, curve.points.tolist()))
     assert float(meta["density_per_m3"]) == curve.argmin_density
     assert float(meta["r_total_per_s"]) == curve.rate_at_min
     assert float(meta["delta_r_min_per_s"]) == curve.delta_min

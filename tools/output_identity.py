@@ -21,6 +21,10 @@ The matrix, for the shipped configs:
 * `simulate` of a 5,000-shot config (FAST below) whose spot 0 does not
   converge, so its fit file holds NaN and false, and `fit --out` on that
   curve, which exits 2 and whose stdout is saved as a data file too;
+* `simulate` of a short-grid config (SHORT below) whose batch mixes three
+  rows too short to fit with one that does not converge;
+* `sensitivity` on a comma grid holding a density whose rate sits on the
+  level splitting (NOVIB below), so the file lists skipped_densities;
 * `oracle all`, whose report goes to stdout and is saved as a data file
   (the one run of the Monte Carlo dipolar sum).
 
@@ -73,11 +77,33 @@ n_dark_times = 8
 seed = 1234
 """
 FAST_SPOTS = 6
+# a 6-point grid to 0.03 T1: of its 4 spots, 3 are too short to fit and
+# one has a T1 variance that is not positive
+SHORT = """\
+[measurement]
+shots_per_point = 5000
+n_dark_times = 6
+tau_span_factor = 0.03
+
+[random]
+seed = 1234
+"""
+SHORT_SPOTS = 4
+# without the vibrational term the molecular rate is linear in density and
+# reaches the level splitting at the middle density of NOVIB_GRID (the
+# notice case of tests/test_cli.py)
+NOVIB = """\
+[molecular_bath]
+vibration_rate_ghz = 0
+"""
+NOVIB_GRID = "1e24,1e25,3.5967435940905747e+25,1e26,1e27"
+# the configs above, written to the tool's temp dir under these names
+WRITTEN = {"fast.ini": FAST, "short.ini": SHORT, "novib.ini": NOVIB}
 
 
-def matrix(out: Path, fast: Path) -> list:
+def matrix(out: Path, tmp: Path) -> list:
     """(name, argv, stdout file or None, expected exit code) of every CLI
-    run, writing below out; fast is the FAST config file.
+    run, writing below out; tmp holds the WRITTEN configs.
 
     Stdout is kept only where it is the run's data: it names the output
     paths otherwise, which differ between the two trees.
@@ -106,6 +132,7 @@ def matrix(out: Path, fast: Path) -> list:
         runs.append((f"fit {spot}",
                      ["fit", str(sim / f"{spot}_curve.tsv"),
                       "--out", str(out / f"fit_{spot.replace('/', '_')}.json")], None, 0))
+    fast = tmp / "fast.ini"
     runs.append(("simulate fast", ["simulate", "--config", str(fast), "--spots",
                                    str(FAST_SPOTS), "--out", str(out / "simulate_fast")],
                  None, 0))
@@ -113,16 +140,23 @@ def matrix(out: Path, fast: Path) -> list:
                  ["fit", str(out / "simulate_fast" / fast.stem / "spot_0000_curve.tsv"),
                   "--out", str(out / "fit_fast_spot_0000.json")],
                  out / "fit_fast_spot_0000.stdout.json", 2))
+    runs.append(("simulate short", ["simulate", "--config", str(tmp / "short.ini"),
+                                    "--spots", str(SHORT_SPOTS),
+                                    "--out", str(out / "simulate_short")], None, 0))
+    runs.append(("sensitivity resonant", ["sensitivity", "--config", str(tmp / "novib.ini"),
+                                          "--grid", NOVIB_GRID,
+                                          "--out", str(out / "sensitivity_resonant.tsv")],
+                 None, 0))
     runs.append(("oracle all", ["oracle", "all"], out / "oracle_all.txt", 0))
     return runs
 
 
-def run_matrix(side: str, src: Path, out: Path, fast: Path) -> list:
+def run_matrix(side: str, src: Path, out: Path, tmp: Path) -> list:
     """Run the matrix against one src/ tree; one line per failed run."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src))
     failed = []
-    for name, argv, stdout_file, code in matrix(out, fast):
+    for name, argv, stdout_file, code in matrix(out, tmp):
         proc = subprocess.run([sys.executable, "-m", "rbmrelax.cli", *argv], cwd=ROOT,
                               env=env, capture_output=True, text=True)
         if stdout_file is not None:
@@ -206,11 +240,11 @@ def main(argv=None) -> int:
         with tarfile.open(tar_path) as tar:
             tar.extractall(tree, filter="data")
 
-        fast = tmp / "fast.ini"
-        fast.write_text(FAST)
+        for name, text in WRITTEN.items():
+            (tmp / name).write_text(text)
         outs = {"rev": tmp / "out_rev", "here": tmp / "out_here"}
-        differing = (run_matrix("rev", tree / "src", outs["rev"], fast)
-                     + run_matrix("here", ROOT / "src", outs["here"], fast))
+        differing = (run_matrix("rev", tree / "src", outs["rev"], tmp)
+                     + run_matrix("here", ROOT / "src", outs["here"], tmp))
         files = {side: data_files(out) for side, out in outs.items()}
         for name in sorted(files["rev"] ^ files["here"]):
             side = "rev" if name in files["rev"] else "here"
