@@ -15,6 +15,16 @@ oracle checks rather than assumes:
 
 Their product is the factor 4/3 in the amplitude constants below.
 
+The Monte Carlo sum draws four uniforms and takes one cosine per spin.
+The sensor is centered with its axis along z, so B_perp^2 does not change
+when a spin's position and moment turn together about z; each position is
+therefore taken in the x-z half-plane, rhat = (sin theta, 0, cos theta)
+with cos theta uniform on [-1, 1).  The moment is isotropic: cos theta_m
+uniform on [-1, 1) and phi uniform on [0, 2 pi).  A volume-bath spin's
+r^3 is uniform on [r_min^3, r_cut^3], which places it uniformly in the
+shell.  Each chunk draws one block of uniforms whose rows are, in order,
+r^3 (volume bath only), cos theta, cos theta_m and phi.
+
 The closed forms broadcast: diameter, areal density and number density may
 be numpy arrays, validated element by element.
 """
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0_OVER_4PI
-from .errors import ParameterError, nonnegative, positive, require
+from .errors import ParameterError, nonnegative, positive, power_finite, require
 
 # Orientation-averaged variance factor of a single dipole (see module
 # docstring) and the transverse fraction for a randomly oriented sensor.
@@ -52,6 +62,7 @@ def _check_spin(s: float) -> float:
 def moment_sq(spin: float, gamma: float) -> float:
     """Squared magnitude gamma^2 hbar^2 S(S+1) of a fluctuating moment, (J/T)^2."""
     s = _check_spin(spin)
+    require(power_finite(gamma, 2), "gamma {!r} is too large: its square overflows", gamma)
     m2 = gamma**2 * HBAR**2 * s * (s + 1.0)
     require(m2 < math.inf, f"spin {s!r} and gamma {gamma!r} give a squared moment of {{!r}}", m2)
     return m2
@@ -66,7 +77,10 @@ class ParticleGeometry:
 
     def __post_init__(self):
         require(positive(self.diameter), "diameter must be positive, got {!r}", self.diameter)
-        # the surface field divides by radius**4, which must not underflow
+        # the surface field divides by radius**4, which must neither
+        # overflow nor underflow
+        require(power_finite(self.radius, 4),
+                "diameter {!r} m is too large: its radius**4 overflows", self.diameter)
         require(self.radius**4 >= sys.float_info.min,
                 "diameter {!r} m is too small: its radius**4 underflows", self.diameter)
 
@@ -143,6 +157,8 @@ def b_perp_sq_volume(g: ParticleGeometry, bath: VolumeBath):
     A_v * n / r_min^3; linear in the number density.
     """
     r_min = g.radius + bath.standoff
+    require(power_finite(r_min, 3),
+            "standoff {!r} m is too large: (radius + standoff)**3 overflows", bath.standoff)
     return volume_amplitude(bath) * bath.number_density / r_min**3
 
 
@@ -163,60 +179,58 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms sqrt(x*x + y*y + z*z) of a (3, k) array; the same sum, in
-    the same order, as np.linalg.norm(axis=1) of its transpose."""
-    s = v[0] * v[0]
-    s += v[1] * v[1]
-    s += v[2] * v[2]
-    return np.sqrt(s, out=s)
-
-
-def _unit_columns(rng: np.random.Generator, k: int) -> np.ndarray:
-    v = np.ascontiguousarray(rng.standard_normal((k, 3)).T)
-    v /= _norms(v)
-    return v
-
-
 def _dipole_samples(rng, k, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
     """Per-spin transverse field variance samples, T^2.
 
-    Draws, in this order: the radii (volume bath only, one rng.random(k)),
-    the positions and the moment orientations (one standard_normal((k, 3))
-    each).  That order fixes every Monte Carlo number.  The arithmetic runs
-    in place on contiguous (3, k) copies, one row per Cartesian component.
+    Draws one rng.random((rows, k)) block, one column per spin, with the
+    rows of the module docstring; that layout fixes every Monte Carlo
+    number.  With rhat = (sin theta, 0, cos theta), m . rhat = m_x sin theta +
+    m_z cos theta, B_x = 3 (m . rhat) sin theta - m_x and B_y = -m_y, with
+    m_y^2 = sin^2 theta_m (1 - cos^2 phi).  The arithmetic runs in place on
+    the rows of the block.
     """
-    if isinstance(bath, SurfaceBath):
-        radii = g.radius
-    else:
-        u = rng.random(k)
-        radii = np.cbrt(r_min**3 + u * (r_cut**3 - r_min**3))
-    pos = _unit_columns(rng, k)
-    pos *= radii
-    moments = _unit_columns(rng, k)
+    u = rng.random((3 if isinstance(bath, SurfaceBath) else 4, k))
+    c, mz, cphi = u[-3], u[-2], u[-1]
+    c *= 2.0
+    c -= 1.0
+    mz *= 2.0
+    mz -= 1.0
+    cphi *= 2.0 * math.pi
+    np.cos(cphi, out=cphi)
 
-    dist = _norms(pos)
-    rhat = pos
-    rhat /= dist
+    mx = np.multiply(mz, mz)
+    np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
+    my2 = np.multiply(cphi, cphi)
+    np.subtract(1.0, my2, out=my2)
+    my2 *= mx
+    np.sqrt(mx, out=mx)
+    mx *= cphi
+    s = np.multiply(c, c, out=cphi)
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)                       # sin theta
 
-    cos3 = moments[0] * rhat[0]
-    cos3 += moments[1] * rhat[1]
-    cos3 += moments[2] * rhat[2]
-    cos3 *= 3.0
+    mz *= c
+    bx = np.multiply(mx, s, out=c)
+    bx += mz                                # m . rhat
+    bx *= 3.0
+    bx *= s
+    bx -= mx
+    bx *= bx
+    bx += my2
+
     scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
-    dist3 = dist**3
-    # the ensemble is isotropic about the centered sensor, so the lab z
-    # axis serves as the sensor axis and only the x and y field components
-    # are formed
-    fx, fy = rhat[0], rhat[1]
-    for f, m in ((fx, moments[0]), (fy, moments[1])):
-        f *= cos3
-        f -= m
-        f *= scale
-        f /= dist3
-        f *= f
-    fx += fy
-    return fx
+    if isinstance(bath, SurfaceBath):
+        amp = scale / g.radius**3
+        bx *= amp * amp
+    else:
+        # r^3 uniform on [r_min^3, r_cut^3] places the spin uniformly in the
+        # shell; dividing it by the moment's scale keeps (r^3)^2 in range
+        r3 = u[0]
+        r3 *= (r_cut**3 - r_min**3) / scale
+        r3 += r_min**3 / scale
+        r3 *= r3
+        bx /= r3
+    return bx
 
 
 def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
@@ -225,12 +239,16 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
 
     Positions are sampled uniformly on the sphere surface (surface bath) or
     uniformly in the exterior shell out to cutoff_factor * r_min (volume
-    bath, with the analytic r^-6 tail beyond the cutoff added back).  Spin
-    orientations are isotropic.  Sampling is split into fixed-size chunks,
-    each drawing from its own spawned child stream; the sums of x and x^2
-    run over every chunk, and the mean and variance come from those totals,
-    so the result is reproducible for a given (samples, seed) regardless of
-    how chunks are dispatched.
+    bath, r^3 uniform, with the analytic r^-6 tail beyond the cutoff added
+    back), each in the x-z half-plane: a turn about the sensor axis leaves
+    B_perp^2 unchanged.  Spin orientations are isotropic (cos theta_m and
+    phi uniform).  Sampling is split into fixed-size chunks, each drawing
+    one (rows, chunk) block of uniforms from its own spawned child stream,
+    rows in the order r^3 (volume only), cos theta, cos theta_m, phi.  The
+    sums of x and x^2 run over every chunk, as numpy pairwise sums, so they
+    do not depend on the BLAS thread count; the mean and variance come
+    from those totals, so the result is reproducible for a given
+    (samples, seed) regardless of how chunks are dispatched.
 
     Returns the estimated mean and standard error of B_perp^2 in T^2;
     deterministic for fixed inputs.
@@ -263,8 +281,10 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
         k = min(_CHUNK, samples - i * _CHUNK)
         vals = _dipole_samples(np.random.default_rng(child), k, g, bath, r_min, r_cut)
         count += k
+        # numpy's pairwise sums, not a BLAS dot: the totals do not depend
+        # on the BLAS thread count
         total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        total_sq += float(np.square(vals, out=vals).sum())
 
     mean_one = total / count
     var_one = max(total_sq / count - mean_one**2, 0.0) * count / (count - 1)

@@ -10,6 +10,7 @@ serves a scalar prediction and a whole grid.  NaN fails every check.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -34,6 +35,14 @@ def positive(value):
 def nonnegative(value):
     """True where value is finite and >= 0 (a bool, or a boolean array)."""
     return (value >= 0.0) & (value < math.inf)
+
+
+def power_finite(value, n: int):
+    """True where value**n is finite (a bool, or a boolean array).
+
+    The bound is on |value|, so the check cannot itself overflow the way a
+    Python float power does (OverflowError)."""
+    return abs(value) < sys.float_info.max ** (1.0 / n)
 
 
 def require(ok, message: str, value=None) -> None:

@@ -18,6 +18,7 @@ viscosity may be arrays, and validation applies to every element.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import K_B
-from .errors import ConfigError, ParameterError, nonnegative, positive, require
+from .errors import ConfigError, ParameterError, nonnegative, positive, power_finite, require
 from .table import read_table
 
 
@@ -47,6 +48,12 @@ class HydroParams:
 
     def __post_init__(self):
         require(positive(self.a), "molecule radius must be positive, got {!r}", self.a)
+        # the rotational rate divides by a**3, which must neither overflow
+        # nor underflow
+        require(power_finite(self.a, 3),
+                "molecule radius {!r} m is too large: its cube overflows", self.a)
+        require(self.a**3 >= sys.float_info.min,
+                "molecule radius {!r} m is too small: its cube underflows", self.a)
         require(nonnegative(self.a_s), "solvent radius must be >= 0, got {!r}", self.a_s)
         require(positive(self.eta), "viscosity must be positive, got {!r}", self.eta)
         require(positive(self.temperature),
@@ -116,6 +123,8 @@ def microviscosity_factor(a, a_s):
     require(nonnegative(a_s), "solvent radius must be >= 0, got {!r}", a_s)
     u = a_s / a
     one_plus_2u = 1.0 + 2.0 * u
+    require(power_finite(one_plus_2u, 3),
+            "solvent-to-molecule radius ratio {!r} is too large: (1 + 2 a_s/a)**3 overflows", u)
     bracket = 6.0 * u + (1.0 + 3.0 * u / one_plus_2u) / one_plus_2u**3
     return 1.0 / bracket
 

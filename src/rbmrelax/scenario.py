@@ -41,6 +41,7 @@ import configparser
 import hashlib
 import io
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
@@ -89,6 +90,8 @@ OPTIMAL_DENSITY_CAL = 6.89475863191954133e+25   # 1/m^3
 
 # Longest dark-time grid, in units of the predicted T1.
 MAX_TAU_SPAN_FACTOR = 100.0
+# the largest normal draw whose math.exp is finite
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,16 @@ def measurement_plan(sc: Scenario, t1_expected: float):
         contrast=sc.contrast, include_reference=sc.include_reference)
 
 
+def _lognormal_factor(rng: np.random.Generator, key: str, spread: float) -> float:
+    """exp of one normal draw of the given spread; a draw whose exp
+    overflows is a ParameterError naming the spread's key."""
+    z = rng.normal(0.0, spread)
+    if z > _LOG_FLOAT_MAX:
+        raise ParameterError(f"{key} {spread!r} is too large: it drew a log-normal "
+                             f"factor e^{z:.6g}, which overflows")
+    return math.exp(z)
+
+
 def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
     """True T1 of every spot, from one array predict, with log-normal
     density and size jitter.
@@ -319,8 +332,9 @@ def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
     if n_spots < 2:
         raise ParameterError(f"need >= 2 spots, got {n_spots}")
     rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
-    spreads = (sc.diameter_jitter, sc.density_jitter, sc.density_jitter)
-    d, n, sigma = np.array([[math.exp(rng.normal(0.0, s)) for s in spreads]
+    spreads = (("diameter_jitter", sc.diameter_jitter), ("density_jitter", sc.density_jitter),
+               ("density_jitter", sc.density_jitter))
+    d, n, sigma = np.array([[_lognormal_factor(rng, key, s) for key, s in spreads]
                             for rng in rngs]).T
     pred = predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
                    surface_density=sc.surface_density * sigma)
@@ -369,11 +383,17 @@ def _decimal_text(d: Decimal) -> str:
 def _scaled(k: int):
     def to_si(s: str) -> float:
         try:
-            return float(Decimal(s).scaleb(k))
+            d = Decimal(s).scaleb(k)
         except InvalidOperation:
             # Decimal signals syntax errors as ArithmeticError; config
             # parsing needs the ValueError family
             raise ValueError(f"not a number: {s!r}") from None
+        v = float(d)
+        # a finite number beyond double range would read as inf; a literal
+        # inf or nan goes on to Scenario, whose checks name the key
+        if d.is_finite() and not math.isfinite(v):
+            raise ValueError(f"{s.strip()!r} overflows a double")
+        return v
 
     def to_text(v: float) -> str:
         return _decimal_text(Decimal(repr(float(v))).scaleb(-k))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rbmrelax import bath as bath_module
 from rbmrelax.bath import (
     DEFAULT_CUTOFF_FACTOR,
     ParticleGeometry,
@@ -125,10 +126,45 @@ def test_mc_tail_warning_on_tight_cutoff():
         b_perp_mc(GEOM, VOLUME, samples=10_000, seed=4, cutoff_factor=0.9)
 
 
-def reference_samples(rng, k, g, bath, r_min, r_cut):
-    """The row-wise (k, 3) dipole kernel that _dipole_samples replaced: unit
-    vectors through np.linalg.norm, cos theta through einsum, and all three
-    field components formed.  It lives here only, as the reference."""
+def half_plane_reference(rng, k, g, bath, r_min, r_cut, azimuth=None):
+    """The kernel's sampling written out as (k, 3) vectors: the same uniforms
+    in the same row order build the full position rhat (sin theta cos psi,
+    sin theta sin psi, cos theta), the full isotropic moment m and the
+    vector field 3 (m . rhat) rhat - m.  azimuth psi (default 0) turns
+    every position and moment together about the sensor axis z (a scalar or
+    one angle per sample).
+
+    The moment's y component is sin theta_m |sin phi| signed by sin phi;
+    |sin phi| comes from cos phi, as in the kernel, because sin(phi) from
+    np.sin differs from it by rounding that 1 - cos^2 phi amplifies near
+    phi = 0 and pi.  Returns the samples and the (k, 3) r and m arrays."""
+    u = rng.random((3 if isinstance(bath, SurfaceBath) else 4, k))
+    cos_t, cos_m = 2.0 * u[-3] - 1.0, 2.0 * u[-2] - 1.0
+    phi = 2.0 * math.pi * u[-1]
+    if isinstance(bath, SurfaceBath):
+        radii = np.full(k, g.radius)
+    else:
+        radii = np.cbrt(r_min**3 + u[0] * (r_cut**3 - r_min**3))
+    sin_t, sin_m, cos_p = np.sqrt(1.0 - cos_t**2), np.sqrt(1.0 - cos_m**2), np.cos(phi)
+    sin_p = np.copysign(np.sqrt(1.0 - cos_p**2), np.sin(phi))
+    rhat = np.column_stack((sin_t, np.zeros(k), cos_t))
+    moments = np.column_stack((sin_m * cos_p, sin_m * sin_p, cos_m))
+    if azimuth is not None:
+        c, s = np.cos(azimuth), np.sin(azimuth)
+        rhat, moments = (np.column_stack((c * v[:, 0] - s * v[:, 1],
+                                          s * v[:, 0] + c * v[:, 1], v[:, 2]))
+                         for v in (rhat, moments))
+    mu = math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
+    cosang = np.einsum("ij,ij->i", moments, rhat)
+    field = MU0_OVER_4PI * mu * (3.0 * cosang[:, None] * rhat - moments) / radii[:, None] ** 3
+    return field[:, 0] ** 2 + field[:, 1] ** 2, radii[:, None] * rhat, moments
+
+
+def normal_vector_samples(rng, k, g, bath, r_min, r_cut):
+    """The earlier dipole kernel: Gaussian-normalized position and moment
+    vectors (one standard_normal((k, 3)) each) and r^3-uniform radii through
+    a cube root.  It draws a different stream, so it lives here only, as
+    the distributional reference for the half-plane kernel."""
     def unit_vectors():
         v = rng.standard_normal((k, 3))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -148,29 +184,82 @@ def reference_samples(rng, k, g, bath, r_min, r_cut):
     return field[:, 0] ** 2 + field[:, 1] ** 2
 
 
+def _limits(bath):
+    r_min = GEOM.radius
+    return r_min, None if isinstance(bath, SurfaceBath) else DEFAULT_CUTOFF_FACTOR * r_min
+
+
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 @pytest.mark.parametrize("k", [10_000, 10_001, 250_000])
 def test_dipole_kernel_matches_reference(bath, k):
     # einsum's order of the three products in cos theta depends on the
     # build, so samples agree to rounding, not bit for bit
-    r_min = GEOM.radius
-    r_cut = None if isinstance(bath, SurfaceBath) else DEFAULT_CUTOFF_FACTOR * r_min
+    r_min, r_cut = _limits(bath)
     rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
     got = _dipole_samples(rng, k, GEOM, bath, r_min, r_cut)
-    want = reference_samples(rng_ref, k, GEOM, bath, r_min, r_cut)
+    want, pos, _ = half_plane_reference(rng_ref, k, GEOM, bath, r_min, r_cut)
     assert got.shape == (k,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     # both kernels use up the same draws
     assert rng.random() == rng_ref.random()
+    # the reference's positions lie on the sphere or in the shell
+    dist = np.linalg.norm(pos, axis=1)
+    assert np.all(dist >= r_min * (1.0 - 1e-15))
+    if r_cut is not None:
+        assert np.all(dist <= r_cut * (1.0 + 1e-15))
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+def test_dipole_samples_invariant_under_turns_about_the_axis(bath):
+    # B_perp^2 depends on the position and moment only through their
+    # common azimuth-free geometry, which is what lets the kernel fix the
+    # position's azimuth at 0; every sample is a sum of squares
+    r_min, r_cut = _limits(bath)
+    k = 20_000
+    got = _dipole_samples(np.random.default_rng(3), k, GEOM, bath, r_min, r_cut)
+    assert np.all(got >= 0.0)
+    azimuth = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, k)
+    turned, pos, moments = half_plane_reference(
+        np.random.default_rng(3), k, GEOM, bath, r_min, r_cut, azimuth=azimuth)
+    # the turned positions and moments are spread over every azimuth
+    for v in (pos, moments):
+        psi = np.arctan2(v[:, 1], v[:, 0])
+        assert np.histogram(psi, bins=8, range=(-math.pi, math.pi))[0].min() > k / 8 * 0.9
+    np.testing.assert_allclose(turned, got, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("seed", [101, 202])
+def test_half_plane_kernel_matches_normal_vector_kernel(monkeypatch, bath, seed):
+    # the two streams are independent estimates of one mean
+    new = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)
+    monkeypatch.setattr(bath_module, "_dipole_samples", normal_vector_samples)
+    old = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)
+    assert old.mean != new.mean
+    assert abs(new.mean - old.mean) <= 4.0 * math.hypot(new.stderr, old.stderr)
+    assert new.stderr == pytest.approx(old.stderr, rel=0.2)
+
+
+def test_surface_z_spread_over_seeds():
+    # z = (MC - closed form) / stderr over many seeds is a standard normal
+    # sample: its mean within 4 standard errors of 0, its variance within
+    # 4 standard errors of 1 (the variance of a sample variance of n
+    # normals is 2 / (n - 1))
+    closed = b_perp_sq_surface(GEOM, SURFACE)
+    n = 400
+    z = np.array([(mc.mean - closed) / mc.stderr for mc in
+                  (b_perp_mc(GEOM, SURFACE, samples=10_000, seed=5000 + i) for i in range(n))])
+    assert abs(z.mean()) < 4.0 / math.sqrt(n)
+    assert abs(z.var(ddof=1) - 1.0) < 4.0 * math.sqrt(2.0 / (n - 1))
 
 
 @pytest.mark.parametrize("bath, seed, mean, stderr", [
-    (SURFACE, 9, 1.7756356164888528e-09, 2.309005390236922e-12),
-    (VOLUME, 10, 1.9492646701975638e-08, 2.3434540067281385e-09),
+    (SURFACE, 9, 1.7733916040603673e-09, 2.31087665896819e-12),
+    (VOLUME, 10, 1.9344459335204807e-08, 2.5442047957003882e-09),
 ], ids=["surface", "volume"])
 def test_mc_pinned_across_two_chunks(bath, seed, mean, stderr):
-    # recorded with the reference kernel above; any change to the draws,
-    # their order or the chunking moves these far beyond 1e-12
+    # recorded with half_plane_reference in place of the kernel; any change
+    # to the draws, their order or the chunking moves these far beyond 1e-12
     mc = b_perp_mc(GEOM, bath, samples=260_000, seed=seed)
     assert mc.mean == pytest.approx(mean, rel=1e-12)
     assert mc.stderr == pytest.approx(stderr, rel=1e-12)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +328,21 @@ def test_oracle_all_passes_and_repeats(capsys):
     assert outs[0] == outs[1]
 
 
+def test_oracle_report_independent_of_blas_threads():
+    # the Monte Carlo totals are numpy pairwise sums, not BLAS reductions,
+    # whose split across threads changed the last digits of the report
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "rbmrelax.cli", "oracle", "bath_mc"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0].splitlines()[-1] == "overall: PASS"
+    assert outs[0] == outs[1]
+
+
 def test_oracle_failure_exit_code(monkeypatch, capsys):
     import rbmrelax.validation as validation_mod
 
@@ -554,6 +572,14 @@ def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
     ("[measurement]\nacquisition_time_s = 5e-324\n", "sensitivity", 1, "shot-noise factor"),
     # delta_r_min itself overflows to inf
     ("[measurement]\ncontrast = 1e-300\n", "sensitivity", 2, "overflow encountered"),
+    # a Python float power or exp overflowed, and the exit-2 message named
+    # no key
+    ("[molecule]\nradius_nm = 1e309\n", "t1", 1,
+     "error: molecule radius 1e+300 m is too large: its cube overflows"),
+    ("[particle]\ndiameter_nm = 1e309\n", "t1", 1,
+     "error: diameter 1e+300 m is too large: its radius**4 overflows"),
+    ("[spots]\ndensity_jitter = 1e30\n", "simulate", 1,
+     "error: density_jitter 1e+30 is too large: it drew a log-normal factor e^"),
 ])
 def test_overflowing_input_fails_before_output(tmp_path, capsys, body, verb, code, message):
     cfg = tmp_path / "extreme.ini"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rbmrelax.errors import ConfigError, ParameterError
+from rbmrelax.errors import ConfigError, ParameterError, SingularityError
 from rbmrelax.scenario import (
     _SCHEMA,
     OPTIMAL_DENSITY_CAL,
@@ -275,6 +275,20 @@ def test_density_sensitivity_curve_checks_grid_before_physics():
         density_sensitivity_curve(sc, grid=(1e23, 1e27, 1e32))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[environment]\ntemperature_k = 1e309\n", r"temperature_k: '1e309' overflows a double$"),
+    ("[molecular_bath]\ndensity_per_m3 = -2e400\n",
+     r"density_per_m3: '-2e400' overflows a double$"),
+    ("[particle]\ndiameter_nm = 1e318\n", r"diameter_nm: '1e318' overflows a double$"),
+])
+def test_config_number_beyond_double_range_rejected(text, message):
+    # a finite number that would read as inf is a parse error naming the
+    # key; unit shifts apply first, so 1e309 nm (1e300 m) still parses
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_text(text)
+    assert scenario_from_text("[solvent]\na_s_water_nm = 1e309\n").a_s_water == 1e300
+
+
 @pytest.mark.parametrize("key", ["a_s_water_nm", "a_s_other_nm"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
 def test_nonfinite_or_negative_solvent_radius_rejected(key, value):
@@ -354,8 +368,10 @@ def test_t1_falls_as_gd_density_rises(start, steps, diameter, x_water):
 FLOAT_KEYS = sorted(attr for attr, _, _ in _SCHEMA.values()
                     if isinstance(getattr(Scenario(), attr), float))
 EXTREMES = (5e-324, 1e-300, 1e-30, 1.0, 1e30, 1e300)
-# the errors the CLI maps to exit 1 (bad input) or 2 (numerical failure)
-TYPED = (ConfigError, ParameterError, ArithmeticError)
+# the errors the CLI maps to exit 1 (bad input) or 2 (numerical failure:
+# a numpy overflow under np.errstate, or a resonant singularity); a Python
+# OverflowError or ZeroDivisionError is an unchecked input, not typed
+TYPED = (ConfigError, ParameterError, FloatingPointError, SingularityError)
 
 
 def _typed_or(fn, *args, **kwargs):
@@ -380,6 +396,11 @@ def _finite(*values) -> bool:
 @example(overrides={"gd_spin": 1e300})
 @example(overrides={"acquisition_time": 5e-324})
 @example(overrides={"contrast": 1e-300})
+# a Python float power or exp that overflowed (OverflowError): the
+# molecule's cube, the particle's radius**4 and a log-normal jitter factor
+@example(overrides={"molecule_radius": 1e300})
+@example(overrides={"diameter": 1e300})
+@example(overrides={"density_jitter": 1e30})
 def test_extreme_float_keys_fail_typed_or_stay_finite(overrides):
     # one or two float keys at an extreme magnitude, in SI units: each stage
     # either raises a typed error or returns finite numbers, with T1 > 0,
