@@ -27,12 +27,22 @@ write every spot's row and fit to its own two files.  ``fit`` reads row 0
 of the one-row columns of measure_sim.fit_exponential.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
-predict call, so they share one density domain; a sweep picks its columns
-from ScenarioPrediction.as_dict by name.
+predict call, so they share one density domain; a sweep passes its
+columns from ScenarioPrediction.as_dict by name to write_table, which
+formats a column that does not vary along the axis once.
 No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
 uses validation's own adaptive Gauss-Legendre rule.  ``simulate`` and
 ``fit`` import measure_sim when they run, and ``oracle`` validation, so
 start-up of every verb stays at numpy's cost.
+
+This module loads numpy with a one-thread BLAS pool: it sets the BLAS and
+OpenMP thread variables to 1 for the import, then puts the caller's values
+back.  OpenBLAS starts its pool's threads when numpy loads, which on a
+small machine can cost tens of milliseconds of every run's start-up, and
+the package's only BLAS/LAPACK calls (the fit's batched 3x3 inverses, the
+oracle's 5-point polyfit) are too small to split over threads.  A numpy
+that is already loaded keeps its pool, so code that imports the library,
+not the CLI, keeps its own BLAS.
 """
 
 from __future__ import annotations
@@ -40,11 +50,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS")
+_caller_threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+try:
+    import numpy as np
+finally:
+    # the pool is sized when numpy loads, so the caller's values go back
+    # for whatever this process reads or starts later
+    for var, value in _caller_threads.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 from . import __version__
 from .errors import ConfigError, ParameterError
@@ -170,14 +194,15 @@ def cmd_sweep(args) -> int:
     column, override = SWEEP_AXES[args.axis]
     # predict rejects an out-of-range grid value before anything is written
     doc = predict(sc, **{override: values}).as_dict()
-    columns = np.broadcast_arrays(*(doc[name] for name in (column,) + SWEEP_COLUMNS))
 
     out = Path(args.out)
-    write_table(out, (column,) + SWEEP_COLUMNS, zip(*(c.tolist() for c in columns)))
+    # a column that does not vary along the axis stays 0-d, formatted once
+    write_table(out, {name: doc[name] for name in (column,) + SWEEP_COLUMNS})
     _write_manifest(out.with_name(out.name + ".manifest.json"), "sweep",
                     [_config_entry(args.config, sc)], [out.name])
+    t1 = doc["t1_s"]
     print(f"{values.size} rows over {args.axis} -> {out}")
-    print(f"t1 range: {columns[-1].min():.6g} s to {columns[-1].max():.6g} s")
+    print(f"t1 range: {np.min(t1):.6g} s to {np.max(t1):.6g} s")
     return 0
 
 

@@ -271,9 +271,16 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
         b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
         b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
         p = sc.hydro_at(x)
+        # the density is valid by now; a product that overflows names the
+        # coefficient, for a scalar (a silent inf) and an array alike
+        with np.errstate(over="ignore"):
+            r_dip = sc.kappa_dip * n
+        require(r_dip < math.inf,
+                f"[molecular_bath] dipolar_coefficient_m3_per_s {sc.kappa_dip!r} is too "
+                "large: its dipolar rate at density {!r} /m^3 overflows", n)
         # the translational decorrelation length is the closest
         # sensor-molecule distance, particle radius plus standoff
-        rates = total_rate(r_dip=sc.kappa_dip * n, r_vib=sc.vibration_rate,
+        rates = total_rate(r_dip=r_dip, r_vib=sc.vibration_rate,
                            r_trans=translational_rate(p, geom.radius + sc.standoff),
                            r_rot=rbm_rate(p))
 

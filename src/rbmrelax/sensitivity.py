@@ -228,4 +228,4 @@ def write_sensitivity_curve(curve: SensitivityCurve, path) -> None:
     if curve.skipped:
         comments.append("skipped_densities = " +
                         ",".join(f"{n:.17g}" for n in curve.skipped))
-    write_table(path, CURVE_COLUMNS, curve.points.tolist(), comments)
+    write_table(path, dict(zip(CURVE_COLUMNS, curve.points.T)), comments)

@@ -9,6 +9,7 @@ viscosity tables.
   metadata.
 * Rows are written as ``%.17g`` numbers joined by tabs, which round-trips
   every finite float bit for bit; the reader rejects non-finite values.
+  A column that holds one value for every row is formatted once.
 """
 
 from __future__ import annotations
@@ -16,27 +17,38 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 
-def _row_format(n_columns: int) -> str:
-    return "\t".join(["%.17g"] * n_columns)
-
-
-def write_table(path, columns, rows, comments=()) -> None:
-    """Write the header, one line per row, then each comment as ``# text``."""
-    fmt = _row_format(len(columns))
-    lines = ["\t".join(columns)]
-    lines += [fmt % tuple(row) for row in rows]
-    lines += [f"# {text}" for text in comments]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _table_format(columns, fields, n_rows: int) -> str:
+    """The %-format of a header naming columns and n_rows rows of fields."""
+    header = "\t".join(columns).replace("%", "%%")
+    return header + "\n" + ("\t".join(fields) + "\n") * n_rows
 
 
 def table_format(columns, n_rows: int) -> str:
     """The %-format of a whole table of n_rows rows and no comments, taking
     the values in row order: one format call gives write_table's text."""
-    header = "\t".join(columns).replace("%", "%%")
-    return header + "\n" + (_row_format(len(columns)) + "\n") * n_rows
+    return _table_format(columns, ["%.17g"] * len(columns), n_rows)
+
+
+def write_table(path, columns: dict, comments=()) -> None:
+    """Write the header, one line per row, then each comment as ``# text``.
+
+    columns maps each column name, in order, to its values: a 1-d sequence
+    with one value per row, or a 0-d value that every row repeats.  A 0-d
+    value is formatted once, into the row format; the rows are one format
+    call over the 1-d columns' values, taken in row order.
+    """
+    values = [np.asarray(v, dtype=float) for v in columns.values()]
+    varying = [v for v in values if v.ndim]
+    fields = ["%.17g" if v.ndim else "%.17g" % float(v) for v in values]
+    n_rows = len(varying[0]) if varying else 1
+    flat = np.column_stack(varying).ravel().tolist() if varying else []
+    text = _table_format(columns, fields, n_rows) % tuple(flat)
+    Path(path).write_text(text + "".join(f"# {c}\n" for c in comments))
 
 
 def read_table(path, columns, what: str):

@@ -328,6 +328,19 @@ def test_oracle_all_passes_and_repeats(capsys):
     assert outs[0] == outs[1]
 
 
+# numpy is loaded before the CLI, so the CLI's one-thread start-up leaves
+# the caller's pool alone; where the kernel lists threads, the 2-thread
+# child checks that it really runs the oracle with 2
+BLAS_CHILD = """\
+import os, sys
+import numpy
+from rbmrelax.cli import main
+if os.path.isdir("/proc/self/task") and os.environ["OPENBLAS_NUM_THREADS"] == "2":
+    assert len(os.listdir("/proc/self/task")) == 2, os.listdir("/proc/self/task")
+sys.exit(main(["oracle", "bath_mc"]))
+"""
+
+
 def test_oracle_report_independent_of_blas_threads():
     # the Monte Carlo totals are numpy pairwise sums, not BLAS reductions,
     # whose split across threads changed the last digits of the report
@@ -335,7 +348,7 @@ def test_oracle_report_independent_of_blas_threads():
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-m", "rbmrelax.cli", "oracle", "bath_mc"],
+        done = subprocess.run([sys.executable, "-c", BLAS_CHILD],
                               capture_output=True, text=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
@@ -565,6 +578,9 @@ def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
     assert len(err) == 1 and "unrecognized arguments: --config" in err[0]
 
 
+KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensity_per_m3 = 1e24\n"
+
+
 @pytest.mark.parametrize("body, verb, code, message", [
     # S(S+1) overflows: the molecular field was NaN times a zero density
     ("[molecular_bath]\nspin = 1e300\n", "t1", 1, "give a squared moment of inf"),
@@ -580,12 +596,18 @@ def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
      "error: diameter 1e+300 m is too large: its radius**4 overflows"),
     ("[spots]\ndensity_jitter = 1e30\n", "simulate", 1,
      "error: density_jitter 1e+30 is too large: it drew a log-normal factor e^"),
+    # kappa_dip * n overflowed: a scalar product was a silent inf that a
+    # later check caught without naming the key, an array one exit 2
+    *((KAPPA_OVERFLOW, verb, 1, "error: [molecular_bath] dipolar_coefficient_m3_per_s "
+       "1e+300 is too large: its dipolar rate at density 1e+24 /m^3 overflows")
+      for verb in ("t1", "sweep --axis water_fraction --grid 0:1:3",
+                   "sensitivity --grid 1e24:1e26:3:log")),
 ])
 def test_overflowing_input_fails_before_output(tmp_path, capsys, body, verb, code, message):
     cfg = tmp_path / "extreme.ini"
     cfg.write_text(body)
     out = tmp_path / "out.tsv"
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == code
+    assert main([*verb.split(), "--config", str(cfg), "--out", str(out)]) == code
     assert not list(tmp_path.glob("out.tsv*"))
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]

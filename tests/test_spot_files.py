@@ -120,8 +120,8 @@ def test_one_row_record_without_plan_or_seed(tmp_path_factory, record):
 def test_fit_verb_output_is_a_one_row_record(tmp_path, capsys):
     curve = tmp_path / "curve.tsv"
     tau = np.geomspace(1e-6, 5e-4, 8)
-    write_table(curve, CURVE_HEADER, zip(tau, 0.8 + 0.2 * np.exp(-tau / 1e-4),
-                                         np.full(8, 1e-3)))
+    write_table(curve, dict(zip(CURVE_HEADER, (tau, 0.8 + 0.2 * np.exp(-tau / 1e-4),
+                                               np.full(8, 1e-3)))))
     out = tmp_path / "fit.json"
     assert main(["fit", str(curve), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -148,5 +148,5 @@ def test_curve_files_equal_write_table(tmp_path_factory, rows):
     write_curve(tau, signal, stderr, paths)
     for j, path in enumerate(paths):
         ref = out / f"ref_{j}.tsv"
-        write_table(ref, CURVE_HEADER, rows[j])
+        write_table(ref, dict(zip(CURVE_HEADER, np.array(rows[j], dtype=float).T)))
         assert path.read_bytes() == ref.read_bytes()

@@ -1,4 +1,5 @@
-"""No verb loads scipy, and the package holds no module that no verb loads.
+"""No verb loads scipy, the package holds no module that no verb loads, and
+the CLI loads numpy with a one-thread BLAS pool.
 
 scipy is a test-only dependency: the tests use it as the reference for
 the numpy PCHIP, the batched fit and the oracle's quadrature.  Each case
@@ -8,9 +9,12 @@ that any import of it fails.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -95,3 +99,21 @@ print(json.dumps(sorted(m for m in sys.modules
     shipped = sorted("rbmrelax" if p.stem == "__init__" else f"rbmrelax.{p.stem}"
                      for p in package.glob("*.py"))
     assert loaded == shipped
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="the kernel does not list a process's threads")
+def test_cli_loads_numpy_with_one_blas_thread():
+    # OpenBLAS sizes its pool when numpy loads; the CLI asks for one thread
+    # for that import and then gives the caller's setting back
+    script = f"""\
+import os, sys
+sys.path.insert(0, {str(SRC)!r})
+import rbmrelax.cli
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "2"]

@@ -1,16 +1,23 @@
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmrelax.cli import SWEEP_AXES, SWEEP_COLUMNS, main
 from rbmrelax.errors import ConfigError
+from rbmrelax.scenario import density_sensitivity_curve, parse_config, predict
+from rbmrelax.sensitivity import CURVE_COLUMNS
 from rbmrelax.table import read_table, write_table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_write_table_literal_text(tmp_path):
     path = tmp_path / "t.tsv"
-    write_table(path, ("a", "b"), [(0.1, 1e300), (-0.0, 2.0)],
+    write_table(path, {"a": [0.1, -0.0], "b": [1e300, 2.0]},
                 comments=["note", "key = 5e-324"])
     assert path.read_text() == (
         "a\tb\n"
@@ -79,8 +86,78 @@ def tables(draw):
 def test_round_trip_is_bit_exact(tmp_path_factory, table):
     columns, rows, meta = table
     path = tmp_path_factory.mktemp("rt") / "t.tsv"
-    write_table(path, columns, rows, [f"{k} = {v}" for k, v in meta.items()])
+    write_table(path, dict(zip(columns, np.array(rows).T)),
+                [f"{k} = {v}" for k, v in meta.items()])
     got, got_meta = read_table(path, columns, "table")
     assert [[_bits(v) for v in row] for row in got] == \
         [[_bits(v) for v in row] for row in rows]
     assert got_meta == meta
+
+
+# The per-row writer that write_table replaced, kept as the reference:
+# every column broadcast to the rows, then one "%.17g" format per row.
+def row_reference(path, columns: dict, comments=()) -> None:
+    names = tuple(columns)
+    cells = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in columns.values()))
+    rows = zip(*(c.tolist() for c in cells))
+    fmt = "\t".join(["%.17g"] * len(names))
+    lines = ["\t".join(names)]
+    lines += [fmt % tuple(row) for row in rows]
+    lines += [f"# {text}" for text in comments]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.array(-0.0), "b": [1.0, 2.5, -3.0], "c": np.array(1e300)},
+    {"a": np.array(1e300), "b": np.array(-0.0), "c": [0.1, 5e-324]},
+    {"x": [0.1], "y": np.array(-0.0), "z": [1e300]},
+], ids=["constant-ends", "constant-first", "one-row"])
+def test_writer_matches_row_reference(tmp_path, columns):
+    write_table(tmp_path / "new.tsv", columns, ["note", "key = 1"])
+    row_reference(tmp_path / "ref.tsv", columns, ["note", "key = 1"])
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("water_fraction", np.linspace(0.0, 1.0, 41)),
+    ("gd_density", np.concatenate(([0.0], np.geomspace(1e23, 1e28, 40)))),
+    ("diameter", np.geomspace(10e-9, 40e-9, 41)),
+])
+def test_sweep_matches_row_reference(tmp_path, capsys, axis, grid):
+    # the bare particle has no molecular bath: several columns hold exact
+    # zeros, as constants or on every row
+    cfg = CONFIGS / "bare_nd_25nm.ini"
+    out = tmp_path / "sweep.tsv"
+    spec = ",".join(repr(v) for v in grid.tolist())
+    assert main(["sweep", "--config", str(cfg), "--axis", axis, "--grid", spec,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    column, override = SWEEP_AXES[axis]
+    doc = predict(parse_config(cfg), **{override: grid}).as_dict()
+    names = (column,) + SWEEP_COLUMNS
+    assert any(np.ndim(doc[n]) == 0 for n in names)
+    assert any(np.any(np.asarray(doc[n]) == 0.0) for n in names)
+    row_reference(tmp_path / "ref.tsv", {n: doc[n] for n in names})
+    assert out.read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+def test_sensitivity_curve_matches_row_reference(tmp_path, capsys):
+    # without the vibrational term one grid density sits on the level
+    # splitting, so the file ends in a skipped_densities comment
+    cfg = tmp_path / "novib.ini"
+    cfg.write_text("[molecular_bath]\nvibration_rate_ghz = 0\n")
+    grid = (1e24, 1e25, 3.5967435940905747e+25, 1e26, 1e27)
+    out = tmp_path / "sens.tsv"
+    assert main(["sensitivity", "--config", str(cfg), "--grid",
+                 ",".join(map(repr, grid)), "--out", str(out)]) == 0
+    capsys.readouterr()
+    curve = density_sensitivity_curve(parse_config(cfg), grid=grid)
+    assert curve.skipped
+    comments = ["argmin",
+                f"density_per_m3 = {curve.argmin_density:.17g}",
+                f"r_total_per_s = {curve.rate_at_min:.17g}",
+                f"delta_r_min_per_s = {curve.delta_min:.17g}",
+                f"boundary_warning = {str(curve.boundary_warning).lower()}",
+                "skipped_densities = " + ",".join(f"{n:.17g}" for n in curve.skipped)]
+    row_reference(tmp_path / "ref.tsv", dict(zip(CURVE_COLUMNS, curve.points.T)), comments)
+    assert out.read_bytes() == (tmp_path / "ref.tsv").read_bytes()
