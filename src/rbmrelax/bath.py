@@ -25,6 +25,15 @@ r^3 is uniform on [r_min^3, r_cut^3], which places it uniformly in the
 shell.  Each chunk draws one block of uniforms whose rows are, in order,
 r^3 (volume bath only), cos theta, cos theta_m and phi.
 
+The Monte Carlo runs in a fixed working set.  One b_perp_mc call
+allocates that block once, as wide as its first chunk, and refills it in
+place for every chunk; the arithmetic then runs in place on column tiles
+of _TILE columns, with two scratch rows of one tile each, and leaves the
+samples in the cos theta row.  Its peak is about rows x _CHUNK doubles
+plus 1 MiB, whatever the sample count.  Every step acts element by
+element, so _TILE changes no number; _CHUNK, which sets the streams,
+changes every one.
+
 The closed forms broadcast: diameter, areal density and number density may
 be numpy arrays, validated element by element.
 """
@@ -51,6 +60,9 @@ MIN_MC_SAMPLES = 10_000
 DEFAULT_CUTOFF_FACTOR = 20.0
 # samples per spawned stream; changing it changes every Monte Carlo result
 _CHUNK = 250_000
+# columns per tile of the kernel's arithmetic, 512 KiB per row; it changes
+# no result
+_TILE = 65_536
 
 
 def _check_spin(s: float) -> float:
@@ -179,58 +191,68 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _dipole_samples(rng, k, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
+def _dipole_samples(rng, u, scratch, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
     """Per-spin transverse field variance samples, T^2.
 
-    Draws one rng.random((rows, k)) block, one column per spin, with the
-    rows of the module docstring; that layout fixes every Monte Carlo
-    number.  With rhat = (sin theta, 0, cos theta), m . rhat = m_x sin theta +
-    m_z cos theta, B_x = 3 (m . rhat) sin theta - m_x and B_y = -m_y, with
-    m_y^2 = sin^2 theta_m (1 - cos^2 phi).  The arithmetic runs in place on
-    the rows of the block.
+    Fills the C-contiguous (rows, k) block u with rng.random(out=u), the
+    same doubles in the same order as rng.random((rows, k)), one column
+    per spin, with the rows of the module docstring; that layout fixes
+    every Monte Carlo number.  With rhat = (sin theta, 0, cos theta),
+    m . rhat = m_x sin theta + m_z cos theta, B_x = 3 (m . rhat) sin theta -
+    m_x and B_y = -m_y, with m_y^2 = sin^2 theta_m (1 - cos^2 phi).  The
+    arithmetic runs in place on tiles of at most _TILE columns, with the
+    two rows of scratch (each at least min(_TILE, k) wide) as temporaries,
+    and leaves the samples in the cos theta row u[-3], which it returns.
     """
-    u = rng.random((3 if isinstance(bath, SurfaceBath) else 4, k))
-    c, mz, cphi = u[-3], u[-2], u[-1]
-    c *= 2.0
-    c -= 1.0
-    mz *= 2.0
-    mz -= 1.0
-    cphi *= 2.0 * math.pi
-    np.cos(cphi, out=cphi)
-
-    mx = np.multiply(mz, mz)
-    np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
-    my2 = np.multiply(cphi, cphi)
-    np.subtract(1.0, my2, out=my2)
-    my2 *= mx
-    np.sqrt(mx, out=mx)
-    mx *= cphi
-    s = np.multiply(c, c, out=cphi)
-    np.subtract(1.0, s, out=s)
-    np.sqrt(s, out=s)                       # sin theta
-
-    mz *= c
-    bx = np.multiply(mx, s, out=c)
-    bx += mz                                # m . rhat
-    bx *= 3.0
-    bx *= s
-    bx -= mx
-    bx *= bx
-    bx += my2
-
+    rng.random(out=u)
     scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
     if isinstance(bath, SurfaceBath):
         amp = scale / g.radius**3
-        bx *= amp * amp
     else:
         # r^3 uniform on [r_min^3, r_cut^3] places the spin uniformly in the
         # shell; dividing it by the moment's scale keeps (r^3)^2 in range
-        r3 = u[0]
-        r3 *= (r_cut**3 - r_min**3) / scale
-        r3 += r_min**3 / scale
-        r3 *= r3
-        bx /= r3
-    return bx
+        r3_span = (r_cut**3 - r_min**3) / scale
+        r3_low = r_min**3 / scale
+
+    for a in range(0, u.shape[1], _TILE):
+        c, mz, cphi = u[-3:, a:a + _TILE]
+        mx, my2 = scratch[:, :c.size]
+        c *= 2.0
+        c -= 1.0
+        mz *= 2.0
+        mz -= 1.0
+        cphi *= 2.0 * math.pi
+        np.cos(cphi, out=cphi)
+
+        np.multiply(mz, mz, out=mx)
+        np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
+        np.multiply(cphi, cphi, out=my2)
+        np.subtract(1.0, my2, out=my2)
+        my2 *= mx
+        np.sqrt(mx, out=mx)
+        mx *= cphi
+        s = np.multiply(c, c, out=cphi)
+        np.subtract(1.0, s, out=s)
+        np.sqrt(s, out=s)                       # sin theta
+
+        mz *= c
+        bx = np.multiply(mx, s, out=c)
+        bx += mz                                # m . rhat
+        bx *= 3.0
+        bx *= s
+        bx -= mx
+        bx *= bx
+        bx += my2
+
+        if isinstance(bath, SurfaceBath):
+            bx *= amp * amp
+        else:
+            r3 = u[0, a:a + _TILE]
+            r3 *= r3_span
+            r3 += r3_low
+            r3 *= r3
+            bx /= r3
+    return u[-3]
 
 
 def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
@@ -245,7 +267,11 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     phi uniform).  Sampling is split into fixed-size chunks, each drawing
     one (rows, chunk) block of uniforms from its own spawned child stream,
     rows in the order r^3 (volume only), cos theta, cos theta_m, phi.  The
-    sums of x and x^2 run over every chunk, as numpy pairwise sums, so they
+    call allocates one such block, as wide as the first chunk, and two
+    scratch rows of _TILE columns; every chunk refills the block in place
+    and the kernel works on it tile by tile, so the working set does not
+    grow with samples and _TILE changes no number.  The sums of x and x^2
+    run over each whole chunk, as numpy pairwise sums, so they
     do not depend on the BLAS thread count; the mean and variance come
     from those totals, so the result is reproducible for a given
     (samples, seed) regardless of how chunks are dispatched.
@@ -253,8 +279,8 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     Returns the estimated mean and standard error of B_perp^2 in T^2;
     deterministic for fixed inputs.
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ParameterError(f"need at least {MIN_MC_SAMPLES} samples, got {samples}")
+    require(isinstance(samples, (int, np.integer)) and samples >= MIN_MC_SAMPLES,
+            f"samples must be an integer >= {MIN_MC_SAMPLES}, got {{!r}}", samples)
     r_cut = None
     if isinstance(bath, SurfaceBath):
         density, r_min = bath.areal_density, g.radius
@@ -263,9 +289,12 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     elif isinstance(bath, VolumeBath):
         density = bath.number_density
         r_min = g.radius + bath.standoff
+        require(math.isfinite(cutoff_factor) and cutoff_factor > 1.0,
+                "cutoff_factor must be finite and exceed 1, got {!r}", cutoff_factor)
         r_cut = cutoff_factor * r_min
-        if cutoff_factor <= 1.0:
-            raise ParameterError("cutoff_factor must exceed 1")
+        require(power_finite(r_cut, 3),
+                "cutoff_factor {!r} is too large: (cutoff_factor * r_min)**3 overflows",
+                cutoff_factor)
         n_spins = bath.number_density * (4.0 * math.pi / 3.0) * (r_cut**3 - r_min**3)
         tail = volume_amplitude(bath) * bath.number_density / r_cut**3
     else:
@@ -276,10 +305,18 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
 
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    rows = 3 if isinstance(bath, SurfaceBath) else 4
+    width = min(_CHUNK, samples)
+    block = np.empty(rows * width)
+    scratch = np.empty((2, min(_TILE, width)))
     count, total, total_sq = 0, 0.0, 0.0
     for i, child in enumerate(streams):
         k = min(_CHUNK, samples - i * _CHUNK)
-        vals = _dipole_samples(np.random.default_rng(child), k, g, bath, r_min, r_cut)
+        # the block's first rows * k doubles: a C-contiguous (rows, k) array,
+        # which random(out=...) fills as random((rows, k)) would
+        u = block[:rows * k].reshape(rows, k)
+        vals = _dipole_samples(np.random.default_rng(child), u, scratch,
+                               g, bath, r_min, r_cut)
         count += k
         # numpy's pairwise sums, not a BLAS dot: the totals do not depend
         # on the BLAS thread count

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,11 +161,15 @@ def half_plane_reference(rng, k, g, bath, r_min, r_cut, azimuth=None):
     return field[:, 0] ** 2 + field[:, 1] ** 2, radii[:, None] * rhat, moments
 
 
-def normal_vector_samples(rng, k, g, bath, r_min, r_cut):
+def normal_vector_samples(rng, u, scratch, g, bath, r_min, r_cut):
     """The earlier dipole kernel: Gaussian-normalized position and moment
     vectors (one standard_normal((k, 3)) each) and r^3-uniform radii through
     a cube root.  It draws a different stream, so it lives here only, as
-    the distributional reference for the half-plane kernel."""
+    the distributional reference for the half-plane kernel.  It takes the
+    kernel's arguments, but only the width k of the block u, and returns
+    a fresh array."""
+    k = u.shape[1]
+
     def unit_vectors():
         v = rng.standard_normal((k, 3))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -184,6 +189,63 @@ def normal_vector_samples(rng, k, g, bath, r_min, r_cut):
     return field[:, 0] ** 2 + field[:, 1] ** 2
 
 
+def _rows(bath):
+    return 3 if isinstance(bath, SurfaceBath) else 4
+
+
+def one_shot_samples(rng, k, g, bath, r_min, r_cut):
+    """The earlier form of the half-plane kernel: one fresh rng.random((rows,
+    k)) block and two fresh temporaries, with the arithmetic on whole rows.
+    The tiled kernel must give the same bits from the same draws."""
+    u = rng.random((_rows(bath), k))
+    c, mz, cphi = u[-3], u[-2], u[-1]
+    c *= 2.0
+    c -= 1.0
+    mz *= 2.0
+    mz -= 1.0
+    cphi *= 2.0 * math.pi
+    np.cos(cphi, out=cphi)
+
+    mx = np.multiply(mz, mz)
+    np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
+    my2 = np.multiply(cphi, cphi)
+    np.subtract(1.0, my2, out=my2)
+    my2 *= mx
+    np.sqrt(mx, out=mx)
+    mx *= cphi
+    s = np.multiply(c, c, out=cphi)
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)                       # sin theta
+
+    mz *= c
+    bx = np.multiply(mx, s, out=c)
+    bx += mz                                # m . rhat
+    bx *= 3.0
+    bx *= s
+    bx -= mx
+    bx *= bx
+    bx += my2
+
+    scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
+    if isinstance(bath, SurfaceBath):
+        amp = scale / g.radius**3
+        bx *= amp * amp
+    else:
+        r3 = u[0]
+        r3 *= (r_cut**3 - r_min**3) / scale
+        r3 += r_min**3 / scale
+        r3 *= r3
+        bx /= r3
+    return bx
+
+
+def tiled_samples(rng, k, bath, r_min, r_cut):
+    """The kernel on a fresh (rows, k) block and two scratch rows."""
+    u = np.empty((_rows(bath), k))
+    scratch = np.empty((2, min(bath_module._TILE, k)))
+    return _dipole_samples(rng, u, scratch, GEOM, bath, r_min, r_cut)
+
+
 def _limits(bath):
     r_min = GEOM.radius
     return r_min, None if isinstance(bath, SurfaceBath) else DEFAULT_CUTOFF_FACTOR * r_min
@@ -196,7 +258,7 @@ def test_dipole_kernel_matches_reference(bath, k):
     # build, so samples agree to rounding, not bit for bit
     r_min, r_cut = _limits(bath)
     rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-    got = _dipole_samples(rng, k, GEOM, bath, r_min, r_cut)
+    got = tiled_samples(rng, k, bath, r_min, r_cut)
     want, pos, _ = half_plane_reference(rng_ref, k, GEOM, bath, r_min, r_cut)
     assert got.shape == (k,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -210,13 +272,63 @@ def test_dipole_kernel_matches_reference(bath, k):
 
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("k", [10_000, 65_536, 65_537, 250_000])
+def test_tiled_kernel_is_bit_identical_to_one_shot(bath, k):
+    # every step acts element by element, so tiles and a reused block
+    # change no bit; k straddles one tile of 65,536 columns
+    r_min, r_cut = _limits(bath)
+    rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
+    got = tiled_samples(rng, k, bath, r_min, r_cut)
+    want = one_shot_samples(rng_ref, k, GEOM, bath, r_min, r_cut)
+    assert np.array_equal(got, want)
+    # both kernels use up the same draws
+    assert rng.random() == rng_ref.random()
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("tile", [1_000, 250_000])
+def test_mc_tile_width_changes_no_bit(monkeypatch, bath, tile):
+    # 260,000 samples: a full chunk, then a 10,000-column one in the same block
+    want = b_perp_mc(GEOM, bath, samples=260_000, seed=9)
+    monkeypatch.setattr(bath_module, "_TILE", tile)
+    assert b_perp_mc(GEOM, bath, samples=260_000, seed=9) == want
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+def test_mc_working_set_is_one_block(bath):
+    # one (rows, _CHUNK) block of doubles plus 3 MiB for the scratch rows
+    # and the rest, however many chunks run: 8.7 MiB surface, 10.6 MiB volume
+    bound = _rows(bath) * bath_module._CHUNK * 8 + 3 * 2**20
+    tracemalloc.start()
+    try:
+        b_perp_mc(GEOM, bath, samples=1_000_000, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"cutoff_factor": math.inf}, r"^cutoff_factor must be finite and exceed 1, got inf$"),
+    ({"cutoff_factor": math.nan}, r"^cutoff_factor must be finite and exceed 1, got nan$"),
+    ({"cutoff_factor": 1e300}, r"^cutoff_factor 1e\+300 is too large"),
+    ({"samples": 10_000.5}, r"^samples must be an integer >= 10000, got 10000\.5$"),
+    ({"samples": 20_000.0}, r"^samples must be an integer >= 10000, got 20000\.0$"),
+], ids=["cutoff-inf", "cutoff-nan", "cutoff-overflow", "samples-fraction", "samples-float"])
+def test_mc_rejects_bad_arguments(kwargs, match):
+    args = {"samples": 20_000, "seed": 1, **kwargs}
+    with pytest.raises(ParameterError, match=match):
+        b_perp_mc(GEOM, VOLUME, **args)
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 def test_dipole_samples_invariant_under_turns_about_the_axis(bath):
     # B_perp^2 depends on the position and moment only through their
     # common azimuth-free geometry, which is what lets the kernel fix the
     # position's azimuth at 0; every sample is a sum of squares
     r_min, r_cut = _limits(bath)
     k = 20_000
-    got = _dipole_samples(np.random.default_rng(3), k, GEOM, bath, r_min, r_cut)
+    got = tiled_samples(np.random.default_rng(3), k, bath, r_min, r_cut)
     assert np.all(got >= 0.0)
     azimuth = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, k)
     turned, pos, moments = half_plane_reference(
