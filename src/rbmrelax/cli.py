@@ -32,8 +32,21 @@ columns from ScenarioPrediction.as_dict by name to write_table, which
 formats a column that does not vary along the axis once.
 No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
 uses validation's own adaptive Gauss-Legendre rule.  ``simulate`` and
-``fit`` import measure_sim when they run, and ``oracle`` validation, so
-start-up of every verb stays at numpy's cost.
+``fit`` import measure_sim when they run, ``oracle`` validation, and
+``sensitivity`` (through scenario.density_sensitivity_curve) sensitivity,
+so start-up of every verb stays at numpy's cost.
+
+The cyclic garbage collector is paused while this module loads, and the
+caller's setting goes back afterwards, also if loading fails: the ~24,000
+objects that loading builds live until exit, and the young collections
+their allocation triggers would only walk them again.  When loading ends
+they move to the oldest generation without a collection.  When ``main``
+runs the process's own command line (``argv`` is None: ``python -m
+rbmrelax.cli``, the ``rbmrelax`` script, ``--version``), it first moves
+them to the collector's permanent generation (gc.freeze()), so neither the
+verb's collections nor the interpreter's last ones at exit walk them.
+Callers that pass ``argv``, and code that imports the library, are never
+frozen.
 
 This module loads numpy with a one-thread BLAS pool: it sets the BLAS and
 OpenMP thread variables to 1 for the import, then puts the caller's values
@@ -47,42 +60,56 @@ not the CLI, keeps its own BLAS.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
-import os
-import sys
-from datetime import datetime, timezone
-from pathlib import Path
+import gc
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                     "BLIS_NUM_THREADS")
-_caller_threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+# no collections while loading builds its long-lived objects (module docstring)
+_caller_collects = gc.isenabled()
+gc.disable()
 try:
-    import numpy as np
-finally:
-    # the pool is sized when numpy loads, so the caller's values go back
-    # for whatever this process reads or starts later
-    for var, value in _caller_threads.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
+    import argparse
+    import json
+    import math
+    import os
+    import sys
+    from datetime import datetime, timezone
+    from pathlib import Path
 
-from . import __version__
-from .errors import ConfigError, ParameterError
-from .scenario import (
-    config_hash,
-    density_sensitivity_curve,
-    draw_spots,
-    measurement_plan,
-    parse_config,
-    predict,
-    with_seed,
-)
-from .sensitivity import write_sensitivity_curve
-from .table import write_table
+    _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "BLIS_NUM_THREADS")
+    _caller_threads = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        import numpy as np
+    finally:
+        # the pool is sized when numpy loads, so the caller's values go back
+        # for whatever this process reads or starts later
+        for var, value in _caller_threads.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+    from . import __version__
+    from .errors import ConfigError, ParameterError
+    from .scenario import (
+        config_hash,
+        density_sensitivity_curve,
+        draw_spots,
+        measurement_plan,
+        parse_config,
+        predict,
+        with_seed,
+    )
+    from .table import write_table
+finally:
+    # the young generation now holds the whole loaded heap, which the next
+    # young collection would walk at once: move it to the oldest instead
+    # (unfreeze would also release objects a caller froze, so not then)
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _caller_collects:
+        gc.enable()
 
 # sweep axis -> (its column, the predict override it sets)
 SWEEP_AXES = {"gd_density": ("gd_density_per_m3", "gd_density"),
@@ -323,6 +350,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    from .sensitivity import write_sensitivity_curve
+
     sc = _load_scenario(args)
     grid = _parse_grid(args.grid) if args.grid else None
     curve = density_sensitivity_curve(sc, grid=grid)
@@ -405,6 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process's own command line: what loading built lives until exit
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

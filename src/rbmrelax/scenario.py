@@ -46,6 +46,7 @@ from dataclasses import dataclass, fields, replace
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -73,13 +74,9 @@ from .hydro import (
     total_rate,
     translational_rate,
 )
-from .sensitivity import (
-    SensitivityCurve,
-    SensitivityInputs,
-    check_density_grid,
-    default_density_grid,
-    optimize_density,
-)
+
+if TYPE_CHECKING:
+    from .sensitivity import SensitivityCurve
 
 MOLECULE_RADIUS_CAL = 4.96071985972771303e-10   # m
 SURFACE_DENSITY_CAL = 1.60756319173900774e+18   # 1/m^2 (1.61 /nm^2)
@@ -356,8 +353,16 @@ def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
     The grid is checked first; then one array predict over it supplies the
     field variance and total rate of the molecular bath at every density,
     so the curve shares the forward model, and its density domain, with
-    sweep.
+    sweep.  The sensitivity module loads here, so that the verbs that
+    never build a curve do not load it.
     """
+    from .sensitivity import (
+        SensitivityInputs,
+        check_density_grid,
+        default_density_grid,
+        optimize_density,
+    )
+
     if grid is None:
         grid = default_density_grid(sc.gd_density if sc.gd_density > 0.0
                                     else OPTIMAL_DENSITY_CAL)

@@ -1,5 +1,7 @@
-"""No verb loads scipy, the package holds no module that no verb loads, and
-the CLI loads numpy with a one-thread BLAS pool.
+"""No verb loads scipy, the package holds no module that no verb loads, the
+CLI loads numpy with a one-thread BLAS pool, and the collector contract of
+the CLI: paused while it loads, frozen only for the process's own command
+line, which writes the same data bytes as main() called in process.
 
 scipy is a test-only dependency: the tests use it as the reference for
 the numpy PCHIP, the batched fit and the oracle's quadrature.  Each case
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from rbmrelax.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -117,3 +121,90 @@ print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "2"]
+
+
+@pytest.mark.parametrize("enabled, frozen", [(True, False), (False, False), (True, True)])
+def test_cli_import_keeps_the_callers_collector_setting(enabled, frozen):
+    # the collector is paused while the CLI loads and then set back as it
+    # was; the loaded heap ends in the oldest generation, not the young ones,
+    # and objects the caller froze stay frozen
+    script = f"""\
+import gc, sys
+sys.path.insert(0, {str(SRC)!r})
+gc.enable() if {enabled!r} else gc.disable()
+if {frozen!r}:
+    gc.freeze()
+import rbmrelax.cli
+young = len(gc.get_objects(generation=0)) + len(gc.get_objects(generation=1))
+print(gc.isenabled(), gc.get_freeze_count() > 0, young < 1000)
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(enabled), str(frozen), str(not frozen)]
+
+
+def test_main_with_argv_does_not_freeze(tmp_path):
+    run_fresh(tmp_path, """\
+import gc
+assert main(["t1", "--config", cfg]) == 0
+assert main(["sweep", "--config", cfg, "--axis", "gd_density", "--grid", "0,1e24",
+             "--out", f"{out}/sweep.tsv"]) == 0
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+""")
+
+
+def test_main_of_the_process_command_line_freezes(tmp_path):
+    run_fresh(tmp_path, """\
+import gc
+sys.argv = ["rbmrelax", "t1", "--config", cfg]
+assert main() == 0
+assert gc.get_freeze_count() > 0
+""")
+
+
+def test_forward_verbs_load_only_the_modules_they_use(tmp_path):
+    stdout = run_fresh(tmp_path, """\
+assert main(["t1", "--config", cfg]) == 0
+assert main(["sweep", "--config", cfg, "--axis", "diameter", "--grid", "10e-9,30e-9",
+             "--out", f"{out}/sweep.tsv"]) == 0
+print(sorted(m for m in ("rbmrelax.sensitivity", "rbmrelax.measure_sim",
+                         "rbmrelax.validation") if m in sys.modules))
+""")
+    assert stdout.splitlines()[-2] == "[]"
+
+
+# one small run of each kind of data file: a table along an axis, a
+# sensitivity curve, and the spot files and summary of two conditions
+PROGRAM_RUNS = {
+    "sweep": ["sweep", "--config", str(CONFIGS / "gd_water_25nm.ini"),
+              "--axis", "water_fraction", "--grid", "0:1:11", "--out", "{out}/sweep.tsv"],
+    "sensitivity": ["sensitivity", "--config", str(CONFIGS / "sensitivity_20nm.ini"),
+                    "--grid", "1e24:1e27:7:log", "--out", "{out}/sens.tsv"],
+    "simulate": ["simulate", "--config", str(CONFIGS / "gd_water_25nm.ini"),
+                 "--config", str(CONFIGS / "gd_acetone_x046_25nm.ini"),
+                 "--spots", "4", "--out", "{out}/sim"],
+}
+
+
+def data_files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and not p.name.endswith("manifest.json")}
+
+
+@pytest.mark.parametrize("verb", sorted(PROGRAM_RUNS))
+def test_program_writes_the_bytes_of_main_in_process(tmp_path, verb):
+    # python -m rbmrelax.cli freezes the loaded heap; main(argv) does not
+    program, in_process = tmp_path / "program", tmp_path / "in_process"
+    program.mkdir()
+    in_process.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "rbmrelax.cli",
+         *(a.format(out=program) for a in PROGRAM_RUNS[verb])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main([a.format(out=in_process) for a in PROGRAM_RUNS[verb]]) == 0
+    written = data_files(program)
+    assert written
+    assert written == data_files(in_process)
