@@ -22,15 +22,18 @@ therefore taken in the x-z half-plane, rhat = (sin theta, 0, cos theta)
 with cos theta uniform on [-1, 1).  The moment is isotropic: cos theta_m
 uniform on [-1, 1) and phi uniform on [0, 2 pi).  A volume-bath spin's
 r^3 is uniform on [r_min^3, r_cut^3], which places it uniformly in the
-shell.  Each chunk draws one block of uniforms whose rows are, in order,
-r^3 (volume bath only), cos theta, cos theta_m and phi.
+shell.  Each chunk uses the uniforms of one rng.random((rows, k)) block
+whose rows are, in order, r^3 (volume bath only), cos theta, cos theta_m
+and phi.
 
-The Monte Carlo runs in a fixed working set.  One b_perp_mc call
-allocates that block once, as wide as its first chunk, and refills it in
-place for every chunk; the arithmetic then runs in place on column tiles
-of _TILE columns, with two scratch rows of one tile each, and leaves the
-samples in the cos theta row.  Its peak is about rows x _CHUNK doubles
-plus 1 MiB, whatever the sample count.  Every step acts element by
+The Monte Carlo runs in a fixed working set and never holds that block.
+Per chunk each row gets its own generator, advanced to where the row
+starts in the chunk's stream; per tile of _TILE columns the kernel fills
+the rows of one (rows + 2, _TILE) scratch block from them, computes in
+place with the two extra rows as temporaries, and writes the samples into
+one chunk-wide row.  Both are allocated once per b_perp_mc call: a traced
+peak of 3.2 MiB (surface) and 3.4 MiB (volume) whatever the sample count,
+where a held block took 7.5 and 8.6 MiB.  Every step acts element by
 element, so _TILE changes no number; _CHUNK, which sets the streams,
 changes every one.
 
@@ -60,9 +63,10 @@ MIN_MC_SAMPLES = 10_000
 DEFAULT_CUTOFF_FACTOR = 20.0
 # samples per spawned stream; changing it changes every Monte Carlo result
 _CHUNK = 250_000
-# columns per tile of the kernel's arithmetic, 512 KiB per row; it changes
-# no result
-_TILE = 65_536
+# columns per tile of the kernel's draws and arithmetic, 256 KiB per row;
+# it changes no result.  32,768 outran 16,384 and 65,536 on a 2-vCPU Xeon
+# with 2 MiB of L2 per core
+_TILE = 32_768
 
 
 def _check_spin(s: float) -> float:
@@ -191,20 +195,21 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _dipole_samples(rng, u, scratch, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
-    """Per-spin transverse field variance samples, T^2.
+def _dipole_samples(gens, out, scratch, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
+    """Per-spin transverse field variance samples, T^2, written to the
+    k-wide row out, which it returns.
 
-    Fills the C-contiguous (rows, k) block u with rng.random(out=u), the
-    same doubles in the same order as rng.random((rows, k)), one column
-    per spin, with the rows of the module docstring; that layout fixes
-    every Monte Carlo number.  With rhat = (sin theta, 0, cos theta),
-    m . rhat = m_x sin theta + m_z cos theta, B_x = 3 (m . rhat) sin theta -
-    m_x and B_y = -m_y, with m_y^2 = sin^2 theta_m (1 - cos^2 phi).  The
-    arithmetic runs in place on tiles of at most _TILE columns, with the
-    two rows of scratch (each at least min(_TILE, k) wide) as temporaries,
-    and leaves the samples in the cos theta row u[-3], which it returns.
+    gens holds one generator per row of the module docstring, each placed
+    where its row of rng.random((rows, k)) starts in the chunk's stream, so
+    column j takes the doubles of column j of that block: one column per
+    spin, a layout that fixes every Monte Carlo number.  With rhat =
+    (sin theta, 0, cos theta), m . rhat = m_x sin theta + m_z cos theta,
+    B_x = 3 (m . rhat) sin theta - m_x and B_y = -m_y, with m_y^2 =
+    sin^2 theta_m (1 - cos^2 phi).  Tiles of at most _TILE columns are
+    drawn into the first rows of scratch (rows + 2 rows, each at least
+    min(_TILE, k) wide) and computed in place, the last two rows being
+    temporaries; each tile's samples go to its columns of out.
     """
-    rng.random(out=u)
     scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
     if isinstance(bath, SurfaceBath):
         amp = scale / g.radius**3
@@ -214,9 +219,11 @@ def _dipole_samples(rng, u, scratch, g: ParticleGeometry, bath, r_min, r_cut) ->
         r3_span = (r_cut**3 - r_min**3) / scale
         r3_low = r_min**3 / scale
 
-    for a in range(0, u.shape[1], _TILE):
-        c, mz, cphi = u[-3:, a:a + _TILE]
-        mx, my2 = scratch[:, :c.size]
+    for a in range(0, out.size, _TILE):
+        tile = scratch[:, :min(_TILE, out.size - a)]
+        for gen, row in zip(gens, tile):
+            gen.random(out=row)
+        c, mz, cphi, mx, my2 = tile[-5:]
         c *= 2.0
         c -= 1.0
         mz *= 2.0
@@ -236,7 +243,7 @@ def _dipole_samples(rng, u, scratch, g: ParticleGeometry, bath, r_min, r_cut) ->
         np.sqrt(s, out=s)                       # sin theta
 
         mz *= c
-        bx = np.multiply(mx, s, out=c)
+        bx = np.multiply(mx, s, out=out[a:a + _TILE])
         bx += mz                                # m . rhat
         bx *= 3.0
         bx *= s
@@ -247,12 +254,12 @@ def _dipole_samples(rng, u, scratch, g: ParticleGeometry, bath, r_min, r_cut) ->
         if isinstance(bath, SurfaceBath):
             bx *= amp * amp
         else:
-            r3 = u[0, a:a + _TILE]
+            r3 = tile[0]
             r3 *= r3_span
             r3 += r3_low
             r3 *= r3
             bx /= r3
-    return u[-3]
+    return out
 
 
 def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
@@ -264,17 +271,16 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     bath, r^3 uniform, with the analytic r^-6 tail beyond the cutoff added
     back), each in the x-z half-plane: a turn about the sensor axis leaves
     B_perp^2 unchanged.  Spin orientations are isotropic (cos theta_m and
-    phi uniform).  Sampling is split into fixed-size chunks, each drawing
-    one (rows, chunk) block of uniforms from its own spawned child stream,
-    rows in the order r^3 (volume only), cos theta, cos theta_m, phi.  The
-    call allocates one such block, as wide as the first chunk, and two
-    scratch rows of _TILE columns; every chunk refills the block in place
-    and the kernel works on it tile by tile, so the working set does not
-    grow with samples and _TILE changes no number.  The sums of x and x^2
-    run over each whole chunk, as numpy pairwise sums, so they
-    do not depend on the BLAS thread count; the mean and variance come
-    from those totals, so the result is reproducible for a given
-    (samples, seed) regardless of how chunks are dispatched.
+    phi uniform).  Sampling is split into fixed-size chunks, each taking
+    the uniforms of one rng.random((rows, chunk)) block of its own spawned
+    child stream, rows in the order r^3 (volume only), cos theta,
+    cos theta_m, phi, drawn row by row and tile by tile in a working set
+    that does not grow with samples (module docstring); _TILE changes no
+    number.  The sums of x and x^2 run over each whole chunk, as numpy
+    pairwise sums, so they do not depend on the BLAS thread count; the
+    mean and variance come from those totals, so the result is
+    reproducible for a given (samples, seed) regardless of how chunks are
+    dispatched.
 
     Returns the estimated mean and standard error of B_perp^2 in T^2;
     deterministic for fixed inputs.
@@ -307,16 +313,15 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     rows = 3 if isinstance(bath, SurfaceBath) else 4
     width = min(_CHUNK, samples)
-    block = np.empty(rows * width)
-    scratch = np.empty((2, min(_TILE, width)))
+    out = np.empty(width)
+    scratch = np.empty((rows + 2, min(_TILE, width)))
     count, total, total_sq = 0, 0.0, 0.0
     for i, child in enumerate(streams):
         k = min(_CHUNK, samples - i * _CHUNK)
-        # the block's first rows * k doubles: a C-contiguous (rows, k) array,
-        # which random(out=...) fills as random((rows, k)) would
-        u = block[:rows * k].reshape(rows, k)
-        vals = _dipole_samples(np.random.default_rng(child), u, scratch,
-                               g, bath, r_min, r_cut)
+        # row r of random((rows, k)) starts r * k doubles into the stream
+        gens = [np.random.Generator(np.random.PCG64(child).advance(r * k))
+                for r in range(rows)]
+        vals = _dipole_samples(gens, out[:k], scratch, g, bath, r_min, r_cut)
         count += k
         # numpy's pairwise sums, not a BLAS dot: the totals do not depend
         # on the BLAS thread count

@@ -29,7 +29,9 @@ of the one-row columns of measure_sim.fit_exponential.
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep passes its
 columns from ScenarioPrediction.as_dict by name to write_table, which
-formats a column that does not vary along the axis once.
+formats a column that does not vary along the axis once and writes the
+rows in blocks of a fixed row count, so the table text adds a fixed amount
+to the memory of the grid and predict's arrays.
 No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
 uses validation's own adaptive Gauss-Legendre rule.  ``simulate`` and
 ``fit`` import measure_sim when they run, ``oracle`` validation, and
@@ -153,8 +155,8 @@ def _grid_number(token: str, spec: str) -> float:
     return value
 
 
-def _parse_grid(spec: str) -> tuple:
-    """Parse 'lo:hi:n[:log|lin]' or a comma-separated ascending list.
+def _parse_grid(spec: str) -> np.ndarray:
+    """Parse 'lo:hi:n[:log|lin]' or a comma-separated ascending list to floats.
 
     Every bound and value must be a finite number.
     """
@@ -178,14 +180,14 @@ def _parse_grid(spec: str) -> tuple:
         if scale == "log":
             if lo <= 0.0:
                 raise ConfigError("log grid requires positive bounds")
-            return tuple(float(v) for v in np.geomspace(lo, hi, n))
-        return tuple(float(v) for v in np.linspace(lo, hi, n))
+            return np.geomspace(lo, hi, n)
+        return np.linspace(lo, hi, n)
     values = [_grid_number(token, spec) for token in text.split(",") if token.strip()]
     if len(values) < 2:
         raise ConfigError("grid needs at least 2 points")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("grid values must be strictly ascending")
-    return tuple(values)
+    return np.array(values)
 
 
 def _load_scenario(args):
@@ -217,7 +219,7 @@ SWEEP_COLUMNS = ("viscosity_pa_s", "microviscosity_factor",
 
 def cmd_sweep(args) -> int:
     sc = _load_scenario(args)
-    values = np.array(_parse_grid(args.grid))
+    values = _parse_grid(args.grid)
     column, override = SWEEP_AXES[args.axis]
     # predict rejects an out-of-range grid value before anything is written
     doc = predict(sc, **{override: values}).as_dict()

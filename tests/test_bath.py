@@ -161,14 +161,14 @@ def half_plane_reference(rng, k, g, bath, r_min, r_cut, azimuth=None):
     return field[:, 0] ** 2 + field[:, 1] ** 2, radii[:, None] * rhat, moments
 
 
-def normal_vector_samples(rng, u, scratch, g, bath, r_min, r_cut):
+def normal_vector_samples(gens, out, scratch, g, bath, r_min, r_cut):
     """The earlier dipole kernel: Gaussian-normalized position and moment
     vectors (one standard_normal((k, 3)) each) and r^3-uniform radii through
     a cube root.  It draws a different stream, so it lives here only, as
     the distributional reference for the half-plane kernel.  It takes the
-    kernel's arguments, but only the width k of the block u, and returns
-    a fresh array."""
-    k = u.shape[1]
+    kernel's arguments, but only the first generator and the width k of
+    out, and returns a fresh array."""
+    rng, k = gens[0], out.size
 
     def unit_vectors():
         v = rng.standard_normal((k, 3))
@@ -196,7 +196,8 @@ def _rows(bath):
 def one_shot_samples(rng, k, g, bath, r_min, r_cut):
     """The earlier form of the half-plane kernel: one fresh rng.random((rows,
     k)) block and two fresh temporaries, with the arithmetic on whole rows.
-    The tiled kernel must give the same bits from the same draws."""
+    The tiled kernel, drawing each row from its own generator, must give
+    the same bits from the same draws."""
     u = rng.random((_rows(bath), k))
     c, mz, cphi = u[-3], u[-2], u[-1]
     c *= 2.0
@@ -239,11 +240,15 @@ def one_shot_samples(rng, k, g, bath, r_min, r_cut):
     return bx
 
 
-def tiled_samples(rng, k, bath, r_min, r_cut):
-    """The kernel on a fresh (rows, k) block and two scratch rows."""
-    u = np.empty((_rows(bath), k))
-    scratch = np.empty((2, min(bath_module._TILE, k)))
-    return _dipole_samples(rng, u, scratch, GEOM, bath, r_min, r_cut)
+def tiled_samples(seed, k, bath, r_min, r_cut):
+    """The kernel on a fresh k-wide row and scratch block, with one generator
+    per row, each advanced to where its row of
+    default_rng(seed).random((rows, k)) starts.  Returns the samples and
+    the last row's generator, which goes on where that block ends."""
+    rows = _rows(bath)
+    gens = [np.random.Generator(np.random.PCG64(seed).advance(r * k)) for r in range(rows)]
+    scratch = np.empty((rows + 2, min(bath_module._TILE, k)))
+    return _dipole_samples(gens, np.empty(k), scratch, GEOM, bath, r_min, r_cut), gens[-1]
 
 
 def _limits(bath):
@@ -257,13 +262,13 @@ def test_dipole_kernel_matches_reference(bath, k):
     # einsum's order of the three products in cos theta depends on the
     # build, so samples agree to rounding, not bit for bit
     r_min, r_cut = _limits(bath)
-    rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-    got = tiled_samples(rng, k, bath, r_min, r_cut)
+    rng_ref = np.random.default_rng(k)
+    got, last = tiled_samples(k, k, bath, r_min, r_cut)
     want, pos, _ = half_plane_reference(rng_ref, k, GEOM, bath, r_min, r_cut)
     assert got.shape == (k,)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     # both kernels use up the same draws
-    assert rng.random() == rng_ref.random()
+    assert last.random() == rng_ref.random()
     # the reference's positions lie on the sphere or in the shell
     dist = np.linalg.norm(pos, axis=1)
     assert np.all(dist >= r_min * (1.0 - 1e-15))
@@ -274,15 +279,16 @@ def test_dipole_kernel_matches_reference(bath, k):
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 @pytest.mark.parametrize("k", [10_000, 65_536, 65_537, 250_000])
 def test_tiled_kernel_is_bit_identical_to_one_shot(bath, k):
-    # every step acts element by element, so tiles and a reused block
-    # change no bit; k straddles one tile of 65,536 columns
+    # per-row generators draw the block's doubles, and every step acts
+    # element by element, so tiles change no bit; 65,536 and 65,537
+    # columns end on and just past a tile edge of 32,768
     r_min, r_cut = _limits(bath)
-    rng, rng_ref = np.random.default_rng(k), np.random.default_rng(k)
-    got = tiled_samples(rng, k, bath, r_min, r_cut)
+    rng_ref = np.random.default_rng(k)
+    got, last = tiled_samples(k, k, bath, r_min, r_cut)
     want = one_shot_samples(rng_ref, k, GEOM, bath, r_min, r_cut)
     assert np.array_equal(got, want)
-    # both kernels use up the same draws
-    assert rng.random() == rng_ref.random()
+    # the last row's generator goes on where random((rows, k)) stopped
+    assert last.random() == rng_ref.random()
 
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
@@ -296,9 +302,10 @@ def test_mc_tile_width_changes_no_bit(monkeypatch, bath, tile):
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 def test_mc_working_set_is_one_block(bath):
-    # one (rows, _CHUNK) block of doubles plus 3 MiB for the scratch rows
-    # and the rest, however many chunks run: 8.7 MiB surface, 10.6 MiB volume
-    bound = _rows(bath) * bath_module._CHUNK * 8 + 3 * 2**20
+    # one _CHUNK-wide row of samples and one (rows + 2, _TILE) scratch block
+    # of doubles plus 1 MiB for the rest, however many chunks run: 4.2 MiB
+    # surface, 4.4 MiB volume (traced 3.2 and 3.4 MiB)
+    bound = (bath_module._CHUNK + (_rows(bath) + 2) * bath_module._TILE) * 8 + 2**20
     tracemalloc.start()
     try:
         b_perp_mc(GEOM, bath, samples=1_000_000, seed=21)
@@ -328,7 +335,7 @@ def test_dipole_samples_invariant_under_turns_about_the_axis(bath):
     # position's azimuth at 0; every sample is a sum of squares
     r_min, r_cut = _limits(bath)
     k = 20_000
-    got = tiled_samples(np.random.default_rng(3), k, bath, r_min, r_cut)
+    got, _ = tiled_samples(3, k, bath, r_min, r_cut)
     assert np.all(got >= 0.0)
     azimuth = np.random.default_rng(4).uniform(0.0, 2.0 * math.pi, k)
     turned, pos, moments = half_plane_reference(

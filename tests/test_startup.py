@@ -1,7 +1,8 @@
 """No verb loads scipy, the package holds no module that no verb loads, the
 CLI loads numpy with a one-thread BLAS pool, and the collector contract of
 the CLI: paused while it loads, frozen only for the process's own command
-line, which writes the same data bytes as main() called in process.
+line, which writes the same data bytes as main() called in process, and
+a sweep whose memory does not grow with its table.
 
 scipy is a test-only dependency: the tests use it as the reference for
 the numpy PCHIP, the batched fit and the oracle's quadrature.  Each case
@@ -208,3 +209,30 @@ def test_program_writes_the_bytes_of_main_in_process(tmp_path, verb):
     written = data_files(program)
     assert written
     assert written == data_files(in_process)
+
+
+def _sweep_peak_kib(tmp_path, src: Path, points: int) -> int:
+    """ru_maxrss (KiB on Linux) of one `python -m rbmrelax.cli sweep` child
+    over a points-point water_fraction grid."""
+    out, err = tmp_path / f"sweep_{points}.tsv", tmp_path / f"sweep_{points}.stderr"
+    argv = [sys.executable, "-m", "rbmrelax.cli", "sweep",
+            "--config", str(CONFIGS / "gd_water_25nm.ini"), "--axis", "water_fraction",
+            "--grid", f"0:1:{points}", "--out", str(out)]
+    pid = os.posix_spawn(sys.executable, argv, dict(os.environ, PYTHONPATH=str(src)),
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                                       (os.POSIX_SPAWN_OPEN, 2, str(err),
+                                        os.O_WRONLY | os.O_CREAT, 0o644)])
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, err.read_text()
+    return usage.ru_maxrss
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss counts KiB on Linux")
+def test_sweep_memory_does_not_grow_with_the_table(tmp_path):
+    # the program path writes its table in blocks, so 100,001 rows cost
+    # little more than predict's arrays over 11 rows: +3 MB measured, where
+    # a writer that builds the whole table as text grew by 94 MB
+    small = _sweep_peak_kib(tmp_path, SRC, 11)
+    large = _sweep_peak_kib(tmp_path, SRC, 100_001)
+    assert (large - small) * 1024 < 40e6, (small, large)

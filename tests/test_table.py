@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbmrelax import table as table_module
 from rbmrelax.cli import SWEEP_AXES, SWEEP_COLUMNS, main
 from rbmrelax.errors import ConfigError
 from rbmrelax.scenario import density_sensitivity_curve, parse_config, predict
@@ -116,6 +118,48 @@ def test_writer_matches_row_reference(tmp_path, columns):
     write_table(tmp_path / "new.tsv", columns, ["note", "key = 1"])
     row_reference(tmp_path / "ref.tsv", columns, ["note", "key = 1"])
     assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["1", "block-1", "block", "block+1", "2block+1"])
+def test_writer_matches_row_reference_across_blocks(tmp_path, blocks, extra):
+    # 0-d columns come first and last
+    n = blocks * table_module._BLOCK + extra
+    rng = np.random.default_rng(n)
+    columns = {"first": np.array(-0.0), "a": rng.standard_normal(n),
+               "b": rng.random(n) * 1e300, "last": np.array(5e-324)}
+    write_table(tmp_path / "new.tsv", columns, ["note", "key = 1"])
+    row_reference(tmp_path / "ref.tsv", columns, ["note", "key = 1"])
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
+
+
+def _traced_write_peak(path, n):
+    rng = np.random.default_rng(n)
+    columns = {f"c{i}": rng.random(n) for i in range(9)}
+    columns.update(k0=np.array(1.5), k1=np.array(-0.0))
+    tracemalloc.start()
+    try:
+        write_table(path, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_table_working_set_does_not_grow_with_rows(tmp_path):
+    # the body goes out block by block, so ten times the rows peaks within
+    # one block's text (at most the 5,001 rows) of the smaller table; the
+    # whole-body writer read 3.2 and 31.6 MiB, the block writer 0.66 twice
+    small = _traced_write_peak(tmp_path / "small.tsv", 5_001)
+    large = _traced_write_peak(tmp_path / "large.tsv", 50_001)
+    line = len((tmp_path / "small.tsv").read_text().splitlines()[1]) + 1
+    assert large <= small + min(table_module._BLOCK, 5_001) * line
+
+
+def test_write_table_rejects_ragged_columns_before_writing(tmp_path):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ValueError, match="columns must be 0-d or hold 3 values"):
+        write_table(path, {"a": [1.0, 2.0, 3.0], "b": np.array(1.0), "c": [1.0, 2.0]})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("axis, grid", [

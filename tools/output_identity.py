@@ -32,7 +32,8 @@ Prints the number of compared files and each differing path, and exits 1
 when a file differs or exists on one side only, or when a command exits
 with another code than the matrix expects in either tree.  For a
 differing .tsv or .json file it also prints how many of its numbers differ
-and the largest difference in ulps, so a last-digit drift reads as one.
+and the largest difference in ulps, so a last-digit drift reads as one, or
+that a side does not parse (say, an empty .json file).
 Only the standard library is used.
 """
 
@@ -208,9 +209,16 @@ def _ordered(x: float) -> int:
 
 
 def number_diff(a: Path, b: Path) -> str:
-    """How many numbers of two data files differ, and by at most how many
-    ulps; NaN equals NaN."""
-    xs, ys = numbers(a), numbers(b)
+    """How many numbers of data file a (the revision's) and b (this
+    checkout's) differ, and by at most how many ulps; NaN equals NaN.  A
+    file that does not parse is named instead."""
+    parsed = []
+    for side, path in (("the revision's", a), ("this checkout's", b)):
+        try:
+            parsed.append(numbers(path))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            return f"{side} file does not parse: {exc}"
+    xs, ys = parsed
     if len(xs) != len(ys):
         return f"{len(xs)} against {len(ys)} numbers"
     ulps = [abs(_ordered(x) - _ordered(y)) for x, y in zip(xs, ys)
