@@ -32,10 +32,9 @@ starts in the chunk's stream; per tile of _TILE columns the kernel fills
 the rows of one (rows + 2, _TILE) scratch block from them, computes in
 place with the two extra rows as temporaries, and writes the samples into
 one chunk-wide row.  Both are allocated once per b_perp_mc call: a traced
-peak of 3.2 MiB (surface) and 3.4 MiB (volume) whatever the sample count,
-where a held block took 7.5 and 8.6 MiB.  Every step acts element by
-element, so _TILE changes no number; _CHUNK, which sets the streams,
-changes every one.
+peak of 3.2 MiB (surface) and 3.4 MiB (volume) whatever the sample
+count.  Every step acts element by element, so _TILE changes no number;
+_CHUNK, which sets the streams, changes every one.
 
 The closed forms broadcast: diameter, areal density and number density may
 be numpy arrays, validated element by element.

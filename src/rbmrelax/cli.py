@@ -9,8 +9,9 @@ Verbs:
 * ``sensitivity``: minimal detectable rate versus molecular density.
 * ``oracle``: run closed-form vs numerical cross-checks.
 
-Exit codes: 0 success, 1 invalid input or configuration, 2 numerical
-failure (singular point or non-converged fit), 3 failed oracle check.
+Exit codes: 0 success, 1 invalid input or configuration, an output that
+cannot be written or a grid too large to allocate, 2 numerical failure
+(singular point or non-converged fit), 3 failed oracle check.
 
 Every file-producing verb writes a JSON manifest beside its outputs.
 Timestamps live only in manifests, so the data files of reruns with the
@@ -23,8 +24,9 @@ the run with nothing written.  Per condition, one measure_sim.simulate_curve
 call then draws every spot's curve as a row of the tau, signal and stderr
 arrays, one measure_sim.fit_curves call fits the rows into columns (one
 array per fit-JSON key), and one write_curve and one write_fit_json call
-write every spot's row and fit to its own two files.  ``fit`` reads row 0
-of the one-row columns of measure_sim.fit_exponential.
+write every spot's row and fit to its own two files.  ``fit`` prints the
+one-row fit document of measure_sim.fit_exponential and writes that text
+to --out.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep passes its
@@ -285,7 +287,7 @@ def cmd_simulate(args) -> int:
         stems = [f"{name}/spot_{j:04d}" for j in range(args.spots)]
         write_curve(tau, signal, stderr, [f"{out_dir}/{s}_curve.tsv" for s in stems])
         write_fit_json(fits, [f"{out_dir}/{s}_fit.json" for s in stems],
-                       plan=plan, seed=sc.seed, extra={"condition": name},
+                       shared={"plan": plan.as_dict(), "seed": sc.seed, "condition": name},
                        columns={"spot": range(args.spots), "t1_true_s": t1_true})
         outputs += [f"{s}_{kind}" for s in stems for kind in ("curve.tsv", "fit.json")]
         t1_hats = fits["t1_hat_s"][fits["converged"]]
@@ -331,7 +333,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .measure_sim import fit_exponential, read_curve, render_fit_json, write_fit_json
+    from .measure_sim import fit_exponential, read_curve, render_fit_json
 
     curve = read_curve(args.data)
     try:
@@ -342,7 +344,7 @@ def cmd_fit(args) -> int:
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)
-        write_fit_json(fit, [out])
+        out.write_bytes(text.encode())
         _write_manifest(out.with_name(out.name + ".manifest.json"), "fit",
                         [], [out.name])
     if not fit["converged"][0]:
@@ -403,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate",
-                       help="simulate and fit spot ensembles (1-2 configs)")
+                       help="simulate and fit spot ensembles (separation "
+                            "scores need exactly two configs)")
     p.add_argument("--config", action="append", required=True,
                    help="repeat for a two-condition comparison")
     p.add_argument("--spots", type=int, default=25)
@@ -443,10 +446,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ArithmeticError, RuntimeError) as exc:

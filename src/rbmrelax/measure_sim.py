@@ -16,15 +16,14 @@ spot: simulate_curve draws every spot of a condition and forms their
 signals and errors in one numpy pass, fit_curves fits the rows in one
 batch and returns the fits as columns, one array per fit-JSON key with
 one entry per row, and write_curve and write_fit_json write each row's
-curve file and fit document in one call per condition.
+curve file and fit document in one call per condition, the documents
+from one template of json.dumps's own per-key entries (render_fit_json).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,13 @@ class MeasurementPlan:
         if not (0.0 < self.contrast < 1.0):
             raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
         object.__setattr__(self, "dark_times", taus)
+
+    def as_dict(self) -> dict:
+        """The plan as a fit document records it, in SI units."""
+        return {"dark_times_s": list(self.dark_times), "shots_per_point": self.shots_per_point,
+                "detection_window_s": self.detection_window,
+                "photon_rate_per_s": self.photon_rate, "contrast": self.contrast,
+                "include_reference": self.include_reference}
 
     @property
     def counts_per_shot(self) -> float:
@@ -465,63 +471,41 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def render_fit_json(fits: dict, plan: MeasurementPlan | None = None, seed=None,
-                    extra: dict | None = None, columns: dict | None = None):
+def render_fit_json(fits: dict, shared: dict | None = None, columns: dict | None = None):
     """Yield row j's JSON document, json.dumps(doc, indent=2,
     sort_keys=True) + "\n", where doc holds row j of each fit column
-    (fit_curves) and of each sequence in columns, plus the plan, the seed
-    and the keys of extra, which every row shares.  No key may repeat.
+    (fit_curves) and of each sequence in columns, plus the keys of shared,
+    which every row shares.  No key may repeat.
 
-    json.dumps renders the document once, with a token string in place of
-    each per-row scalar; each row's text is then one %-format of its
-    scalars, spelled as json spells them.
+    json.dumps writes a document's entries in sorted key order, joined by
+    ",\n", each as json.dumps({key: value}, indent=2, sort_keys=True)[2:-2]
+    spells it.  So the template is built entry by entry: a shared entry is
+    rendered once, a per-row key takes a %s and covariance its 3x3 layout
+    of %s.  Each row's text is then one %-format of its scalars, in
+    sorted-key order and spelled as json spells them.
     """
-    shared = {}
-    if plan is not None:
-        shared["plan"] = {
-            "dark_times_s": list(plan.dark_times),
-            "shots_per_point": plan.shots_per_point,
-            "detection_window_s": plan.detection_window,
-            "photon_rate_per_s": plan.photon_rate,
-            "contrast": plan.contrast,
-            "include_reference": plan.include_reference,
-        }
-    if seed is not None:
-        shared["seed"] = seed
-    shared.update(extra or {})
-    columns = columns or {}
-    keys = [*fits, *shared, *columns]
+    shared, extra = shared or {}, columns or {}
+    keys = [*fits, *shared, *extra]
     if len(set(keys)) < len(keys):
         raise ParameterError(f"fit JSON keys repeat: {keys}")
-    columns = {**fits, **columns}
+    columns = {**fits, **extra}
     cov = np.reshape(columns.pop("covariance"), (-1, 9)).tolist()
-    values = [np.asarray(column).tolist() for column in columns.values()]
-
-    # the tokens must not occur in the shared text, which may hold any string
-    n_leaves = len(columns) + 9
-    for nonce in itertools.count():
-        tokens = [f"<{nonce}:{i}>" for i in range(n_leaves)]
-        it = iter(tokens)
-        doc = {key: next(it) for key in columns}
-        doc["covariance"] = [[next(it) for _ in range(3)] for _ in range(3)]
-        doc.update(shared)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        quoted = [json.dumps(token) for token in tokens]
-        if all(text.count(q) == 1 for q in quoted):
-            break
-    template = text.replace("%", "%%")
-    for q in quoted:
-        template = template.replace(q, "%s")
-    in_text = operator.itemgetter(*sorted(range(n_leaves), key=lambda i: text.index(quoted[i])))
+    entries = {key: "  " + json.dumps(key).replace("%", "%%") + ": %s" for key in columns}
+    entries["covariance"] = json.dumps({"covariance": [[0] * 3] * 3},
+                                       indent=2)[2:-2].replace("0", "%s")
+    for key, value in shared.items():
+        entries[key] = json.dumps({key: value}, indent=2,
+                                  sort_keys=True)[2:-2].replace("%", "%%")
+    template = "{\n" + ",\n".join(entries[key] for key in sorted(entries)) + "\n}\n"
+    values = [np.asarray(columns[key]).tolist() for key in sorted(columns)]
+    at = sum(key < "covariance" for key in columns)
     for *row, row_cov in zip(*values, cov, strict=True):
-        yield template % tuple(map(_json_scalar, in_text(row + row_cov)))
+        yield template % tuple(map(_json_scalar, row[:at] + row_cov + row[at:]))
 
 
-def write_fit_json(fits: dict, paths, plan: MeasurementPlan | None = None, seed=None,
-                   extra: dict | None = None, columns: dict | None = None) -> None:
-    """Write row j's JSON document (render_fit_json), with the plan and
-    seed for reproducibility, to paths[j]."""
-    texts = render_fit_json(fits, plan, seed, extra, columns)
-    for path, text in zip(paths, texts, strict=True):
+def write_fit_json(fits: dict, paths, shared: dict | None = None,
+                   columns: dict | None = None) -> None:
+    """Write row j's JSON document (render_fit_json) to paths[j]."""
+    for path, text in zip(paths, render_fit_json(fits, shared, columns), strict=True):
         with open(path, "wb") as fh:
             fh.write(text.encode())

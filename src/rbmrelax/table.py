@@ -11,8 +11,7 @@ viscosity tables.
   every finite float bit for bit; the reader rejects non-finite values.
   A column that holds one value for every row is formatted once.
 * write_table writes the body in blocks of _BLOCK rows, one %-format call
-  each: eleven columns peak at 0.66 MiB traced at 5,001 and at 50,001
-  rows, where one call over the whole body took 3.2 and 31.6 MiB.
+  each: eleven columns peak at 0.66 MiB traced at 5,001 and 50,001 rows.
 """
 
 from __future__ import annotations

@@ -394,6 +394,17 @@ def test_nonfinite_grid_rejected_before_compute(fast_config, tmp_path, capsys,
     assert not recwarn.list
 
 
+def test_grid_too_large_to_allocate_is_one_error_line(fast_config, tmp_path, capsys):
+    # 10^15 points (8 PB) exceed any address space: the allocation fails at
+    # once and touches no memory
+    out = tmp_path / "grid.tsv"
+    assert main(["sweep", "--config", str(fast_config), "--axis", "diameter",
+                 "--grid", "1e-9:1e-6:1000000000000000", "--out", str(out)]) == 1
+    assert not list(tmp_path.glob("grid.tsv*"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
+
+
 def test_simulate_conditions_never_share_a_stream(tmp_path, capsys):
     # seeds 12346 and 12345 once gave conditions 0 and 1 the same stream
     # (seed + condition index); identical physics made their data identical

@@ -186,7 +186,7 @@ def test_fit_statistical_pull(tmp_path):
     # chi-square per dof should be order unity for a correct error model
     assert 0.2 < fit["reduced_chi_sq"] < 5.0
     out = tmp_path / "fit.json"
-    write_fit_json(fits, [out], plan=PLAN, seed=99, extra={"spot": 0})
+    write_fit_json(fits, [out], shared={"plan": PLAN.as_dict(), "seed": 99, "spot": 0})
     import json
 
     doc = json.loads(out.read_text())

@@ -1,9 +1,9 @@
 """The batch writers of simulate's spot files against their references.
 
 Each fit document must equal json.dumps(doc, indent=2, sort_keys=True)
-+ "\\n" of the fit row's record with its plan, seed and per-spot keys
-added, and each curve file must equal write_table's, byte for byte,
-whatever the values and condition names.
++ "\\n" of the fit row's record with its shared and per-spot keys added,
+and each curve file must equal write_table's, byte for byte, whatever the
+keys and values.
 """
 
 import json
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rbmrelax.cli import main
@@ -34,10 +34,13 @@ from rbmrelax.table import write_table
 SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
 values = st.one_of(st.sampled_from(SPECIAL), st.floats())
 FAILURES = (_NOT_FINITE, _NOT_POSITIVE, _ON_BOUND, _OPEN)
-# quotes, backslashes, non-ASCII text, a literal \u0000 and text that
-# looks like the renderer's own tokens
+# quotes, backslashes, non-ASCII text, a literal \u0000 and %-format text
 NAMES = ('a"b', "back\\slash", "Wasser-Aceton é℃", "\\u0000", "\x00",
-         "<0:0>", '"<0:0>', '<0:0>"', "%s %% %(x)s")
+         "%s %% %(x)s", '50% "wet" é')
+KEYS = st.one_of(st.sampled_from(NAMES), st.text())
+# what a shared key may hold: a scalar, a string or a nested document
+SHARED = st.one_of(values, st.integers(), st.booleans(), st.none(), KEYS,
+                   st.dictionaries(KEYS, values, max_size=2))
 PLAN = MeasurementPlan(dark_times=(0.0, 1e-6, 1e-5, 1e-4, 1e-3), shots_per_point=100,
                        detection_window=5e-7, photon_rate=1e5, contrast=0.2)
 # the record of a row whose tau grid is too short to fit
@@ -72,38 +75,34 @@ def columns_of(batch):
             for key in TOO_SHORT}
 
 
-def reference(record, plan=None, seed=None, extra=None):
-    doc = dict(record)
-    if plan is not None:
-        doc["plan"] = {
-            "dark_times_s": list(plan.dark_times),
-            "shots_per_point": plan.shots_per_point,
-            "detection_window_s": plan.detection_window,
-            "photon_rate_per_s": plan.photon_rate,
-            "contrast": plan.contrast,
-            "include_reference": plan.include_reference,
-        }
-    if seed is not None:
-        doc["seed"] = seed
-    doc.update(extra or {})
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def reference(record, shared=None, row=None):
+    return json.dumps({**record, **(shared or {}), **(row or {})},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def test_plan_entry_spelling():
+    assert json.dumps(PLAN.as_dict(), sort_keys=True) == json.dumps({
+        "dark_times_s": [0.0, 1e-6, 1e-5, 1e-4, 1e-3], "shots_per_point": 100,
+        "detection_window_s": 5e-7, "photon_rate_per_s": 1e5, "contrast": 0.2,
+        "include_reference": True}, sort_keys=True)
 
 
 @settings(max_examples=200, deadline=None)
 @given(batch=st.lists(records(), min_size=1, max_size=4),
-       name=st.one_of(st.sampled_from(NAMES), st.text()),
-       plan=st.sampled_from((None, PLAN)),
-       seed=st.one_of(st.none(), st.integers(0, 2**64)),
-       t1_true=st.lists(values, min_size=4, max_size=4))
-def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, name, plan, seed, t1_true):
+       shared=st.dictionaries(KEYS, SHARED, max_size=3),
+       plan=st.booleans(),
+       row_columns=st.dictionaries(KEYS, st.lists(values, min_size=4, max_size=4),
+                                   max_size=2))
+def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, shared, plan, row_columns):
     n = len(batch)
-    columns = {"spot": range(n), "t1_true_s": t1_true[:n]}
+    if plan:
+        shared["plan"] = PLAN.as_dict()
+    columns = {"spot": range(n), **{key: value[:n] for key, value in row_columns.items()}}
+    assume(not set(TOO_SHORT) & (set(shared) | set(columns)) and not set(shared) & set(columns))
     paths = [tmp_path_factory.mktemp("fits") / f"spot_{j}.json" for j in range(n)]
-    write_fit_json(columns_of(batch), paths, plan=plan, seed=seed, extra={"condition": name},
-                   columns=columns)
+    write_fit_json(columns_of(batch), paths, shared=shared, columns=columns)
     for j, (record, path) in enumerate(zip(batch, paths)):
-        expected = reference(record, plan, seed,
-                             {"condition": name, "spot": j, "t1_true_s": t1_true[j]})
+        expected = reference(record, shared, {key: value[j] for key, value in columns.items()})
         assert path.read_bytes() == expected.encode()
 
 
@@ -133,9 +132,11 @@ def test_fit_verb_output_is_a_one_row_record(tmp_path, capsys):
 
 def test_repeated_key_is_rejected():
     with pytest.raises(ParameterError, match="keys repeat"):
-        list(render_fit_json(columns_of([TOO_SHORT]), extra={"message": "x"}))
+        list(render_fit_json(columns_of([TOO_SHORT]), shared={"message": "x"}))
     with pytest.raises(ParameterError, match="keys repeat"):
-        list(render_fit_json(columns_of([TOO_SHORT]), seed=1, columns={"seed": [2]}))
+        list(render_fit_json(columns_of([TOO_SHORT]), columns={"message": ["x"]}))
+    with pytest.raises(ParameterError, match="keys repeat"):
+        list(render_fit_json(columns_of([TOO_SHORT]), shared={"seed": 1}, columns={"seed": [2]}))
 
 
 @settings(max_examples=100, deadline=None)

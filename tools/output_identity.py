@@ -17,12 +17,15 @@ The matrix, for the shipped configs:
 * `sweep` on every axis, with the 5,001-point grids of the benchmark;
 * `sensitivity` on the benchmark's density grid and on the default grid;
 * `simulate` of gd_water + gd_acetone, 200 spots each, seed 77;
-* `fit --out` on three of the simulated curves;
+* `fit --out` on three of the simulated curves, whose stdout is saved
+  as a data file too;
 * `simulate` of a 5,000-shot config (FAST below) whose spot 0 does not
   converge, so its fit file holds NaN and false, and `fit --out` on that
   curve, which exits 2 and whose stdout is saved as a data file too;
 * `simulate` of a short-grid config (SHORT below) whose batch mixes three
   rows too short to fit with one that does not converge;
+* `simulate` of FAST under a condition name with a per cent sign, quotes
+  and a non-ASCII letter (ESCAPED below), which its fit files hold;
 * `sensitivity` on a comma grid holding a density whose rate sits on the
   level splitting (NOVIB below), so the file lists skipped_densities;
 * `oracle all`, whose report goes to stdout and is saved as a data file
@@ -98,8 +101,10 @@ NOVIB = """\
 vibration_rate_ghz = 0
 """
 NOVIB_GRID = "1e24,1e25,3.5967435940905747e+25,1e26,1e27"
+# a condition name that JSON escapes and %-formatting would misread
+ESCAPED = '50% "wet" é.ini'
 # the configs above, written to the tool's temp dir under these names
-WRITTEN = {"fast.ini": FAST, "short.ini": SHORT, "novib.ini": NOVIB}
+WRITTEN = {"fast.ini": FAST, "short.ini": SHORT, "novib.ini": NOVIB, ESCAPED: FAST}
 
 
 def matrix(out: Path, tmp: Path) -> list:
@@ -130,9 +135,10 @@ def matrix(out: Path, tmp: Path) -> list:
         argv += ["--config", f"configs/{c}.ini"]
     runs.append(("simulate", argv, None, 0))
     for spot in FITTED:
-        runs.append((f"fit {spot}",
-                     ["fit", str(sim / f"{spot}_curve.tsv"),
-                      "--out", str(out / f"fit_{spot.replace('/', '_')}.json")], None, 0))
+        stem = f"fit_{spot.replace('/', '_')}"
+        runs.append((f"fit {spot}", ["fit", str(sim / f"{spot}_curve.tsv"),
+                                     "--out", str(out / f"{stem}.json")],
+                     out / f"{stem}.stdout.json", 0))
     fast = tmp / "fast.ini"
     runs.append(("simulate fast", ["simulate", "--config", str(fast), "--spots",
                                    str(FAST_SPOTS), "--out", str(out / "simulate_fast")],
@@ -144,6 +150,9 @@ def matrix(out: Path, tmp: Path) -> list:
     runs.append(("simulate short", ["simulate", "--config", str(tmp / "short.ini"),
                                     "--spots", str(SHORT_SPOTS),
                                     "--out", str(out / "simulate_short")], None, 0))
+    runs.append(("simulate escaped", ["simulate", "--config", str(tmp / ESCAPED), "--spots",
+                                      str(FAST_SPOTS), "--out", str(out / "simulate_escaped")],
+                 None, 0))
     runs.append(("sensitivity resonant", ["sensitivity", "--config", str(tmp / "novib.ini"),
                                           "--grid", NOVIB_GRID,
                                           "--out", str(out / "sensitivity_resonant.tsv")],
