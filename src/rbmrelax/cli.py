@@ -10,7 +10,7 @@ Verbs:
 * ``oracle``: run closed-form vs numerical cross-checks.
 
 Exit codes: 0 success, 1 invalid input or configuration, an output that
-cannot be written or a grid too large to allocate, 2 numerical failure
+cannot be written or an array too large to allocate, 2 numerical failure
 (singular point or non-converged fit), 3 failed oracle check.
 
 Every file-producing verb writes a JSON manifest beside its outputs.
@@ -75,6 +75,7 @@ try:
     import math
     import os
     import sys
+    from dataclasses import replace
     from datetime import datetime, timezone
     from pathlib import Path
 
@@ -102,7 +103,6 @@ try:
         measurement_plan,
         parse_config,
         predict,
-        with_seed,
     )
     from .table import write_table
 finally:
@@ -192,16 +192,12 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.array(values)
 
 
-def _load_scenario(args):
-    return with_seed(parse_config(args.config), args.seed)
-
-
 def _t1_report(pred) -> str:
     return "".join(f"{key} = {value:.17g}\n" for key, value in pred.as_dict().items())
 
 
 def cmd_t1(args) -> int:
-    sc = _load_scenario(args)
+    sc = parse_config(args.config)
     report = _t1_report(predict(sc))
     sys.stdout.write(report)
     if args.out:
@@ -220,7 +216,7 @@ SWEEP_COLUMNS = ("viscosity_pa_s", "microviscosity_factor",
 
 
 def cmd_sweep(args) -> int:
-    sc = _load_scenario(args)
+    sc = parse_config(args.config)
     values = _parse_grid(args.grid)
     column, override = SWEEP_AXES[args.axis]
     # predict rejects an out-of-range grid value before anything is written
@@ -253,7 +249,9 @@ def cmd_simulate(args) -> int:
     conditions = []
     taken = set()
     for index, cfg in enumerate(args.config):
-        sc = with_seed(parse_config(cfg), args.seed)
+        sc = parse_config(cfg)
+        if args.seed is not None:
+            sc = replace(sc, seed=args.seed)
         name = Path(cfg).stem
         # a.ini, a_2.ini, d/a.ini: the first suffix may be taken already
         while name in taken:
@@ -356,7 +354,7 @@ def cmd_fit(args) -> int:
 def cmd_sensitivity(args) -> int:
     from .sensitivity import write_sensitivity_curve
 
-    sc = _load_scenario(args)
+    sc = parse_config(args.config)
     grid = _parse_grid(args.grid) if args.grid else None
     curve = density_sensitivity_curve(sc, grid=grid)
     out = Path(args.out)
@@ -391,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("t1", help="forward-predict T1 for one config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_t1)
 
@@ -401,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True,
                    help="lo:hi:n[:log|lin] or comma-separated ascending values")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate",
@@ -428,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="density grid, lo:hi:n[:log|lin] or comma list")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("oracle", help="closed form vs numerical cross-checks")

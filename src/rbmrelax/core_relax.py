@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import OMEGA_0, TAU_C_MAX, TAU_C_MIN, T1_BULK_DEFAULT
+from .constants import OMEGA_0, TAU_C_MAX, TAU_C_MIN
 from .errors import ParameterError, nonnegative, positive, require
 
 
@@ -85,12 +85,12 @@ def lorentzian_psd(source: NoiseSource, omega):
     return source.b_perp_sq * 2.0 * source.tau_c / (1.0 + x * x)
 
 
-def rate_contribution(source: NoiseSource, omega0=OMEGA_0):
+def rate_contribution(source: NoiseSource):
     """Relaxation rate (1/s) induced by a single noise source.
 
-    Equals (3/2) gamma^2 S(omega0); non-negative.
+    Equals (3/2) gamma^2 S(OMEGA_0), at the level splitting; non-negative.
     """
-    return 1.5 * source.gamma**2 * lorentzian_psd(source, omega0)
+    return 1.5 * source.gamma**2 * lorentzian_psd(source, OMEGA_0)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class RelaxationResult:
     per_source_rates: dict = field(default_factory=dict)
 
 
-def t1_total(sources, t1_bulk: float = T1_BULK_DEFAULT, omega0=OMEGA_0) -> RelaxationResult:
-    """Combine bulk relaxation with any number of noise sources.
+def t1_total(sources, t1_bulk: float) -> RelaxationResult:
+    """Combine bulk relaxation (t1_bulk, s) with noise sources at OMEGA_0.
 
     An empty source list is valid and returns t1 = t1_bulk.  Duplicate
     labels are rejected: silently merging them would hide a double-counted
@@ -119,13 +119,12 @@ def t1_total(sources, t1_bulk: float = T1_BULK_DEFAULT, omega0=OMEGA_0) -> Relax
     # the bulk rate is its reciprocal, which must not overflow
     require(math.isfinite(1.0 / t1_bulk),
             "t1_bulk {!r} s is too small: its reciprocal overflows", t1_bulk)
-    w = _as_omega(omega0)
     rates = {}
     for i, src in enumerate(sources):
         key = src.label or f"source_{i}"
         if key == "bulk" or key in rates:
             raise ParameterError(f"duplicate or reserved noise-source label {key!r}")
-        rates[key] = rate_contribution(src, w)
+        rates[key] = rate_contribution(src)
     bulk = 1.0 / t1_bulk
     total = bulk + sum(rates.values())
     return RelaxationResult(t1=1.0 / total, rate_total=total, rate_bulk=bulk,

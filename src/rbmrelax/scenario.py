@@ -143,9 +143,9 @@ class Scenario:
                 f"sensor), got {self.sensor_offset!r}")
         # constituent types carry most invariants; build probes eagerly so
         # a bad scenario fails at construction, not first use
-        self.geometry()
-        self.surface_source_bath()
-        self.molecular_bath()
+        ParticleGeometry(diameter=self.diameter)
+        self.surface_source_bath(self.surface_density)
+        self.molecular_bath(self.gd_density)
         for name in ("vibration_rate", "kappa_dip", "density_jitter", "diameter_jitter",
                      "a_s_water", "a_s_other"):
             v = getattr(self, name)
@@ -175,19 +175,13 @@ class Scenario:
 
     # constituent builders
 
-    def geometry(self, diameter: float | None = None) -> ParticleGeometry:
-        return ParticleGeometry(diameter=self.diameter if diameter is None else diameter)
+    def surface_source_bath(self, areal_density) -> SurfaceBath:
+        return SurfaceBath(areal_density=areal_density,
+                           spin_quantum_number=self.surface_spin, gamma=self.surface_gamma)
 
-    def surface_source_bath(self, areal_density: float | None = None) -> SurfaceBath:
-        return SurfaceBath(
-            areal_density=self.surface_density if areal_density is None else areal_density,
-            spin_quantum_number=self.surface_spin, gamma=self.surface_gamma)
-
-    def molecular_bath(self, number_density: float | None = None) -> VolumeBath:
-        return VolumeBath(
-            number_density=self.gd_density if number_density is None else number_density,
-            spin_quantum_number=self.gd_spin, gamma=self.gd_gamma,
-            standoff=self.standoff)
+    def molecular_bath(self, number_density) -> VolumeBath:
+        return VolumeBath(number_density=number_density, spin_quantum_number=self.gd_spin,
+                          gamma=self.gd_gamma, standoff=self.standoff)
 
     @cached_property
     def mixture(self) -> SolventMixture:
@@ -264,7 +258,7 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
     sigma = sc.surface_density if surface_density is None else surface_density
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        geom = sc.geometry(d)
+        geom = ParticleGeometry(diameter=d)
         b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
         b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
         p = sc.hydro_at(x)
@@ -335,11 +329,12 @@ def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
     """
     if n_spots < 2:
         raise ParameterError(f"need >= 2 spots, got {n_spots}")
-    rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
     spreads = (("diameter_jitter", sc.diameter_jitter), ("density_jitter", sc.density_jitter),
                ("density_jitter", sc.density_jitter))
-    d, n, sigma = np.array([[_lognormal_factor(rng, key, s) for key, s in spreads]
-                            for rng in rngs]).T
+    factors = np.empty((n_spots, 3))  # first, so a count too large to hold fails at once
+    rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
+    factors[:] = [[_lognormal_factor(rng, key, s) for key, s in spreads] for rng in rngs]
+    d, n, sigma = factors.T
     pred = predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
                    surface_density=sc.surface_density * sigma)
     return pred.t1, rngs
@@ -509,14 +504,14 @@ def scenario_from_text(text: str, source: str = "<string>") -> Scenario:
 def parse_config(path) -> Scenario:
     """Load a scenario config file.
 
-    Parses like scenario_from_text; additionally a missing file is a
-    ConfigError, and a relative table path resolves against the config
-    file's directory and must exist.
+    Parses like scenario_from_text; additionally a missing or non-UTF-8
+    file is a ConfigError, and a relative table path resolves against the
+    config file's directory and must exist.
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sc = scenario_from_text(text, str(path))
     if not sc.viscosity_table:
@@ -550,7 +545,3 @@ def serialize_scenario(sc: Scenario) -> str:
 def config_hash(sc: Scenario) -> str:
     """SHA-256 of the canonical serialization."""
     return hashlib.sha256(serialize_scenario(sc).encode("utf-8")).hexdigest()
-
-
-def with_seed(sc: Scenario, seed: int | None) -> Scenario:
-    return sc if seed is None else replace(sc, seed=seed)

@@ -43,7 +43,8 @@ class SensitivityInputs:
 
     r_total is the total fluctuation rate of the probed bath (1/s);
     b_perp_sq its mean-square transverse field (T^2); acquisition_time the
-    total averaging time T (s).  b_perp_sq and r_total may be arrays.
+    total averaging time T (s).  b_perp_sq and r_total may be arrays.  The
+    bath spins are electrons (GAMMA_E), probed at the level splitting OMEGA_0.
     """
 
     contrast: float
@@ -52,14 +53,12 @@ class SensitivityInputs:
     acquisition_time: float
     b_perp_sq: float
     r_total: float
-    gamma_e: float = GAMMA_E
-    omega0: float = OMEGA_0
 
     def __post_init__(self):
         if not (0.0 < self.contrast < 1.0):
             raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
         for name in ("photon_rate", "detection_window", "acquisition_time",
-                     "b_perp_sq", "r_total", "gamma_e", "omega0"):
+                     "b_perp_sq", "r_total"):
             value = getattr(self, name)
             require(positive(value), f"{name} must be finite and positive, got {{!r}}", value)
         root = self.contrast * math.sqrt(
@@ -68,16 +67,16 @@ class SensitivityInputs:
                 "shot-noise factor 1 / (C sqrt(D T_D T)) is not finite and positive")
 
 
-def _on_resonance(r_total, omega0):
-    return abs(r_total - omega0) <= RESONANCE_GUARD * omega0
+def _on_resonance(r_total):
+    return abs(r_total - OMEGA_0) <= RESONANCE_GUARD * OMEGA_0
 
 
-def _guard_resonance(r_total, omega0: float):
-    hit = _on_resonance(r_total, omega0)
+def _guard_resonance(r_total):
+    hit = _on_resonance(r_total)
     if np.any(hit):
         raise SingularityError(
             f"rate {np.extract(hit, r_total)[0]:g} /s sits on the level splitting "
-            f"{omega0:g} rad/s; the sensor is first-order insensitive to rate changes there")
+            f"{OMEGA_0:g} rad/s; the sensor is first-order insensitive to rate changes there")
 
 
 def delta_r_min(inp: SensitivityInputs):
@@ -86,20 +85,20 @@ def delta_r_min(inp: SensitivityInputs):
     Scales as 1/sqrt(T) and 1/sqrt(B_perp^2); invariant under the trade
     C -> C/k, photon_rate -> k^2 photon_rate.
     """
-    r, w = inp.r_total, inp.omega0
-    _guard_resonance(r, w)
+    r, w = inp.r_total, OMEGA_0
+    _guard_resonance(r)
     prefactor = 1.0 / (inp.contrast * np.sqrt(
         inp.photon_rate * inp.detection_window * inp.acquisition_time))
     # a result beyond the float range fails, as predict does
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        core = np.sqrt(2.0 * math.e * r / (3.0 * inp.gamma_e**2 * inp.b_perp_sq))
+        core = np.sqrt(2.0 * math.e * r / (3.0 * GAMMA_E**2 * inp.b_perp_sq))
         lor = (r**2 + w**2) ** 1.5 / abs(r**2 - w**2)
         return prefactor * core * lor
 
 
 def induced_rate(inp: SensitivityInputs, r: float) -> float:
     """Bath-induced relaxation rate 3 gamma^2 B_perp^2 r / (r^2 + omega0^2)."""
-    return 3.0 * inp.gamma_e**2 * inp.b_perp_sq * r / (r**2 + inp.omega0**2)
+    return 3.0 * GAMMA_E**2 * inp.b_perp_sq * r / (r**2 + OMEGA_0**2)
 
 
 def delta_r_oracle(inp: SensitivityInputs, perturbation: float | None = None) -> float:
@@ -116,8 +115,8 @@ def delta_r_oracle(inp: SensitivityInputs, perturbation: float | None = None) ->
     Bulk relaxation is deliberately excluded: the closed form ignores it too,
     and it carries no information about the bath rate.
     """
-    r, w = inp.r_total, inp.omega0
-    _guard_resonance(r, w)
+    r = inp.r_total
+    _guard_resonance(r)
     h = 1e-3 * r if perturbation is None else float(perturbation)
     if not (0.0 < h <= 0.01 * r):
         raise ParameterError(f"perturbation must lie in (0, 0.01 * r_total], got {h!r}")
@@ -166,15 +165,13 @@ class SensitivityCurve:
         return float(self.points[self.argmin_index, 2])
 
 
-def default_density_grid(center: float, decades: float = 3.0,
-                         per_decade: int = 40) -> tuple:
-    """Log grid of densities centered (geometrically) on a given value."""
+def default_density_grid(center: float) -> tuple:
+    """Log grid of 121 densities, 40 per decade over three decades, centered
+    (geometrically) on a given value."""
     if not (math.isfinite(center) and center > 0.0):
         raise ParameterError(f"grid center must be positive, got {center!r}")
-    n = int(round(decades * per_decade)) + 1
-    half = decades / 2.0
-    lo, hi = math.log10(center) - half, math.log10(center) + half
-    return tuple(10.0 ** (lo + (hi - lo) * i / (n - 1)) for i in range(n))
+    lo, hi = math.log10(center) - 1.5, math.log10(center) + 1.5
+    return tuple(10.0 ** (lo + (hi - lo) * i / 120) for i in range(121))
 
 
 def check_density_grid(density_grid) -> np.ndarray:
@@ -202,7 +199,7 @@ def optimize_density(density_grid, inputs: SensitivityInputs) -> SensitivityCurv
     grid = check_density_grid(density_grid)
     inp = replace(inputs, b_perp_sq=np.broadcast_to(inputs.b_perp_sq, grid.shape),
                   r_total=np.broadcast_to(inputs.r_total, grid.shape))
-    keep = ~_on_resonance(inp.r_total, inp.omega0)
+    keep = ~_on_resonance(inp.r_total)
     if not keep.any():
         raise ParameterError("every grid point was resonant; nothing to optimize")
     rates = inp.r_total[keep]

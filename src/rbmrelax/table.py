@@ -66,7 +66,7 @@ def read_table(path, columns, what: str):
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     columns = tuple(columns)
     rows, meta, seen_header = [], {}, False

@@ -202,14 +202,15 @@ _MC_SURFACE = SurfaceBath(areal_density=1.0e18, spin_quantum_number=0.5)
 _MC_VOLUME = VolumeBath(number_density=1.0e26, spin_quantum_number=3.5)
 
 
-def check_bath_mc(samples: int = 1_000_000, seed: int = 20260822) -> OracleCheck:
+def check_bath_mc() -> OracleCheck:
     """Monte Carlo dipolar sums agree with the closed forms.
 
-    Both bath geometries are compared at the fixed reference point within
-    MC_SIGMA_BAND standard errors, and the surface-bath standard error is
-    fitted against sample count on a log-log grid to confirm the
-    samples^-1/2 scaling.
+    Both bath geometries are compared at the fixed reference point, 10^6
+    samples each, within MC_SIGMA_BAND standard errors, and the surface-bath
+    standard error is fitted against sample count on a log-log grid to
+    confirm the samples^-1/2 scaling.  Fixed seeds make the report fixed.
     """
+    samples, seed = 1_000_000, 20260822
     details = {"samples": samples, "seed": seed}
 
     closed_s = b_perp_sq_surface(_MC_GEOMETRY, _MC_SURFACE)
@@ -241,12 +242,12 @@ def check_bath_mc(samples: int = 1_000_000, seed: int = 20260822) -> OracleCheck
     return OracleCheck("bath_mc", passed, details)
 
 
-def check_sensitivity_ratio(n_points: int = 40) -> OracleCheck:
+def check_sensitivity_ratio() -> OracleCheck:
     """Formula and error-propagation oracle differ by a constant factor.
 
-    Evaluated on a log grid of total rates spanning 0.1 to 100 times the
-    level splitting, excluding a +-RESONANCE_EXCLUSION*omega0 window around
-    the splitting where both expressions blow up.  The ratio must stay
+    Evaluated on a 40-point log grid of total rates spanning 0.1 to 100
+    times the level splitting, excluding a +-RESONANCE_EXCLUSION*omega0
+    window around it, where both expressions blow up.  The ratio must stay
     within RATIO_SPREAD of its mean; the mean itself is reported, and is
     expected near sqrt(2 / (e * s(tau=T1))) from the noise model mismatch
     (the formula prices the shot noise of a bare exponential at depth 1/e,
@@ -255,8 +256,8 @@ def check_sensitivity_ratio(n_points: int = 40) -> OracleCheck:
     template = SensitivityInputs(
         contrast=0.2, photon_rate=1.0e5, detection_window=500.0e-9,
         acquisition_time=10.0, b_perp_sq=1.0e-8, r_total=OMEGA_0 / 10.0)
-    w = template.omega0
-    grid = np.logspace(math.log10(0.1 * w), math.log10(100.0 * w), n_points)
+    w = OMEGA_0
+    grid = np.logspace(math.log10(0.1 * w), math.log10(100.0 * w), 40)
     ratios = []
     excluded = 0
     for r in grid:
@@ -265,8 +266,6 @@ def check_sensitivity_ratio(n_points: int = 40) -> OracleCheck:
             continue
         inp = replace(template, r_total=float(r))
         ratios.append(delta_r_min(inp) / delta_r_oracle(inp))
-    if len(ratios) < 2:
-        raise ParameterError("rate grid left fewer than 2 usable points")
 
     mean = float(np.mean(ratios))
     max_dev = float(np.max(np.abs(np.array(ratios) / mean - 1.0)))

@@ -405,6 +405,83 @@ def test_grid_too_large_to_allocate_is_one_error_line(fast_config, tmp_path, cap
     assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
 
+def test_spot_count_too_large_to_allocate_is_one_error_line(fast_config, tmp_path, capsys):
+    # the jitter factors of 10^15 spots (21 PiB) are allocated before any
+    # spot's generator is spawned: the run fails at once, touches no memory
+    # and writes nothing
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(fast_config), "--spots", "1000000000000000",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
+
+
+@pytest.mark.parametrize("verb, args", [
+    ("t1", []),
+    ("sweep", ["--axis", "diameter", "--grid", "1e-8:2e-8:3", "--out"]),
+    ("sensitivity", ["--out"]),
+])
+def test_forward_verbs_take_no_seed(fast_config, tmp_path, capsys, verb, args):
+    # they draw no random numbers; their manifests record the config's seed
+    out = [str(tmp_path / "out.tsv")] if args else []
+    assert main([verb, "--config", str(fast_config), *args, *out, "--seed", "7"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 7\n"
+    assert sorted(tmp_path.iterdir()) == [fast_config]
+
+
+def test_simulate_seed_overrides_every_config_seed(tmp_path, capsys):
+    # configs with seeds 1234 and 99 run with --seed 7 give the data files of
+    # configs that both say seed = 7, and record seed 7 for both conditions
+    runs = {}
+    for run, seeds in (("override", ("1234", "99")), ("written", ("7", "7"))):
+        configs = []
+        for stem, seed in zip(("first", "second"), seeds):
+            cfg = tmp_path / run / f"{stem}.ini"
+            cfg.parent.mkdir(exist_ok=True)
+            cfg.write_text(FAST_BODY.replace("seed = 1234", f"seed = {seed}"))
+            configs += ["--config", str(cfg)]
+        seed = ["--seed", "7"] if run == "override" else []
+        out = tmp_path / run / "sim"
+        assert main(["simulate", *configs, "--spots", "3", *seed, "--out", str(out)]) == 0
+        runs[run] = out
+    capsys.readouterr()
+    override, written = runs["override"], runs["written"]
+    summary = json.loads((override / "summary.json").read_text())
+    manifest = json.loads((override / "manifest.json").read_text())
+    for index, name in enumerate(("first", "second")):
+        cond = summary["conditions"][name]
+        assert (cond["seed"], cond["condition_index"]) == (7, index)
+        entry = manifest["configs"][index]
+        assert (entry["seed"], entry["condition_index"]) == (7, index)
+    files = sorted(p.relative_to(override) for p in override.rglob("*_*"))
+    assert len(files) == 2 * 3 * 2
+    assert files == sorted(p.relative_to(written) for p in written.rglob("*_*"))
+    for rel in files:
+        assert (override / rel).read_bytes() == (written / rel).read_bytes(), rel
+    written_summary = json.loads((written / "summary.json").read_text())
+    for doc in (summary, written_summary):
+        for cond in doc["conditions"].values():
+            del cond["config"]
+    assert summary == written_summary
+
+
+@pytest.mark.parametrize("argv, name, what", [
+    (["t1", "--config"], "bad.ini", "config"),
+    (["fit"], "bad.tsv", "curve file"),
+    (["t1", "--config"], "mix.ini", "viscosity table"),
+])
+def test_file_that_is_not_utf8_is_named_in_its_error(tmp_path, capsys, argv, name, what):
+    for bad in ("bad.ini", "bad.tsv", "table.txt"):
+        (tmp_path / bad).write_bytes(b"\xff\n")
+    (tmp_path / "mix.ini").write_text("[solvent]\nx_water = 0.5\ntable_path = table.txt\n")
+    assert main([*argv, str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    bad = "table.txt" if what == "viscosity table" else name
+    assert err.startswith(f"error: cannot read {what} ") and err.count("\n") == 1
+    assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 0" in err
+
+
 def test_simulate_conditions_never_share_a_stream(tmp_path, capsys):
     # seeds 12346 and 12345 once gave conditions 0 and 1 the same stream
     # (seed + condition index); identical physics made their data identical

@@ -34,11 +34,7 @@ def test_psd_even_in_detuning_shape():
 
 def test_rate_contribution_value():
     # 1.5 gamma^2 S(omega0), hand-evaluated
-    assert rate_contribution(SRC, OMEGA_0) == pytest.approx(5158.3159010389109, rel=1e-14)
-
-
-def test_rate_contribution_default_frequency():
-    assert rate_contribution(SRC) == rate_contribution(SRC, OMEGA_0)
+    assert rate_contribution(SRC) == pytest.approx(5158.3159010389109, rel=1e-14)
 
 
 def test_zero_frequency_allowed_negative_rejected():
@@ -86,15 +82,16 @@ def test_t1_total_rejects_duplicate_labels():
     a = NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="x")
     b = NoiseSource(gamma=GAMMA_E, b_perp_sq=2e-9, tau_c=1e-9, label="x")
     with pytest.raises(ParameterError):
-        t1_total([a, b])
+        t1_total([a, b], t1_bulk=3e-3)
     with pytest.raises(ParameterError):
-        t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="bulk")])
+        t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="bulk")],
+                 t1_bulk=3e-3)
 
 
 def narrowing(rates):
     """Rate contribution of SRC's field variance at each fluctuation rate."""
     return rate_contribution(NoiseSource(gamma=SRC.gamma, b_perp_sq=SRC.b_perp_sq,
-                                         tau_c=1.0 / np.asarray(rates)), OMEGA_0)
+                                         tau_c=1.0 / np.asarray(rates)))
 
 
 def test_narrowing_peak_at_level_splitting():

@@ -19,7 +19,6 @@ from rbmrelax.scenario import (
     predict,
     scenario_from_text,
     serialize_scenario,
-    with_seed,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -123,12 +122,6 @@ def test_config_hash_canonical():
     assert shuffled == sc
     assert config_hash(shuffled) == config_hash(sc)
     assert config_hash(replace(sc, seed=1)) != config_hash(sc)
-
-
-def test_with_seed():
-    sc = Scenario()
-    assert with_seed(sc, None) is sc
-    assert with_seed(sc, 99).seed == 99
 
 
 def test_parse_config_errors(tmp_path):

@@ -89,7 +89,7 @@ def test_inputs_validation():
 
 
 def test_default_density_grid():
-    grid = default_density_grid(1e25, decades=3.0, per_decade=40)
+    grid = default_density_grid(1e25)
     assert len(grid) == 121
     assert grid[60] == pytest.approx(1e25, rel=1e-12)
     assert grid[-1] / grid[0] == pytest.approx(1e3, rel=1e-9)
@@ -106,7 +106,7 @@ def synthetic_bath(grid, r_total):
 def test_optimize_density_finds_interior_minimum():
     # rate crosses omega0 inside the grid, so delta_r_min has an interior
     # minimum
-    grid = np.array(default_density_grid(1e26, decades=4.0, per_decade=20))
+    grid = np.geomspace(1e24, 1e28, 81)
     curve = optimize_density(grid, synthetic_bath(grid, 1e9 + 1e-17 * grid))
     assert not curve.boundary_warning
     assert curve.points[0][0] < curve.argmin_density < curve.points[-1][0]
@@ -134,7 +134,7 @@ def test_optimize_density_grid_validation():
 
 
 def test_boundary_warning_on_monotonic_curve():
-    grid = np.array(default_density_grid(1e26, decades=2.5, per_decade=10))
+    grid = np.geomspace(10**24.75, 10**27.25, 26)
     # constant rate far below omega0: delta falls as 1/sqrt(n)
     curve = optimize_density(grid, synthetic_bath(grid, 1e12))
     assert curve.boundary_warning
@@ -146,7 +146,7 @@ def test_curve_points_hold_the_curve_invariants(rate):
     # what SensitivityCurve once re-checked on every curve: an (n, 3) float
     # array strictly ascending in density, whose argmin row holds the least
     # delta_r_min
-    grid = np.array(default_density_grid(1e26, decades=4.0, per_decade=10))
+    grid = np.geomspace(1e24, 1e28, 41)
     if rate == "resonant":
         grid = np.sort(np.append(grid, (OMEGA_0 - 1e9) / 1e-17))
     r_total = 1e12 if rate == "constant" else 1e9 + 1e-17 * grid
@@ -161,8 +161,7 @@ def test_curve_points_hold_the_curve_invariants(rate):
 def test_curve_file_roundtrip(tmp_path):
     # one grid density puts the rate on the level splitting, so it is skipped
     resonant = (OMEGA_0 - 1e9) / 1e-17
-    grid = np.array(sorted(default_density_grid(1e26, decades=4.0, per_decade=10)
-                           + (resonant,)))
+    grid = np.sort(np.append(np.geomspace(1e24, 1e28, 41), resonant))
     curve = optimize_density(grid, synthetic_bath(grid, 1e9 + 1e-17 * grid))
     assert curve.skipped == (resonant,)
     path = tmp_path / "sens.tsv"

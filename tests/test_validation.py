@@ -36,7 +36,7 @@ def test_bath_mc_reports_the_volume_tail_warning(monkeypatch, forced):
             return result
 
         monkeypatch.setattr(validation, "b_perp_mc", warned)
-    check = check_bath_mc(samples=20_000)
+    check = check_bath_mc()
     assert check.details["volume_tail_warning"] is forced
     assert f"      volume_tail_warning = {forced}" in format_report(
         OracleReport(checks=(check,))).splitlines()

@@ -111,8 +111,7 @@ def calibrate_surface(t1_target: float = BARE_T1_25NM,
     b2_per_sigma = b_perp_sq_surface(ParticleGeometry(diameter=diameter),
                                      SurfaceBath(areal_density=1.0))
     rate_per_sigma = rate_contribution(
-        NoiseSource(gamma=GAMMA_E, b_perp_sq=b2_per_sigma, tau_c=1.0 / surface_rate),
-        OMEGA_0)
+        NoiseSource(gamma=GAMMA_E, b_perp_sq=b2_per_sigma, tau_c=1.0 / surface_rate))
     return rate_needed / rate_per_sigma
 
 
