@@ -30,7 +30,7 @@ to --out.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep passes its
-columns from ScenarioPrediction.as_dict by name to write_table, which
+columns from predict's mapping by name to write_table, which
 formats a column that does not vary along the axis once and writes the
 rows in blocks of a fixed row count, so the table text adds a fixed amount
 to the memory of the grid and predict's arrays.
@@ -193,7 +193,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _t1_report(pred) -> str:
-    return "".join(f"{key} = {value:.17g}\n" for key, value in pred.as_dict().items())
+    return "".join(f"{key} = {value:.17g}\n" for key, value in pred.items())
 
 
 def cmd_t1(args) -> int:
@@ -220,7 +220,7 @@ def cmd_sweep(args) -> int:
     values = _parse_grid(args.grid)
     column, override = SWEEP_AXES[args.axis]
     # predict rejects an out-of-range grid value before anything is written
-    doc = predict(sc, **{override: values}).as_dict()
+    doc = predict(sc, **{override: values})
 
     out = Path(args.out)
     # a column that does not vary along the axis stays 0-d, formatted once
@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
         while name in taken:
             name = f"{name}_{index}"
         taken.add(name)
-        t1_pred = predict(sc).t1
+        t1_pred = predict(sc)["t1_s"]
         plan = measurement_plan(sc, t1_pred)
         # the condition index is part of the stream key, so conditions never
         # share a stream, whatever seeds their configs carry
@@ -275,7 +275,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}")
 
     outputs = []
-    summaries = []
     summary_doc = {"conditions": {}, "separation": None}
     for name, cfg, sc, index, t1_pred, plan, (t1_true, rngs) in conditions:
         cond_dir = out_dir / name
@@ -296,19 +295,16 @@ def cmd_simulate(args) -> int:
             "n_spots": args.spots, "n_converged": len(t1_hats),
             "t1_predicted_s": t1_pred, "gaussian": None,
         }
-        summ = None
         if len(t1_hats) >= 5:
             try:
-                summ = gaussian_summary(t1_hats)
-                cond_doc["gaussian"] = {"mean_t1_s": summ.mean,
-                                        "sigma_t1_s": summ.sigma, "n": summ.n}
+                cond_doc["gaussian"] = gaussian_summary(t1_hats)
             except ParameterError as exc:
                 cond_doc["gaussian_note"] = str(exc)
-        summaries.append(summ)
         summary_doc["conditions"][name] = cond_doc
 
-    if len(conditions) == 2 and all(s is not None for s in summaries):
-        summary_doc["separation"] = separation_scores(summaries[0], summaries[1])
+    summaries = [cond["gaussian"] for cond in summary_doc["conditions"].values()]
+    if len(summaries) == 2 and all(s is not None for s in summaries):
+        summary_doc["separation"] = separation_scores(*summaries)
 
     (out_dir / "summary.json").write_text(
         json.dumps(summary_doc, indent=2, sort_keys=True) + "\n")
@@ -317,10 +313,10 @@ def cmd_simulate(args) -> int:
                     [_config_entry(cfg, sc, condition_index=index)
                      for _, cfg, sc, index, *_ in conditions], outputs)
 
-    for (name, *_), summ in zip(conditions, summaries):
+    for name, summ in zip(summary_doc["conditions"], summaries):
         if summ is not None:
-            print(f"{name}: t1 = {summ.mean:.6g} s +- {summ.sigma:.6g} s "
-                  f"(n = {summ.n})")
+            print(f"{name}: t1 = {summ['mean_t1_s']:.6g} s +- {summ['sigma_t1_s']:.6g} s "
+                  f"(n = {summ['n']})")
         else:
             print(f"{name}: no gaussian summary (too few converged fits)")
     if summary_doc["separation"] is not None:

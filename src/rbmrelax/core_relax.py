@@ -18,7 +18,7 @@ field variance) is one call with tau_c = 1/R an array; it peaks at R = omega0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import OMEGA_0, TAU_C_MAX, TAU_C_MIN
 from .errors import ParameterError, nonnegative, positive, require
@@ -93,26 +93,15 @@ def rate_contribution(source: NoiseSource):
     return 1.5 * source.gamma**2 * lorentzian_psd(source, OMEGA_0)
 
 
-@dataclass(frozen=True)
-class RelaxationResult:
-    """Total T1 with its additive decomposition.
-
-    per_source_rates maps source label to its rate contribution in 1/s and
-    excludes the bulk term, so rate_total = rate_bulk + sum of the values.
-    """
-
-    t1: float
-    rate_total: float
-    rate_bulk: float
-    per_source_rates: dict = field(default_factory=dict)
-
-
-def t1_total(sources, t1_bulk: float) -> RelaxationResult:
+def t1_total(sources, t1_bulk: float) -> dict:
     """Combine bulk relaxation (t1_bulk, s) with noise sources at OMEGA_0.
 
-    An empty source list is valid and returns t1 = t1_bulk.  Duplicate
-    labels are rejected: silently merging them would hide a double-counted
-    source.  Unlabeled sources are keyed by position.
+    Returns t1_s, rate_total_per_s, rate_bulk_per_s and one
+    rate_source_<label>_per_s per source, in label order, all in s or 1/s;
+    the source rates exclude the bulk term, so the total is the bulk rate
+    plus their sum.  An empty source list is valid and gives t1_s =
+    t1_bulk.  Duplicate labels are rejected: silently merging them would
+    hide a double-counted source.  Unlabeled sources are keyed by position.
     """
     if not math.isfinite(t1_bulk) or t1_bulk <= 0.0:
         raise ParameterError(f"t1_bulk must be finite and positive, got {t1_bulk!r}")
@@ -127,5 +116,5 @@ def t1_total(sources, t1_bulk: float) -> RelaxationResult:
         rates[key] = rate_contribution(src)
     bulk = 1.0 / t1_bulk
     total = bulk + sum(rates.values())
-    return RelaxationResult(t1=1.0 / total, rate_total=total, rate_bulk=bulk,
-                            per_source_rates=rates)
+    doc = {"t1_s": 1.0 / total, "rate_total_per_s": total, "rate_bulk_per_s": bulk}
+    return doc | {f"rate_source_{key}_per_s": rates[key] for key in sorted(rates)}

@@ -96,21 +96,6 @@ class SolventMixture:
         return Pchip(*np.array(self.viscosity_table).T)
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
-    """The four fluctuation-rate components and their sum, all in 1/s."""
-
-    r_dip: float
-    r_vib: float
-    r_trans: float
-    r_rot: float
-    r_total: float
-
-    def as_dict(self) -> dict:
-        return {"dip": self.r_dip, "vib": self.r_vib, "trans": self.r_trans,
-                "rot": self.r_rot, "total": self.r_total}
-
-
 def microviscosity_factor(a, a_s):
     """Finite-solvent-size correction to continuum rotational friction.
 
@@ -247,13 +232,14 @@ def hydro_params_at(m: SolventMixture, a: float, temperature: float, x) -> Hydro
                        eta=mixture_viscosity(m, x), temperature=temperature)
 
 
-def total_rate(r_dip, r_vib, r_trans, r_rot) -> RateBreakdown:
-    """Compose the total fluctuation rate from its four components."""
-    parts = {"r_dip": r_dip, "r_vib": r_vib, "r_trans": r_trans, "r_rot": r_rot}
-    for name, value in parts.items():
-        require(nonnegative(value), f"{name} must be finite and >= 0, got {{!r}}", value)
-    return RateBreakdown(r_dip=r_dip, r_vib=r_vib, r_trans=r_trans, r_rot=r_rot,
-                         r_total=r_dip + r_vib + r_trans + r_rot)
+def total_rate(r_dip, r_vib, r_trans, r_rot) -> dict:
+    """Compose the total fluctuation rate from its four components: the
+    components under dip, vib, trans and rot, and their sum under total,
+    all in 1/s."""
+    rates = {"dip": r_dip, "vib": r_vib, "trans": r_trans, "rot": r_rot}
+    for name, value in rates.items():
+        require(nonnegative(value), f"r_{name} must be finite and >= 0, got {{!r}}", value)
+    return rates | {"total": r_dip + r_vib + r_trans + r_rot}
 
 
 VISCOSITY_COLUMNS = ("mole_fraction", "viscosity_mPa_s")

@@ -32,6 +32,8 @@ from .errors import ConfigError, ParameterError, positive, require
 from .table import read_table, table_format
 
 _MIN_FIT_POINTS = 4
+# numpy's largest Poisson mean: int64 max - 10 sqrt(int64 max)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,9 @@ class MeasurementPlan:
     dark_times: sorted tau grid in s (>= 4 points); shots_per_point: shot
     repetitions per tau; detection_window: readout window length in s;
     photon_rate: detected counts/s during the window; contrast: relative
-    signal swing between polarized and thermal states, in (0, 1).
+    signal swing between polarized and thermal states, in (0, 1).  The
+    expected counts per dark time, shots_per_point * counts_per_shot, must
+    stay below the largest mean numpy can draw a Poisson count from.
     """
 
     dark_times: tuple
@@ -67,6 +71,16 @@ class MeasurementPlan:
             raise ParameterError("photon rate must be positive")
         if not (0.0 < self.contrast < 1.0):
             raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
+        # simulate_curve draws each dark time's shot-summed counts at once
+        try:
+            counts = self.shots_per_point * self.counts_per_shot
+        except OverflowError:
+            counts = math.inf
+        if not counts < _POISSON_LAM_MAX:
+            raise ParameterError(
+                "[measurement] shots_per_point x photon_rate_per_s x detection_window_ns "
+                f"is {counts:.6g} counts per dark time, at or above the "
+                f"{_POISSON_LAM_MAX:.6g} that a Poisson draw allows")
         object.__setattr__(self, "dark_times", taus)
 
     def as_dict(self) -> dict:
@@ -400,17 +414,10 @@ def fit_exponential(tau, signal, stderr) -> dict:
     return fit
 
 
-@dataclass(frozen=True)
-class GaussianSummary:
-    """Maximum-likelihood Gaussian parameters of a sample."""
-
-    mean: float
-    sigma: float
-    n: int
-
-
-def gaussian_summary(samples) -> GaussianSummary:
-    """Fit a Gaussian to samples by maximum likelihood (mean, 1/N variance)."""
+def gaussian_summary(samples) -> dict:
+    """Fit a Gaussian to T1 samples by maximum likelihood (mean, 1/N
+    variance): mean_t1_s, sigma_t1_s and the sample count n, the entry
+    summary.json records per condition."""
     arr = np.asarray([float(s) for s in samples], dtype=float)
     if arr.size < 5:
         raise ParameterError(f"need >= 5 samples, got {arr.size}")
@@ -419,21 +426,20 @@ def gaussian_summary(samples) -> GaussianSummary:
     sigma = float(arr.std(ddof=0))
     if sigma == 0.0:
         raise ParameterError("degenerate sample: zero variance")
-    return GaussianSummary(mean=float(arr.mean()), sigma=sigma, n=int(arr.size))
+    return {"mean_t1_s": float(arr.mean()), "sigma_t1_s": sigma, "n": int(arr.size)}
 
 
-def separation_scores(a: GaussianSummary, b: GaussianSummary) -> dict:
+def separation_scores(a: dict, b: dict) -> dict:
     """Peak-separation statistics between two Gaussian summaries.
 
     Two conventions are reported: the geometric-mean-sigma score
     |mean_a - mean_b| / sqrt(sigma_a sigma_b) and the pooled-sigma z-score
     |mean_a - mean_b| / sqrt((sigma_a^2 + sigma_b^2)/2).
     """
-    gap = abs(a.mean - b.mean)
-    return {
-        "z_geometric": gap / math.sqrt(a.sigma * b.sigma),
-        "z_pooled": gap / math.sqrt((a.sigma**2 + b.sigma**2) / 2.0),
-    }
+    gap = abs(a["mean_t1_s"] - b["mean_t1_s"])
+    sa, sb = a["sigma_t1_s"], b["sigma_t1_s"]
+    return {"z_geometric": gap / math.sqrt(sa * sb),
+            "z_pooled": gap / math.sqrt((sa**2 + sb**2) / 2.0)}
 
 
 CURVE_HEADER = ("tau_s", "signal", "stderr")

@@ -5,9 +5,10 @@ tracked molecule, and the acquisition settings.  predict is the one place
 the forward chain is put together: bath fields -> fluctuation rates ->
 noise sources -> T1.  Sweeps, spot sampling (draw_spots: every spot of a
 condition in one array call) and the density sensitivity curve all read
-it; ScenarioPrediction.as_dict names every output once, in the order the
-t1 report prints them.  The solvent mixture, with its viscosity
-interpolant, is built once per scenario (Scenario.mixture).
+it by key: predict returns one mapping that names every output once, as
+the t1 report prints it and the sweep columns name it.  The solvent
+mixture, with its viscosity interpolant, is built once per scenario
+(Scenario.mixture).
 This module also owns the INI-style config format (strict schema,
 unknown keys are errors) and its canonical serialization used for run
 hashing.
@@ -58,13 +59,12 @@ from .bath import (
     b_perp_sq_volume,
 )
 from .constants import GAMMA_E, TAU_C_MAX, TAU_C_MIN
-from .core_relax import NoiseSource, RelaxationResult, t1_total
+from .core_relax import NoiseSource, t1_total
 from .errors import ConfigError, ParameterError, nonnegative, require
 from .hydro import (
     A_S_ACETONE_DEFAULT,
     A_S_WATER_DEFAULT,
     HydroParams,
-    RateBreakdown,
     SolventMixture,
     default_table_path,
     hydro_params_at,
@@ -195,55 +195,16 @@ class Scenario:
         return hydro_params_at(self.mixture, self.molecule_radius, self.temperature, x=x)
 
 
-@dataclass(frozen=True)
-class ScenarioPrediction:
-    """Forward prediction for one parameter point, or for a grid of them.
-
-    With array overrides every field is an array that broadcasts against
-    the others: a field holds the shape of the inputs it depends on.
-    """
-
-    relaxation: RelaxationResult
-    gd_rates: RateBreakdown
-    b2_surface: float
-    b2_molecular: float
-    viscosity: float
-    microviscosity: float
-    x_water: float
-    diameter: float
-    gd_density: float
-    surface_density: float
-
-    @property
-    def t1(self):
-        return self.relaxation.t1
-
-    def as_dict(self) -> dict:
-        """Every output under its report name, in the order of the t1
-        report: T1 and total rates, each source's rate by label, the
-        molecular rate components, then fields, viscosity and inputs."""
-        relax = self.relaxation
-        doc = {"t1_s": relax.t1, "rate_total_per_s": relax.rate_total,
-               "rate_bulk_per_s": relax.rate_bulk}
-        for label in sorted(relax.per_source_rates):
-            doc[f"rate_source_{label}_per_s"] = relax.per_source_rates[label]
-        for comp, value in self.gd_rates.as_dict().items():
-            doc[f"gd_rate_{comp}_per_s"] = value
-        return doc | {
-            "b_perp_sq_surface_t2": self.b2_surface,
-            "b_perp_sq_molecular_t2": self.b2_molecular,
-            "viscosity_pa_s": self.viscosity,
-            "microviscosity_factor": self.microviscosity,
-            "x_water": self.x_water,
-            "diameter_m": self.diameter,
-            "gd_density_per_m3": self.gd_density,
-            "surface_density_per_m2": self.surface_density,
-        }
-
-
 def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
-            surface_density=None) -> ScenarioPrediction:
+            surface_density=None) -> dict:
     """Predict T1 and every intermediate quantity for a scenario.
+
+    Returns one mapping under the names of the t1 report and the sweep
+    columns, in the report's order: t1_total's T1 and rates, the molecular
+    bath's fluctuation rates (total_rate's, as gd_rate_<name>_per_s), then
+    the fields, viscosity and inputs.  With array overrides every value is
+    an array that broadcasts against the others: a value holds the shape
+    of the inputs it depends on.
 
     Keyword overrides evaluate other parameter points without rebuilding
     the scenario; they are how sweeps and spot jitter are implemented.
@@ -281,13 +242,14 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
         # contributes exactly zero
         if np.asarray(b2_mol > 0.0).any():
             sources.append(NoiseSource(gamma=sc.gd_gamma, b_perp_sq=b2_mol,
-                                       tau_c=1.0 / rates.r_total, label="molecular"))
-        relax = t1_total(sources, t1_bulk=sc.t1_bulk)
+                                       tau_c=1.0 / rates["total"], label="molecular"))
+        doc = t1_total(sources, t1_bulk=sc.t1_bulk)
 
-    return ScenarioPrediction(
-        relaxation=relax, gd_rates=rates, b2_surface=b2_surf, b2_molecular=b2_mol,
-        viscosity=p.eta, microviscosity=microviscosity_factor(p.a, p.a_s),
-        x_water=x, diameter=d, gd_density=n, surface_density=sigma)
+    return doc | {f"gd_rate_{name}_per_s": rate for name, rate in rates.items()} | {
+        "b_perp_sq_surface_t2": b2_surf, "b_perp_sq_molecular_t2": b2_mol,
+        "viscosity_pa_s": p.eta, "microviscosity_factor": microviscosity_factor(p.a, p.a_s),
+        "x_water": x, "diameter_m": d, "gd_density_per_m3": n,
+        "surface_density_per_m2": sigma}
 
 
 def measurement_plan(sc: Scenario, t1_expected: float):
@@ -337,7 +299,7 @@ def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
     d, n, sigma = factors.T
     pred = predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
                    surface_density=sc.surface_density * sigma)
-    return pred.t1, rngs
+    return pred["t1_s"], rngs
 
 
 def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
@@ -366,7 +328,7 @@ def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
     return optimize_density(grid, SensitivityInputs(
         contrast=sc.contrast, photon_rate=sc.photon_rate,
         detection_window=sc.detection_window, acquisition_time=sc.acquisition_time,
-        b_perp_sq=pred.b2_molecular, r_total=pred.gd_rates.r_total))
+        b_perp_sq=pred["b_perp_sq_molecular_t2"], r_total=pred["gd_rate_total_per_s"]))
 
 
 # config format: INI sections with strict schema; every key optional,

@@ -70,7 +70,7 @@ def test_02_mixture_rate_range(capsys):
 
 
 def test_03_bare_particle_baseline(capsys):
-    t1 = predict(Scenario()).t1
+    t1 = predict(Scenario())["t1_s"]
     sigma = calibrate_surface(130e-6, 25e-9, t1_bulk=3e-3)
     sigma_nm2 = sigma * 1e-18
     ok = abs(t1 / 130e-6 - 1.0) <= 0.10 and 0.5 <= sigma_nm2 <= 2.0

@@ -60,7 +60,7 @@ def test_calibrate_surface_inverts_forward_model():
     b2 = b_perp_sq_surface(ParticleGeometry(diameter=25.0e-9),
                            SurfaceBath(areal_density=sigma_true))
     t1 = t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=b2, tau_c=1.0 / 18e9)],
-                  t1_bulk=3e-3).t1
+                  t1_bulk=3e-3)["t1_s"]
     sigma_hat = calibrate.calibrate_surface(t1, 25.0e-9, t1_bulk=3e-3, surface_rate=18e9)
     assert sigma_hat == pytest.approx(sigma_true, rel=1e-12)
 

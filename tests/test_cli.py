@@ -300,7 +300,7 @@ def test_sensitivity_resonant_point_notice_on_stderr(tmp_path, capsys):
     # two predictions place one grid density on the level splitting
     cfg = tmp_path / "novib.ini"
     cfg.write_text("[molecular_bath]\nvibration_rate_ghz = 0\n")
-    rates = predict(parse_config(cfg), gd_density=np.array([0.0, 1e26])).gd_rates.r_total
+    rates = predict(parse_config(cfg), gd_density=np.array([0.0, 1e26]))["gd_rate_total_per_s"]
     resonant = float((OMEGA_0 - rates[0]) / (rates[1] - rates[0]) * 1e26)
     out = tmp_path / "sens.tsv"
     assert main(["sensitivity", "--config", str(cfg), "--grid",
@@ -417,6 +417,33 @@ def test_spot_count_too_large_to_allocate_is_one_error_line(fast_config, tmp_pat
     assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
 
+@pytest.mark.parametrize("shots", [10**21, 10**400], ids=["1e21", "1e400"])
+def test_counts_beyond_a_poisson_draw_fail_while_planning(fast_config, tmp_path, capsys,
+                                                         shots):
+    # 10^21 shots expect 5e19 counts per dark time, past numpy's Poisson
+    # ceiling (~9.2e18); 10^400 is not a float at all.  The second condition's
+    # plan fails before the first condition's files are written
+    big = tmp_path / "big.ini"
+    big.write_text(f"[measurement]\nshots_per_point = {shots}\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(fast_config), "--config", str(big),
+                 "--spots", "5", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: [measurement] shots_per_point x photon_rate_per_s x detection_window_ns")
+
+
+def test_counts_below_the_poisson_ceiling_still_run(tmp_path, capsys):
+    # 10^14 shots expect 5e12 counts per dark time, which numpy can draw
+    cfg = tmp_path / "many.ini"
+    cfg.write_text("[measurement]\nshots_per_point = 100000000000000\n")
+    assert main(["simulate", "--config", str(cfg), "--spots", "2",
+                 "--out", str(tmp_path / "sim")]) == 0
+    fits = [json.loads(p.read_text()) for p in sorted((tmp_path / "sim").glob("*/*_fit.json"))]
+    assert len(fits) == 2 and all(f["converged"] for f in fits)
+
+
 @pytest.mark.parametrize("verb, args", [
     ("t1", []),
     ("sweep", ["--axis", "diameter", "--grid", "1e-8:2e-8:3", "--out"]),
@@ -531,7 +558,7 @@ def test_simulate_files_come_from_the_one_engine(fast_config, tmp_path, capsys):
     assert main(["simulate", "--config", str(fast_config), "--spots", "3",
                  "--out", str(out)]) == 0
     sc = parse_config(fast_config)
-    plan = measurement_plan(sc, predict(sc).t1)
+    plan = measurement_plan(sc, predict(sc)["t1_s"])
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 3)
     tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
     fits = fit_curves(tau, signal, stderr)

@@ -58,21 +58,23 @@ def test_source_validation():
 def test_t1_total_bookkeeping():
     other = NoiseSource(gamma=GAMMA_E, b_perp_sq=5.0e-10, tau_c=1e-10, label="fast")
     res = t1_total([SRC, other], t1_bulk=3e-3)
-    total = 1.0 / 3e-3 + sum(res.per_source_rates.values())
-    assert res.rate_total == pytest.approx(total, rel=1e-14)
-    assert res.t1 == pytest.approx(1.0 / res.rate_total, rel=1e-14)
-    assert res.rate_bulk == pytest.approx(1.0 / 3e-3, rel=1e-14)
-    assert set(res.per_source_rates) == {"source_0", "fast"}
+    sources = [k for k in res if k.startswith("rate_source_")]
+    total = 1.0 / 3e-3 + sum(res[k] for k in sources)
+    assert res["rate_total_per_s"] == pytest.approx(total, rel=1e-14)
+    assert res["t1_s"] == pytest.approx(1.0 / res["rate_total_per_s"], rel=1e-14)
+    assert res["rate_bulk_per_s"] == pytest.approx(1.0 / 3e-3, rel=1e-14)
+    # one key per source, in label order
+    assert sources == ["rate_source_fast_per_s", "rate_source_source_0_per_s"]
 
 
 def test_t1_total_no_sources_gives_bulk():
     res = t1_total([], t1_bulk=3e-3)
-    assert res.t1 == pytest.approx(3e-3, rel=1e-14)
+    assert res["t1_s"] == pytest.approx(3e-3, rel=1e-14)
 
 
 def test_t1_total_rejects_a_bulk_t1_whose_rate_overflows():
     # 1 / 5.6e-309 is still finite; the bulk rate of 5e-309 s is not
-    assert t1_total([], t1_bulk=5.6e-309).t1 > 0.0
+    assert t1_total([], t1_bulk=5.6e-309)["t1_s"] > 0.0
     for t1_bulk in (5e-309, 5e-324):
         with pytest.raises(ParameterError, match="reciprocal overflows"):
             t1_total([], t1_bulk=t1_bulk)

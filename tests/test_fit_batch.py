@@ -94,7 +94,7 @@ def lm_reference(tau, y, sig):
 
 def simulated(config: str, n_spots: int):
     sc = parse_config(CONFIGS / config)
-    plan = measurement_plan(sc, predict(sc).t1)
+    plan = measurement_plan(sc, predict(sc)["t1_s"])
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), n_spots)
     return simulate_curve(t1_true, rngs, plan)
 

@@ -28,10 +28,9 @@ RTOL = 1e-12
 
 
 def columns(pred):
-    """The sweep columns of a prediction, in the golden file's order."""
-    g = pred.gd_rates
-    return (pred.viscosity, pred.microviscosity, g.r_dip, g.r_vib, g.r_trans,
-            g.r_rot, g.r_total, pred.b2_surface, pred.b2_molecular, pred.t1)
+    """The sweep columns of a prediction, in the golden file's order; its
+    column names are the report keys."""
+    return [pred[k] for k in GOLDEN["columns"]]
 
 
 @pytest.mark.parametrize("group", GOLDEN["forward"],
@@ -60,16 +59,16 @@ def test_predict_broadcasts_a_grid_of_overrides():
     sc = parse_config(ROOT / "configs" / "gd_water_25nm.ini")
     n = np.array([0.0, 1e24, 3e25, 6.9e25])[:, None]
     x = np.array([0.0, 0.046, 0.5, 1.0])
-    t1 = predict(sc, gd_density=n, x_water=x).t1
+    t1 = predict(sc, gd_density=n, x_water=x)["t1_s"]
     assert t1.shape == (4, 4)
     for i, ni in enumerate(n[:, 0]):
         for j, xj in enumerate(x):
             assert t1[i, j] == pytest.approx(
-                predict(sc, gd_density=float(ni), x_water=float(xj)).t1, rel=RTOL)
+                predict(sc, gd_density=float(ni), x_water=float(xj))["t1_s"], rel=RTOL)
     # the molecular source exists only where its field does
-    rates = predict(sc, gd_density=n[:, 0]).relaxation.per_source_rates
-    assert rates["molecular"][0] == 0.0 and np.all(rates["molecular"][1:] > 0.0)
-    assert "molecular" not in predict(sc, gd_density=0.0).relaxation.per_source_rates
+    molecular = predict(sc, gd_density=n[:, 0])["rate_source_molecular_per_s"]
+    assert molecular[0] == 0.0 and np.all(molecular[1:] > 0.0)
+    assert "rate_source_molecular_per_s" not in predict(sc, gd_density=0.0)
 
 
 @pytest.mark.parametrize("override, bad", [

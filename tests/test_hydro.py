@@ -145,9 +145,9 @@ def test_mixture_builds_its_interpolant_once():
 
 def test_total_rate_is_component_sum():
     br = total_rate(r_dip=1.0e9, r_vib=2.0e9, r_trans=3.0e6, r_rot=4.0e9)
-    assert br.r_total == pytest.approx(
-        br.r_dip + br.r_vib + br.r_trans + br.r_rot, rel=1e-14)
-    assert br.as_dict()["total"] == br.r_total
+    assert br["total"] == pytest.approx(
+        br["dip"] + br["vib"] + br["trans"] + br["rot"], rel=1e-14)
+    assert list(br) == ["dip", "vib", "trans", "rot", "total"]
     with pytest.raises(ParameterError):
         total_rate(r_dip=-1.0, r_vib=0.0, r_trans=0.0, r_rot=1.0e9)
 

@@ -228,9 +228,9 @@ def test_read_curve_errors(tmp_path):
 def test_gaussian_summary_matches_numpy():
     samples = [1.0, 2.0, 3.0, 4.0, 10.0]
     g = gaussian_summary(samples)
-    assert g.mean == pytest.approx(4.0)
-    assert g.sigma == pytest.approx(math.sqrt(10.0), rel=1e-15)
-    assert g.n == 5
+    assert g["mean_t1_s"] == pytest.approx(4.0)
+    assert g["sigma_t1_s"] == pytest.approx(math.sqrt(10.0), rel=1e-15)
+    assert g["n"] == 5
     with pytest.raises(ParameterError):
         gaussian_summary([1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ParameterError):
@@ -238,10 +238,8 @@ def test_gaussian_summary_matches_numpy():
 
 
 def test_separation_scores_hand_values():
-    from rbmrelax.measure_sim import GaussianSummary
-
-    a = GaussianSummary(mean=10.0, sigma=2.0, n=20)
-    b = GaussianSummary(mean=16.0, sigma=3.0, n=20)
+    a = {"mean_t1_s": 10.0, "sigma_t1_s": 2.0, "n": 20}
+    b = {"mean_t1_s": 16.0, "sigma_t1_s": 3.0, "n": 20}
     scores = separation_scores(a, b)
     assert scores["z_geometric"] == pytest.approx(6.0 / math.sqrt(6.0), rel=1e-15)
     assert scores["z_pooled"] == pytest.approx(6.0 / math.sqrt(6.5), rel=1e-15)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbmrelax.errors import ConfigError, ParameterError, SingularityError
+from rbmrelax.measure_sim import simulate_curve
 from rbmrelax.scenario import (
     _SCHEMA,
     OPTIMAL_DENSITY_CAL,
@@ -26,17 +27,16 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 def test_bare_particle_t1_anchor():
     # default scenario is the calibration target itself
-    assert predict(Scenario()).t1 == pytest.approx(130e-6, rel=1e-12)
+    assert predict(Scenario())["t1_s"] == pytest.approx(130e-6, rel=1e-12)
 
 
 def test_loaded_particle_t1_regression():
     sc = Scenario(gd_density=OPTIMAL_DENSITY_CAL)
-    assert predict(sc).t1 == pytest.approx(4.371478092387226e-05, rel=1e-12)
+    assert predict(sc)["t1_s"] == pytest.approx(4.371478092387226e-05, rel=1e-12)
 
 
 def test_prediction_bookkeeping():
-    pred = predict(Scenario(gd_density=OPTIMAL_DENSITY_CAL))
-    d = pred.as_dict()
+    d = predict(Scenario(gd_density=OPTIMAL_DENSITY_CAL))
     # one flat mapping, in the order of the t1 report
     assert list(d) == [
         "t1_s", "rate_total_per_s", "rate_bulk_per_s",
@@ -52,8 +52,8 @@ def test_prediction_bookkeeping():
     assert d["gd_rate_total_per_s"] == pytest.approx(
         d["gd_rate_dip_per_s"] + d["gd_rate_vib_per_s"] + d["gd_rate_trans_per_s"]
         + d["gd_rate_rot_per_s"], rel=1e-14)
-    assert d["t1_s"] == pred.t1
-    bare = predict(Scenario()).as_dict()
+    assert d["t1_s"] == 1.0 / d["rate_total_per_s"]
+    bare = predict(Scenario())
     assert [k for k in bare if k.startswith("rate_source_")] == ["rate_source_surface_per_s"]
     assert bare["b_perp_sq_molecular_t2"] == 0.0
 
@@ -62,8 +62,8 @@ def test_predict_overrides_match_replaced_scenario():
     sc = Scenario()
     over = predict(sc, gd_density=1e25, x_water=0.5, diameter=30e-9)
     rebuilt = predict(replace(sc, gd_density=1e25, x_water=0.5, diameter=30e-9))
-    assert over.t1 == pytest.approx(rebuilt.t1, rel=1e-14)
-    assert over.viscosity == rebuilt.viscosity
+    assert over["t1_s"] == pytest.approx(rebuilt["t1_s"], rel=1e-14)
+    assert over["viscosity_pa_s"] == rebuilt["viscosity_pa_s"]
 
 
 def test_scenario_validation():
@@ -154,7 +154,7 @@ def test_shipped_configs_parse():
     assert len(paths) >= 4
     for path in paths:
         sc = parse_config(path)
-        assert predict(sc).t1 > 0.0
+        assert predict(sc)["t1_s"] > 0.0
 
 
 def test_config_units_scale_exactly(tmp_path):
@@ -172,7 +172,7 @@ def test_draw_spots_zero_jitter_is_deterministic():
     sc = Scenario(gd_density=OPTIMAL_DENSITY_CAL)
     t1, rngs = draw_spots(sc, np.random.SeedSequence(0), 4)
     assert t1.shape == (4,) and len(rngs) == 4
-    assert t1 == pytest.approx(predict(sc).t1, rel=1e-14)
+    assert t1 == pytest.approx(predict(sc)["t1_s"], rel=1e-14)
 
 
 def test_draw_spots_jitter_spreads():
@@ -195,7 +195,7 @@ def _scalar_spots(sc, stream, n_spots):
         d = sc.diameter * math.exp(rng.normal(0.0, sc.diameter_jitter))
         n = sc.gd_density * math.exp(rng.normal(0.0, sc.density_jitter))
         sigma = sc.surface_density * math.exp(rng.normal(0.0, sc.density_jitter))
-        t1.append(predict(sc, gd_density=n, diameter=d, surface_density=sigma).t1)
+        t1.append(predict(sc, gd_density=n, diameter=d, surface_density=sigma)["t1_s"])
         states.append(rng.bit_generator.state)
     return np.array(t1), states
 
@@ -253,7 +253,7 @@ def test_density_sensitivity_curve_reads_predict():
     curve = density_sensitivity_curve(sc, grid=grid)
     pred = predict(sc, gd_density=grid)
     assert [p[0] for p in curve.points] == grid.tolist()
-    assert [p[1] for p in curve.points] == pred.gd_rates.r_total.tolist()
+    assert [p[1] for p in curve.points] == pred["gd_rate_total_per_s"].tolist()
 
 
 def test_density_sensitivity_curve_checks_grid_before_physics():
@@ -352,7 +352,7 @@ def test_t1_falls_as_gd_density_rises(start, steps, diameter, x_water):
     # contribution n r / (r^2 + omega0^2), with r linear in n, rises with n
     sc = Scenario(diameter=diameter, x_water=x_water)
     grid = 10.0 ** (start + np.cumsum([0.0] + steps))
-    t1 = predict(sc, gd_density=grid).t1
+    t1 = predict(sc, gd_density=grid)["t1_s"]
     assert t1.shape == grid.shape
     assert np.all(np.diff(t1) < 0.0)
 
@@ -394,6 +394,8 @@ def _finite(*values) -> bool:
 @example(overrides={"molecule_radius": 1e300})
 @example(overrides={"diameter": 1e300})
 @example(overrides={"density_jitter": 1e30})
+# a Poisson mean past numpy's ceiling (a ValueError from the curve draw)
+@example(overrides={"detection_window": 1e30})
 def test_extreme_float_keys_fail_typed_or_stay_finite(overrides):
     # one or two float keys at an extreme magnitude, in SI units: each stage
     # either raises a typed error or returns finite numbers, with T1 > 0,
@@ -402,14 +404,19 @@ def test_extreme_float_keys_fail_typed_or_stay_finite(overrides):
     if sc is None:
         return
     pred = _typed_or(predict, sc)
+    plan = None
     if pred is not None:
-        assert _finite(*pred.as_dict().values()) and pred.t1 > 0.0
-        plan = _typed_or(measurement_plan, sc, pred.t1)
+        assert _finite(*pred.values()) and pred["t1_s"] > 0.0
+        plan = _typed_or(measurement_plan, sc, pred["t1_s"])
         if plan is not None:
             assert _finite(plan.dark_times, plan.detection_window, plan.photon_rate)
     spots = _typed_or(draw_spots, sc, np.random.SeedSequence(0), 2)
     if spots is not None:
         assert _finite(spots[0]) and np.all(spots[0] > 0.0)
+        if plan is not None:
+            # the two spots' curves under the plan
+            curves = _typed_or(simulate_curve, *spots, plan)
+            assert curves is None or _finite(*curves)
     curve = _typed_or(density_sensitivity_curve, sc)
     if curve is not None:
         assert _finite(curve.points) and np.all(curve.points > 0.0)

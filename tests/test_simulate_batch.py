@@ -85,7 +85,7 @@ def test_batch_matches_scalar_reference(include_reference, shots, photon_rate, s
 @pytest.mark.parametrize("config", ["gd_water_25nm.ini", "gd_acetone_x046_25nm.ini"])
 def test_shipped_ensembles_match_scalar_reference(config):
     sc = parse_config(CONFIGS / config)
-    plan = measurement_plan(sc, predict(sc).t1)
+    plan = measurement_plan(sc, predict(sc)["t1_s"])
     # spawn advances a SeedSequence, so each side gets its own
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)
     _, ref_rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)

@@ -177,7 +177,7 @@ def test_sweep_matches_row_reference(tmp_path, capsys, axis, grid):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     column, override = SWEEP_AXES[axis]
-    doc = predict(parse_config(cfg), **{override: grid}).as_dict()
+    doc = predict(parse_config(cfg), **{override: grid})
     names = (column,) + SWEEP_COLUMNS
     assert any(np.ndim(doc[n]) == 0 for n in names)
     assert any(np.any(np.asarray(doc[n]) == 0.0) for n in names)
