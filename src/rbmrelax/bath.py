@@ -69,7 +69,7 @@ _TILE = 32_768
 
 
 def _check_spin(s: float) -> float:
-    if not math.isfinite(s) or s <= 0.0 or abs(2.0 * s - round(2.0 * s)) > 1e-9:
+    if not math.isfinite(2.0 * s) or s <= 0.0 or abs(2.0 * s - round(2.0 * s)) > 1e-9:
         raise ParameterError(f"spin quantum number must be a positive half-integer, got {s!r}")
     return s
 

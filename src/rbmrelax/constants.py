@@ -30,12 +30,6 @@ GAMMA_E = 1.760859e11       # rad/(s*T), electron gyromagnetic ratio
 # Sensor ground-state zero-field splitting, rad/s.
 OMEGA_0 = 2.0 * math.pi * 2.87e9
 
-# Longitudinal relaxation of the sensor spin in clean bulk crystal; a few ms
-# is typical at room temperature.  Configurable per scenario.
-T1_BULK_DEFAULT = 3.0e-3    # s
-
-ROOM_TEMPERATURE = 298.0    # K, all shipped solvent data refers to this
-
 # Valid correlation-time window.  Values outside are rejected (never
 # silently clamped): below ~fs or above ~1000 s the Lorentzian algebra is
 # either numerically meaningless or indicates a unit mistake upstream.

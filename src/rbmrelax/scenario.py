@@ -258,6 +258,11 @@ def measurement_plan(sc: Scenario, t1_expected: float):
     # imported here: the forward verbs never load the simulation and fit
     from .measure_sim import MeasurementPlan, default_dark_times
 
+    try:  # first, so a count too large to hold fails at once, touching no memory
+        np.empty(sc.n_dark_times)
+    except (ValueError, MemoryError) as exc:
+        raise ParameterError(
+            f"[measurement] n_dark_times {sc.n_dark_times} is too large: {exc}") from None
     return MeasurementPlan(
         dark_times=default_dark_times(t1_expected, n_points=sc.n_dark_times,
                                       tau_min=sc.tau_min,

@@ -11,8 +11,9 @@ number in the expression:
 
 It diverges at R = omega0: there the relaxation rate is stationary in R and
 the sensor carries no first-order information about rate changes.  An
-independent numerical error-propagation oracle validates the formula up to
-a constant factor (documented where it is measured).
+independent error-propagation oracle differentiates the composed signal
+model exactly (by complex step), and the formula equals it times a
+predicted constant, to rounding (validation.check_sensitivity_ratio).
 
 The formula broadcasts over arrays of field variance and rate, so a whole
 density grid is one evaluation; grid points on the resonance are masked out
@@ -24,6 +25,7 @@ density, rate and delta_r_min columns.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 import numpy as np
@@ -89,11 +91,18 @@ def delta_r_min(inp: SensitivityInputs):
     _guard_resonance(r)
     prefactor = 1.0 / (inp.contrast * np.sqrt(
         inp.photon_rate * inp.detection_window * inp.acquisition_time))
-    # a result beyond the float range fails, as predict does
+    # a result beyond the float range fails, as predict does, naming the keys
+    # of the shot-noise factor when it is that factor that takes it there
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         core = np.sqrt(2.0 * math.e * r / (3.0 * GAMMA_E**2 * inp.b_perp_sq))
         lor = (r**2 + w**2) ** 1.5 / abs(r**2 - w**2)
-        return prefactor * core * lor
+        try:
+            return prefactor * core * lor
+        except FloatingPointError:
+            raise ParameterError(
+                "[measurement] contrast, photon_rate_per_s, detection_window_ns and "
+                "acquisition_time_s give a shot-noise factor 1 / (C sqrt(D T_D T)) of "
+                f"{float(prefactor):.6g}: delta_r_min overflows") from None
 
 
 def induced_rate(inp: SensitivityInputs, r: float) -> float:
@@ -101,39 +110,28 @@ def induced_rate(inp: SensitivityInputs, r: float) -> float:
     return 3.0 * GAMMA_E**2 * inp.b_perp_sq * r / (r**2 + OMEGA_0**2)
 
 
-def delta_r_oracle(inp: SensitivityInputs, perturbation: float | None = None) -> float:
-    """Numerical error-propagation estimate of the minimal detectable rate.
+def delta_r_oracle(inp: SensitivityInputs) -> float:
+    """Error-propagation estimate of the minimal detectable rate.
 
     Models the actual measurement: a single-dark-time readout at tau = T1,
-    where T1 = 1/(induced rate).  The signal derivative d(signal)/dR is taken
-    by central finite difference with the given rate perturbation (default
-    0.1% of r_total, must stay below 1%), and the photon shot noise of the
-    normalized signal accumulated over the acquisition time (shot duration
-    dominated by the dark time, reference taken as exactly known) is divided
-    by that derivative.
+    where T1 = 1/(induced rate), of s(R) = 1 - C + C exp(-T1 induced_rate(R)).
+    s is evaluated once, at R + ih on Python scalars: its real part is s(R)
+    and its imaginary part over h is ds/dR, exact to rounding (complex step;
+    Squire and Trapp, SIAM Review 40, 110, 1998).  The photon shot noise of
+    the normalized signal accumulated over the acquisition time (shot
+    duration dominated by the dark time, reference taken as exactly known)
+    is divided by that derivative.
 
     Bulk relaxation is deliberately excluded: the closed form ignores it too,
     and it carries no information about the bath rate.
     """
-    r = inp.r_total
+    r = float(inp.r_total)
     _guard_resonance(r)
-    h = 1e-3 * r if perturbation is None else float(perturbation)
-    if not (0.0 < h <= 0.01 * r):
-        raise ParameterError(f"perturbation must lie in (0, 0.01 * r_total], got {h!r}")
-
     t1 = 1.0 / induced_rate(inp, r)
-
-    def signal(rate):
-        return 1.0 - inp.contrast + inp.contrast * math.exp(-t1 * induced_rate(inp, rate))
-
-    ds_dr = (signal(r + h) - signal(r - h)) / (2.0 * h)
-    if ds_dr == 0.0:
-        raise SingularityError("signal derivative vanishes; rate is not detectable")
-
-    n_shots = inp.acquisition_time / t1
-    photons = inp.photon_rate * inp.detection_window * n_shots
-    sigma_signal = math.sqrt(signal(r) / photons)
-    return sigma_signal / abs(ds_dr)
+    h = 1e-20 * r  # no difference is taken, so any step this small is exact
+    s = 1.0 - inp.contrast + inp.contrast * cmath.exp(-t1 * induced_rate(inp, complex(r, h)))
+    photons = inp.photon_rate * inp.detection_window * inp.acquisition_time / t1
+    return math.sqrt(s.real / photons) / abs(s.imag / h)
 
 
 @dataclass(frozen=True)

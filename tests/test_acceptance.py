@@ -135,10 +135,11 @@ def test_07_sensitivity_formula_vs_oracle(capsys):
     d = check.details
     assert report(capsys, "detectability formula vs numerical oracle",
                   check.passed,
-                  f"ratio {d['mean_ratio']:.5f} constant to "
-                  f"{d['max_relative_deviation']:.2e} over "
-                  f"{d['points_used']} rates (band 10%); expected constant "
-                  f"offset {d['expected_constant_offset']:.5f}")
+                  f"ratio {d['mean_ratio']:.5f} off the expected constant "
+                  f"{d['expected_constant_offset']:.5f} by "
+                  f"{abs(d['mean_ratio'] / d['expected_constant_offset'] - 1.0):.2e} and "
+                  f"constant to {d['max_relative_deviation']:.2e} over "
+                  f"{d['points_used']} rates (limit 1e-12 each)")
 
 
 def test_08_property_suite(capsys, tmp_path):

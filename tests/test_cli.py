@@ -701,8 +701,18 @@ KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensit
     ("[molecular_bath]\nspin = 1e300\n", "t1", 1, "give a squared moment of inf"),
     # D T_D T underflows to 0, and delta_r_min was 1/0 = inf
     ("[measurement]\nacquisition_time_s = 5e-324\n", "sensitivity", 1, "shot-noise factor"),
-    # delta_r_min itself overflows to inf
-    ("[measurement]\ncontrast = 1e-300\n", "sensitivity", 2, "overflow encountered"),
+    # delta_r_min itself overflowed to inf, and the exit-2 message named no key
+    ("[measurement]\ncontrast = 1e-300\n", "sensitivity", 1,
+     "error: [measurement] contrast, photon_rate_per_s, detection_window_ns and "
+     "acquisition_time_s give a shot-noise factor 1 / (C sqrt(D T_D T)) of 1.41421e+300: "
+     "delta_r_min overflows"),
+    # 2s overflows to inf: the half-integer test's round(inf) was exit 2
+    *((f"[{section}]\nspin = {spin}\n", "t1", 1,
+       f"error: spin quantum number must be a positive half-integer, got {float(spin)!r}")
+      for section, spin in (("molecular_bath", "1e308"), ("surface_bath", "1.7e308"))),
+    # 2^63 dark times: np.geomspace raised an IndexError, with a traceback
+    ("[measurement]\nn_dark_times = 9223372036854775808\n", "simulate --spots 3", 1,
+     "error: [measurement] n_dark_times 9223372036854775808 is too large"),
     # a Python float power or exp overflowed, and the exit-2 message named
     # no key
     ("[molecule]\nradius_nm = 1e309\n", "t1", 1,

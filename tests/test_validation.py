@@ -4,6 +4,7 @@ import pytest
 
 import rbmrelax.validation as validation
 from rbmrelax.bath import VolumeBath
+from rbmrelax.constants import OMEGA_0
 from rbmrelax.errors import ParameterError
 from rbmrelax.validation import (
     OracleCheck,
@@ -47,8 +48,26 @@ def test_sensitivity_ratio_check_passes():
     assert check.passed
     # constant factor between formula and oracle, documented value
     assert check.details["mean_ratio"] == pytest.approx(
-        0.91773530171230411, rel=1e-5)
-    assert check.details["max_relative_deviation"] < 0.10
+        0.91773530171230411, rel=1e-12)
+    assert check.details["max_relative_deviation"] < 1e-12
+    assert (check.details["points_used"], check.details["points_excluded"]) == (39, 1)
+
+
+def test_sensitivity_ratio_check_fails_a_shifted_resonance(monkeypatch):
+    # a closed form whose Lorentzian factor reads |R^2 - 0.99 omega0^2| for
+    # |R^2 - omega0^2| moves the ratios by up to 3% (0.3% in the mean):
+    # the check must fail
+    real = validation.delta_r_min
+
+    def shifted(inp):
+        r2, w2 = inp.r_total**2, OMEGA_0**2
+        return real(inp) * abs(r2 - w2) / abs(r2 - 0.99 * w2)
+
+    monkeypatch.setattr(validation, "delta_r_min", shifted)
+    check = check_sensitivity_ratio()
+    assert not check.passed
+    assert check.details["mean_ratio"] != pytest.approx(
+        check.details["expected_constant_offset"], rel=1e-3)
 
 
 def test_run_oracles_name_validation():

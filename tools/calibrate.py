@@ -34,7 +34,7 @@ from rbmrelax.bath import (
     b_perp_sq_surface,
     volume_amplitude,
 )
-from rbmrelax.constants import GAMMA_E, OMEGA_0, ROOM_TEMPERATURE, T1_BULK_DEFAULT
+from rbmrelax.constants import GAMMA_E, OMEGA_0
 from rbmrelax.core_relax import NoiseSource, rate_contribution
 from rbmrelax.errors import positive, require
 from rbmrelax.hydro import (
@@ -48,6 +48,11 @@ from rbmrelax.hydro import (
     translational_rate,
 )
 from rbmrelax.sensitivity import SensitivityInputs, delta_r_min
+
+# Longitudinal relaxation of the sensor spin in clean bulk crystal; a few ms
+# is typical at room temperature.
+T1_BULK_DEFAULT = 3.0e-3    # s
+ROOM_TEMPERATURE = 298.0    # K, all shipped solvent data refers to this
 
 # Anchor values the calibration reproduces.
 ACETONE_ROTATIONAL_RATE = 14.2e9   # 1/s, molecule tumbling in pure acetone
