@@ -68,9 +68,13 @@ _CHUNK = 250_000
 _TILE = 32_768
 
 
+def is_spin(s: float) -> bool:
+    """Whether s is a positive half-integer (to 1e-9); 2s is finite first."""
+    return math.isfinite(2.0 * s) and s > 0.0 and abs(2.0 * s - round(2.0 * s)) <= 1e-9
+
+
 def _check_spin(s: float) -> float:
-    if not math.isfinite(2.0 * s) or s <= 0.0 or abs(2.0 * s - round(2.0 * s)) > 1e-9:
-        raise ParameterError(f"spin quantum number must be a positive half-integer, got {s!r}")
+    require(is_spin(s), "spin quantum number must be a positive half-integer, got {!r}", s)
     return s
 
 

@@ -243,6 +243,8 @@ def cmd_simulate(args) -> int:
         write_fit_json,
     )
 
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # every condition is predicted and planned, and every spot's true T1
     # drawn, before anything is written, so a bad condition or spot leaves
     # no partial output

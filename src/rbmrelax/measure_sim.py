@@ -376,8 +376,10 @@ def fit_curves(tau, y, sig) -> dict:
     r = (base[:, None] + amp[:, None] * e - rows.y) * rows.w
     red_chi2 = (r * r).sum(axis=-1) / (n_points - 3)
 
-    cols = (rows.w, rows.w * e,
-            rows.w * (amp[:, None] * e * rows.tau / t1[:, None] ** 2))
+    # a T1 whose square underflows to 0 leaves a covariance that is not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cols = (rows.w, rows.w * e,
+                rows.w * (amp[:, None] * e * rows.tau / t1[:, None] ** 2))
     jtj = np.empty((todo.size, 3, 3))
     for p in range(3):
         for q in range(p, 3):

@@ -11,7 +11,10 @@ mixture, with its viscosity interpolant, is built once per scenario
 (Scenario.mixture).
 This module also owns the INI-style config format (strict schema,
 unknown keys are errors) and its canonical serialization used for run
-hashing.
+hashing.  _SCHEMA declares each key's Scenario attribute, parse, format
+and valid range once; a Scenario value outside its key's range, from a file
+or a library caller, raises a ParameterError that names [section] key and
+spells the value in the file's units.
 
 The calibrated constants below were derived once (see tools/calibrate.py)
 and are frozen here so that importing the package never re-runs root searches:
@@ -43,7 +46,7 @@ import hashlib
 import io
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from pathlib import Path
@@ -57,10 +60,11 @@ from .bath import (
     VolumeBath,
     b_perp_sq_surface,
     b_perp_sq_volume,
+    is_spin,
 )
 from .constants import GAMMA_E, TAU_C_MAX, TAU_C_MIN
 from .core_relax import NoiseSource, t1_total
-from .errors import ConfigError, ParameterError, nonnegative, require
+from .errors import ConfigError, ParameterError, nonnegative, positive, require
 from .hydro import (
     A_S_ACETONE_DEFAULT,
     A_S_WATER_DEFAULT,
@@ -137,51 +141,14 @@ class Scenario:
     seed: int = 12345
 
     def __post_init__(self):
-        if self.sensor_offset != 0.0:
-            raise ParameterError(
-                f"sensor_offset must be 0 (the bath closed forms assume a centered "
-                f"sensor), got {self.sensor_offset!r}")
-        # constituent types carry most invariants; build probes eagerly so
-        # a bad scenario fails at construction, not first use
+        # each key's valid range is declared once, in _SCHEMA
+        for (section, key), (attr, _, to_text, (ok, what)) in _SCHEMA.items():
+            v = getattr(self, attr)
+            if not ok(v):
+                shown = repr(v) if isinstance(v, float) and not math.isfinite(v) else to_text(v)
+                raise ParameterError(f"[{section}] {key} must be {what}, got {shown}")
+        # the radius**4 bounds that the surface field derives from the diameter
         ParticleGeometry(diameter=self.diameter)
-        self.surface_source_bath(self.surface_density)
-        self.molecular_bath(self.gd_density)
-        for name in ("vibration_rate", "kappa_dip", "density_jitter", "diameter_jitter",
-                     "a_s_water", "a_s_other"):
-            v = getattr(self, name)
-            require(nonnegative(v), f"{name} must be finite and >= 0, got {{!r}}", v)
-        for name in ("surface_rate", "molecule_radius", "temperature", "t1_bulk",
-                     "detection_window", "photon_rate", "tau_min", "tau_span_factor",
-                     "acquisition_time"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ParameterError(f"{name} must be positive, got {v!r}")
-        if self.tau_span_factor > MAX_TAU_SPAN_FACTOR:
-            raise ParameterError(
-                f"tau_span_factor must be <= {MAX_TAU_SPAN_FACTOR:g} (a grid to 100 T1 "
-                f"already samples e^-100 of the decay), got {self.tau_span_factor!r}")
-        if not (TAU_C_MIN <= 1.0 / self.surface_rate <= TAU_C_MAX):
-            raise ParameterError(f"surface_rate {self.surface_rate!r} out of range")
-        if not (0.0 <= self.x_water <= 1.0):
-            raise ParameterError(f"x_water must lie in [0, 1], got {self.x_water!r}")
-        if not (0.0 < self.contrast < 1.0):
-            raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
-        if self.shots_per_point < 1:
-            raise ParameterError("shots_per_point must be >= 1")
-        if self.n_dark_times < 4:
-            raise ParameterError("n_dark_times must be >= 4")
-        if self.seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
-
-    # constituent builders
-
-    def surface_source_bath(self, areal_density) -> SurfaceBath:
-        return SurfaceBath(areal_density=areal_density,
-                           spin_quantum_number=self.surface_spin, gamma=self.surface_gamma)
-
-    def molecular_bath(self, number_density) -> VolumeBath:
-        return VolumeBath(number_density=number_density, spin_quantum_number=self.gd_spin,
-                          gamma=self.gd_gamma, standoff=self.standoff)
 
     @cached_property
     def mixture(self) -> SolventMixture:
@@ -220,16 +187,18 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         geom = ParticleGeometry(diameter=d)
-        b2_surf = b_perp_sq_surface(geom, sc.surface_source_bath(sigma))
-        b2_mol = b_perp_sq_volume(geom, sc.molecular_bath(n))
+        b2_surf = b_perp_sq_surface(geom, SurfaceBath(
+            areal_density=sigma, spin_quantum_number=sc.surface_spin, gamma=sc.surface_gamma))
+        b2_mol = b_perp_sq_volume(geom, VolumeBath(
+            number_density=n, spin_quantum_number=sc.gd_spin, gamma=sc.gd_gamma,
+            standoff=sc.standoff))
         p = sc.hydro_at(x)
         # the density is valid by now; a product that overflows names the
         # coefficient, for a scalar (a silent inf) and an array alike
         with np.errstate(over="ignore"):
             r_dip = sc.kappa_dip * n
-        require(r_dip < math.inf,
-                f"[molecular_bath] dipolar_coefficient_m3_per_s {sc.kappa_dip!r} is too "
-                "large: its dipolar rate at density {!r} /m^3 overflows", n)
+        require(r_dip < math.inf, f"{_KEY['kappa_dip']} {sc.kappa_dip!r} is too large: "
+                "its dipolar rate at density {!r} /m^3 overflows", n)
         # the translational decorrelation length is the closest
         # sensor-molecule distance, particle radius plus standoff
         rates = total_rate(r_dip=r_dip, r_vib=sc.vibration_rate,
@@ -262,7 +231,7 @@ def measurement_plan(sc: Scenario, t1_expected: float):
         np.empty(sc.n_dark_times)
     except (ValueError, MemoryError) as exc:
         raise ParameterError(
-            f"[measurement] n_dark_times {sc.n_dark_times} is too large: {exc}") from None
+            f"{_KEY['n_dark_times']} {sc.n_dark_times} is too large: {exc}") from None
     return MeasurementPlan(
         dark_times=default_dark_times(t1_expected, n_points=sc.n_dark_times,
                                       tau_min=sc.tau_min,
@@ -272,12 +241,12 @@ def measurement_plan(sc: Scenario, t1_expected: float):
         contrast=sc.contrast, include_reference=sc.include_reference)
 
 
-def _lognormal_factor(rng: np.random.Generator, key: str, spread: float) -> float:
+def _lognormal_factor(rng: np.random.Generator, attr: str, spread: float) -> float:
     """exp of one normal draw of the given spread; a draw whose exp
     overflows is a ParameterError naming the spread's key."""
     z = rng.normal(0.0, spread)
     if z > _LOG_FLOAT_MAX:
-        raise ParameterError(f"{key} {spread!r} is too large: it drew a log-normal "
+        raise ParameterError(f"{_KEY[attr]} {spread!r} is too large: it drew a log-normal "
                              f"factor e^{z:.6g}, which overflows")
     return math.exp(z)
 
@@ -296,11 +265,11 @@ def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
     """
     if n_spots < 2:
         raise ParameterError(f"need >= 2 spots, got {n_spots}")
-    spreads = (("diameter_jitter", sc.diameter_jitter), ("density_jitter", sc.density_jitter),
-               ("density_jitter", sc.density_jitter))
+    spreads = [(attr, getattr(sc, attr))
+               for attr in ("diameter_jitter", "density_jitter", "density_jitter")]
     factors = np.empty((n_spots, 3))  # first, so a count too large to hold fails at once
     rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
-    factors[:] = [[_lognormal_factor(rng, key, s) for key, s in spreads] for rng in rngs]
+    factors[:] = [[_lognormal_factor(rng, attr, s) for attr, s in spreads] for rng in rngs]
     d, n, sigma = factors.T
     pred = predict(sc, diameter=sc.diameter * d, gd_density=sc.gd_density * n,
                    surface_density=sc.surface_density * sigma)
@@ -397,43 +366,62 @@ def _parse_bool(s: str) -> bool:
 _BOOL = (_parse_bool, lambda v: "true" if v else "false")
 _STR = (lambda s: s.strip(), str)
 
-# (section, key) -> (scenario attribute, parse, format)
-_SCHEMA = {
-    ("particle", "diameter_nm"): ("diameter", *_NM),
-    ("particle", "sensor_offset_nm"): ("sensor_offset", *_NM),
-    ("surface_bath", "areal_density_per_nm2"): ("surface_density", *_PER_NM2),
-    ("surface_bath", "fluctuation_rate_ghz"): ("surface_rate", *_GHZ),
-    ("surface_bath", "spin"): ("surface_spin", *_FLOAT),
-    ("surface_bath", "gamma_rad_per_s_per_t"): ("surface_gamma", *_FLOAT),
-    ("molecular_bath", "density_per_m3"): ("gd_density", *_FLOAT),
-    ("molecular_bath", "spin"): ("gd_spin", *_FLOAT),
-    ("molecular_bath", "gamma_rad_per_s_per_t"): ("gd_gamma", *_FLOAT),
-    ("molecular_bath", "standoff_nm"): ("standoff", *_NM),
-    ("molecular_bath", "vibration_rate_ghz"): ("vibration_rate", *_GHZ),
-    ("molecular_bath", "dipolar_coefficient_m3_per_s"): ("kappa_dip", *_FLOAT),
-    ("solvent", "x_water"): ("x_water", *_FLOAT),
-    ("solvent", "table_path"): ("viscosity_table", *_STR),
-    ("solvent", "a_s_water_nm"): ("a_s_water", *_NM),
-    ("solvent", "a_s_other_nm"): ("a_s_other", *_NM),
-    ("molecule", "radius_nm"): ("molecule_radius", *_NM),
-    ("environment", "temperature_k"): ("temperature", *_FLOAT),
-    ("environment", "t1_bulk_ms"): ("t1_bulk", *_MS),
-    ("measurement", "shots_per_point"): ("shots_per_point", *_INT),
-    ("measurement", "detection_window_ns"): ("detection_window", *_NS),
-    ("measurement", "photon_rate_per_s"): ("photon_rate", *_FLOAT),
-    ("measurement", "contrast"): ("contrast", *_FLOAT),
-    ("measurement", "include_reference"): ("include_reference", *_BOOL),
-    ("measurement", "n_dark_times"): ("n_dark_times", *_INT),
-    ("measurement", "tau_min_us"): ("tau_min", *_US),
-    ("measurement", "tau_span_factor"): ("tau_span_factor", *_FLOAT),
-    ("measurement", "acquisition_time_s"): ("acquisition_time", *_FLOAT),
-    ("spots", "density_jitter"): ("density_jitter", *_FLOAT),
-    ("spots", "diameter_jitter"): ("diameter_jitter", *_FLOAT),
-    ("random", "seed"): ("seed", *_INT),
-}
+# valid ranges: (test of the SI value, what a value outside it must be)
+_ANY = (lambda v: True, "any value")
+_POSITIVE = (positive, "finite and > 0")
+_NONNEGATIVE = (nonnegative, "finite and >= 0")
+_NONZERO = (lambda v: v != 0.0 and math.isfinite(v), "finite and nonzero")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_SPIN = (is_spin, "a positive half-integer")
 
-_VALID_FIELDS = {f.name for f in fields(Scenario)}
-assert all(attr in _VALID_FIELDS for attr, _, _ in _SCHEMA.values())
+
+def _at_least(k: int):
+    return (lambda v: v >= k), f"an integer >= {k}"
+
+
+# (section, key) -> (scenario attribute, parse, format, valid range)
+_SCHEMA = {
+    ("particle", "diameter_nm"): ("diameter", *_NM, _POSITIVE),
+    ("particle", "sensor_offset_nm"): ("sensor_offset", *_NM, (
+        lambda v: v == 0.0, "0 (the bath closed forms assume a centered sensor)")),
+    ("surface_bath", "areal_density_per_nm2"): ("surface_density", *_PER_NM2, _NONNEGATIVE),
+    ("surface_bath", "fluctuation_rate_ghz"): ("surface_rate", *_GHZ, (
+        lambda v: positive(v) and TAU_C_MIN <= 1.0 / v <= TAU_C_MAX,
+        f"> 0 with a correlation time 1/R in [{TAU_C_MIN:g}, {TAU_C_MAX:g}] s")),
+    ("surface_bath", "spin"): ("surface_spin", *_FLOAT, _SPIN),
+    ("surface_bath", "gamma_rad_per_s_per_t"): ("surface_gamma", *_FLOAT, _NONZERO),
+    ("molecular_bath", "density_per_m3"): ("gd_density", *_FLOAT, _NONNEGATIVE),
+    ("molecular_bath", "spin"): ("gd_spin", *_FLOAT, _SPIN),
+    ("molecular_bath", "gamma_rad_per_s_per_t"): ("gd_gamma", *_FLOAT, _NONZERO),
+    ("molecular_bath", "standoff_nm"): ("standoff", *_NM, _NONNEGATIVE),
+    ("molecular_bath", "vibration_rate_ghz"): ("vibration_rate", *_GHZ, _NONNEGATIVE),
+    ("molecular_bath", "dipolar_coefficient_m3_per_s"): ("kappa_dip", *_FLOAT, _NONNEGATIVE),
+    ("solvent", "x_water"): ("x_water", *_FLOAT, _UNIT),
+    ("solvent", "table_path"): ("viscosity_table", *_STR, _ANY),
+    ("solvent", "a_s_water_nm"): ("a_s_water", *_NM, _NONNEGATIVE),
+    ("solvent", "a_s_other_nm"): ("a_s_other", *_NM, _NONNEGATIVE),
+    ("molecule", "radius_nm"): ("molecule_radius", *_NM, _POSITIVE),
+    ("environment", "temperature_k"): ("temperature", *_FLOAT, _POSITIVE),
+    ("environment", "t1_bulk_ms"): ("t1_bulk", *_MS, _POSITIVE),
+    ("measurement", "shots_per_point"): ("shots_per_point", *_INT, _at_least(1)),
+    ("measurement", "detection_window_ns"): ("detection_window", *_NS, _POSITIVE),
+    ("measurement", "photon_rate_per_s"): ("photon_rate", *_FLOAT, _POSITIVE),
+    ("measurement", "contrast"): ("contrast", *_FLOAT, _OPEN_UNIT),
+    ("measurement", "include_reference"): ("include_reference", *_BOOL, _ANY),
+    ("measurement", "n_dark_times"): ("n_dark_times", *_INT, _at_least(4)),
+    ("measurement", "tau_min_us"): ("tau_min", *_US, _POSITIVE),
+    ("measurement", "tau_span_factor"): ("tau_span_factor", *_FLOAT, (
+        lambda v: 0.0 < v <= MAX_TAU_SPAN_FACTOR,
+        f"in (0, {MAX_TAU_SPAN_FACTOR:g}] (a grid to 100 T1 already samples e^-100 "
+        "of the decay)")),
+    ("measurement", "acquisition_time_s"): ("acquisition_time", *_FLOAT, _POSITIVE),
+    ("spots", "density_jitter"): ("density_jitter", *_FLOAT, _NONNEGATIVE),
+    ("spots", "diameter_jitter"): ("diameter_jitter", *_FLOAT, _NONNEGATIVE),
+    ("random", "seed"): ("seed", *_INT, _at_least(0)),
+}
+# Scenario attribute -> "[section] key", its one spelling in messages
+_KEY = {attr: f"[{section}] {key}" for (section, key), (attr, *_) in _SCHEMA.items()}
 
 
 def scenario_from_text(text: str, source: str = "<string>") -> Scenario:
@@ -453,7 +441,7 @@ def scenario_from_text(text: str, source: str = "<string>") -> Scenario:
     for section in parser.sections():
         for key, raw in parser.items(section):
             try:
-                attr, to_si, _ = _SCHEMA[(section, key)]
+                attr, to_si, *_ = _SCHEMA[(section, key)]
             except KeyError:
                 known = sorted(k for s, k in _SCHEMA if s == section)
                 if known:
@@ -498,7 +486,7 @@ def serialize_scenario(sc: Scenario) -> str:
     is what makes the config hash stable under key reordering.
     """
     by_section: dict = {}
-    for (section, key), (attr, _, to_text) in _SCHEMA.items():
+    for (section, key), (attr, _, to_text, _) in _SCHEMA.items():
         by_section.setdefault(section, {})[key] = to_text(getattr(sc, attr))
     out = io.StringIO()
     for section in sorted(by_section):

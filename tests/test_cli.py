@@ -1,18 +1,30 @@
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rbmrelax.cli import main
 from rbmrelax.constants import OMEGA_0
 from rbmrelax.measure_sim import CURVE_HEADER, fit_curves, simulate_curve
-from rbmrelax.scenario import draw_spots, measurement_plan, parse_config, predict
+from rbmrelax.scenario import (
+    _SCHEMA,
+    draw_spots,
+    measurement_plan,
+    parse_config,
+    predict,
+    serialize_scenario,
+)
 from rbmrelax.sensitivity import CURVE_COLUMNS
 from rbmrelax.table import read_table
 from rbmrelax.validation import OracleCheck, OracleReport
@@ -654,7 +666,8 @@ def test_zero_surface_rate_is_a_parameter_error(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: surface_rate must be positive")
+    assert len(err) == 1 and err[0].startswith(
+        "error: [surface_bath] fluctuation_rate_ghz must be > 0 with a correlation time")
 
 
 def test_simulate_condition_names_never_collide(tmp_path, capsys):
@@ -706,10 +719,6 @@ KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensit
      "error: [measurement] contrast, photon_rate_per_s, detection_window_ns and "
      "acquisition_time_s give a shot-noise factor 1 / (C sqrt(D T_D T)) of 1.41421e+300: "
      "delta_r_min overflows"),
-    # 2s overflows to inf: the half-integer test's round(inf) was exit 2
-    *((f"[{section}]\nspin = {spin}\n", "t1", 1,
-       f"error: spin quantum number must be a positive half-integer, got {float(spin)!r}")
-      for section, spin in (("molecular_bath", "1e308"), ("surface_bath", "1.7e308"))),
     # 2^63 dark times: np.geomspace raised an IndexError, with a traceback
     ("[measurement]\nn_dark_times = 9223372036854775808\n", "simulate --spots 3", 1,
      "error: [measurement] n_dark_times 9223372036854775808 is too large"),
@@ -720,7 +729,7 @@ KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensit
     ("[particle]\ndiameter_nm = 1e309\n", "t1", 1,
      "error: diameter 1e+300 m is too large: its radius**4 overflows"),
     ("[spots]\ndensity_jitter = 1e30\n", "simulate", 1,
-     "error: density_jitter 1e+30 is too large: it drew a log-normal factor e^"),
+     "error: [spots] density_jitter 1e+30 is too large: it drew a log-normal factor e^"),
     # kappa_dip * n overflowed: a scalar product was a silent inf that a
     # later check caught without naming the key, an array one exit 2
     *((KAPPA_OVERFLOW, verb, 1, "error: [molecular_bath] dipolar_coefficient_m3_per_s "
@@ -787,14 +796,108 @@ def test_overflowing_bulk_rate_is_a_parameter_error(tmp_path, capsys, argv):
     assert captured.err == "error: t1_bulk 5e-324 s is too small: its reciprocal overflows\n"
 
 
-def test_tau_span_factor_above_100_leaves_no_output(tmp_path, capsys):
-    cfg = tmp_path / "long.ini"
-    cfg.write_text("[measurement]\ntau_span_factor = 1e300\n")
+def test_simulate_negative_seed_names_the_flag(fast_config, tmp_path, capsys):
+    # --seed overrides [random] seed, so the error names the flag, not the key
     out = tmp_path / "sim"
-    assert main(["simulate", "--config", str(cfg), "--spots", "2",
+    assert main(["simulate", "--config", str(fast_config), "--seed", "-1",
                  "--out", str(out)]) == 1
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: tau_span_factor must be <= 100")
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+
+# the contract below runs every verb that reads a config on the shipped
+# gd_water_25nm config, with a short acquisition, and one key changed
+CONTRACT_BASE = serialize_scenario(replace(
+    parse_config(Path(__file__).resolve().parents[1] / "configs" / "gd_water_25nm.ini"),
+    shots_per_point=2000))
+CONTRACT_VERBS = {
+    "t1": ["t1"],
+    "sweep": ["sweep", "--axis", "water_fraction", "--grid", "0:1:5"],
+    "simulate": ["simulate", "--spots", "3"],
+    "sensitivity": ["sensitivity"],
+}
+# as a file spells them: zeros, unit-scale values, magnitudes at the ends of
+# the double range, the words for non-finite values and an integer past int64
+EXTREME_TEXTS = ("0", "-0", "-1", "0.5", "1", "100.0000001", "5e-324", "1e-300", "1e300",
+                 "1.7e308", "nan", "inf", "-inf", "9223372036854775808")
+
+
+def _with_value(text: str, section: str, key: str, value: str) -> str:
+    """serialize_scenario text, which spells every key, with one key's
+    value replaced."""
+    lines, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == section and line.partition(" = ")[0] == key:
+            line = f"{key} = {value}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _numbers(text: str):
+    """Every token of text that reads as a float, json's NaN included."""
+    for token in re.split(r'[\s,:=\[\]{}"]+', text):
+        try:
+            yield float(token)
+        except ValueError:
+            pass
+
+
+def _finite_output(path: Path) -> bool:
+    """Whether a data file holds only finite numbers; a fit that did not
+    converge records NaN for what it could not estimate, by contract."""
+    text = path.read_text()
+    if path.name.endswith("_fit.json") and not json.loads(text)["converged"]:
+        return math.isfinite(json.loads(text)["t1_true_s"])
+    return all(map(math.isfinite, _numbers(text)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(verb=st.sampled_from(sorted(CONTRACT_VERBS)), entry=st.sampled_from(sorted(_SCHEMA)),
+       value=st.sampled_from(EXTREME_TEXTS))
+# 2s overflows to inf: the half-integer test's round(inf) was exit 2
+@example(verb="t1", entry=("molecular_bath", "spin"), value="1e308")
+@example(verb="t1", entry=("surface_bath", "spin"), value="1.7e308")
+# a dark-time grid past 100 T1, rejected before the output directory
+@example(verb="simulate", entry=("measurement", "tau_span_factor"), value="1e300")
+# a zero rate, checked before its inverse is taken
+@example(verb="t1", entry=("surface_bath", "fluctuation_rate_ghz"), value="-0")
+# a T1 search that reaches a T1 whose square underflows: the fit's
+# Jacobian warned of a division by zero, a traceback under -W error
+@example(verb="simulate", entry=("measurement", "tau_min_us"), value="1e-300")
+def test_every_verb_fails_typed_or_writes_finite_output(verb, entry, value):
+    section, key = entry
+    _, to_si, _, (ok, what) = _SCHEMA[entry]
+    try:
+        outside = not ok(to_si(value))
+    except ValueError:
+        outside = None  # the value does not parse
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "extreme.ini"
+        cfg.write_text(_with_value(CONTRACT_BASE, section, key, value))
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([*CONTRACT_VERBS[verb], "--config", str(cfg), "--out", str(out)])
+        written = sorted(p for p in Path(tmp).rglob("*") if p != cfg)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert outside is False
+            for path in written:
+                if path.is_file() and not path.name.endswith("manifest.json"):
+                    assert _finite_output(path), path
+            assert all(map(math.isfinite, _numbers(stdout.getvalue())))
+            return
+        # one line, no traceback, and no output path
+        err = stderr.getvalue().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: " if code == 1 else "numerical failure: ")
+        assert stdout.getvalue() == "" and written == []
+        if outside:
+            assert code == 1
+            assert err[0].startswith(f"error: [{section}] {key} must be {what}, got ")
+        elif outside is None:
+            assert code == 1 and f"[{section}] {key}" in err[0]

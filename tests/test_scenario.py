@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,23 +85,87 @@ def test_scenario_validation():
 def test_sensor_offset_rejected_when_read(value):
     # the closed forms of predict hold for a centered sensor only; the key
     # stays in the schema at 0
-    with pytest.raises(ParameterError, match=r"^sensor_offset must be 0 "):
+    with pytest.raises(ParameterError, match=r"^\[particle\] sensor_offset_nm must be 0 "):
         scenario_from_text(f"[particle]\nsensor_offset_nm = {value}\n")
     assert scenario_from_text("[particle]\nsensor_offset_nm = 0\n") == Scenario()
 
 
 @pytest.mark.parametrize("value", ["100.0000001", "1e300", "inf"])
 def test_tau_span_factor_above_100_rejected_when_read(value):
-    with pytest.raises(ParameterError, match=r"^tau_span_factor must be"):
+    with pytest.raises(ParameterError,
+                       match=r"^\[measurement\] tau_span_factor must be in \(0, 100\] "):
         scenario_from_text(f"[measurement]\ntau_span_factor = {value}\n")
     assert scenario_from_text("[measurement]\ntau_span_factor = 100\n").tau_span_factor == 100.0
 
 
 @pytest.mark.parametrize("value", ["0", "-0", "0.0"])
 def test_zero_surface_rate_rejected_when_read(value):
-    # checked positive before its inverse is taken
-    with pytest.raises(ParameterError, match=r"^surface_rate must be positive, got "):
+    # checked positive before its inverse is taken; -0 and 0.0 read as 0
+    with pytest.raises(ParameterError, match=r"^\[surface_bath\] fluctuation_rate_ghz must be "
+                       r"> 0 with a correlation time 1/R in \[1e-15, 1000\] s, got 0$"):
         scenario_from_text(f"[surface_bath]\nfluctuation_rate_ghz = {value}\n")
+
+
+_TINY = 5e-324
+_MAX = sys.float_info.max
+# each range a schema key can declare, by the text its message quotes: the
+# SI values on its edges inside it, and the values just outside
+DOMAIN_EDGES = {
+    "finite and > 0": ([_TINY, _MAX], [0.0, -_TINY, math.inf]),
+    "finite and >= 0": ([0.0, _MAX], [-_TINY, math.inf]),
+    "finite and nonzero": ([_TINY, -_TINY, _MAX, -_MAX], [0.0, math.inf, -math.inf]),
+    "in [0, 1]": ([0.0, 1.0], [-_TINY, math.nextafter(1.0, 2.0)]),
+    "in (0, 1)": ([_TINY, math.nextafter(1.0, 0.0)], [0.0, 1.0]),
+    "a positive half-integer": ([0.5, 3.5, 2**52], [0.0, -0.5, 0.5 + 1e-8, 1.7e308]),
+    "0 (the bath closed forms assume a centered sensor)": ([0.0, -0.0], [_TINY, -_TINY]),
+    "> 0 with a correlation time 1/R in [1e-15, 1000] s": (
+        [1e-3, 1e15], [math.nextafter(1e-3, 0.0), math.nextafter(1e15, math.inf), 0.0]),
+    "in (0, 100] (a grid to 100 T1 already samples e^-100 of the decay)": (
+        [_TINY, 100.0], [0.0, math.nextafter(100.0, math.inf)]),
+    "an integer >= 0": ([0, 2**63], [-1]),
+    "an integer >= 1": ([1], [0]),
+    "an integer >= 4": ([4], [3]),
+}
+# the keys that take any value
+UNCHECKED = {("solvent", "table_path"), ("measurement", "include_reference")}
+
+
+def _spelled(to_text, value) -> str:
+    """value as a config file spells it; a non-finite float by its repr."""
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) \
+        else to_text(value)
+
+
+def test_every_schema_key_declares_a_domain():
+    for entry, (_, _, _, (ok, what)) in _SCHEMA.items():
+        assert callable(ok)
+        assert what in DOMAIN_EDGES or (entry in UNCHECKED and ok(None))
+
+
+@pytest.mark.parametrize("section, key", sorted(set(_SCHEMA) - UNCHECKED))
+def test_schema_domain_edges(section, key):
+    # a value just outside the key's range, read from a file, names
+    # [section] key and quotes the value as the file spells it
+    attr, _, to_text, (_, what) = _SCHEMA[(section, key)]
+    inside, outside = DOMAIN_EDGES[what]
+    for value in outside:
+        text = _spelled(to_text, value)
+        message = f"[{section}] {key} must be {what}, got {text}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            scenario_from_text(f"[{section}]\n{key} = {text}\n")
+    # NaN lies outside every range, from a library caller as from a file
+    message = f"[{section}] {key} must be {what}, got nan"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        Scenario(**{attr: math.nan})
+    for value in inside:
+        try:
+            sc = scenario_from_text(f"[{section}]\n{key} = {_spelled(to_text, value)}\n")
+        except ParameterError as exc:
+            # only the diameter has a bound past its range: the radius**4
+            # that the surface field divides by
+            assert attr == "diameter" and "radius**4" in str(exc)
+        else:
+            assert getattr(sc, attr) == value
 
 
 def test_serialize_parse_roundtrip():
@@ -285,7 +351,9 @@ def test_config_number_beyond_double_range_rejected(text, message):
 @pytest.mark.parametrize("key", ["a_s_water_nm", "a_s_other_nm"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
 def test_nonfinite_or_negative_solvent_radius_rejected(key, value):
-    with pytest.raises(ParameterError, match=f"{key[:-3]} must be finite and >= 0"):
+    # the value as the file spells it, in nm
+    with pytest.raises(ParameterError,
+                       match=rf"^\[solvent\] {key} must be finite and >= 0, got {value}$"):
         scenario_from_text(f"[solvent]\n{key} = {value}\n")
 
 
@@ -358,7 +426,7 @@ def test_t1_falls_as_gd_density_rises(start, steps, diameter, x_water):
 
 
 # every float key of the config schema, by its Scenario attribute
-FLOAT_KEYS = sorted(attr for attr, _, _ in _SCHEMA.values()
+FLOAT_KEYS = sorted(attr for attr, *_ in _SCHEMA.values()
                     if isinstance(getattr(Scenario(), attr), float))
 EXTREMES = (5e-324, 1e-300, 1e-30, 1.0, 1e30, 1e300)
 # the errors the CLI maps to exit 1 (bad input) or 2 (numerical failure:
