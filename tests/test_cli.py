@@ -719,6 +719,10 @@ KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensit
      "error: [measurement] contrast, photon_rate_per_s, detection_window_ns and "
      "acquisition_time_s give a shot-noise factor 1 / (C sqrt(D T_D T)) of 1.41421e+300: "
      "delta_r_min overflows"),
+    # 2s overflows to inf: the half-integer test's round(inf) was exit 2
+    *((f"[{section}]\nspin = {spin}\n", "t1", 1,
+       f"error: [{section}] spin must be a positive half-integer, got ")
+      for section, spin in (("molecular_bath", "1e308"), ("surface_bath", "1.7e308"))),
     # 2^63 dark times: np.geomspace raised an IndexError, with a traceback
     ("[measurement]\nn_dark_times = 9223372036854775808\n", "simulate --spots 3", 1,
      "error: [measurement] n_dark_times 9223372036854775808 is too large"),
@@ -794,6 +798,20 @@ def test_overflowing_bulk_rate_is_a_parameter_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: t1_bulk 5e-324 s is too small: its reciprocal overflows\n"
+
+
+def test_tau_span_factor_above_100_leaves_no_output(tmp_path, capsys):
+    cfg = tmp_path / "long.ini"
+    cfg.write_text("[measurement]\ntau_span_factor = 1e300\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--spots", "2",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: [measurement] tau_span_factor must be in (0, 100]")
 
 
 def test_simulate_negative_seed_names_the_flag(fast_config, tmp_path, capsys):
