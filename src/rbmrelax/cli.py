@@ -24,9 +24,12 @@ the run with nothing written.  Per condition, one measure_sim.simulate_curve
 call then draws every spot's curve as a row of the tau, signal and stderr
 arrays, one measure_sim.fit_curves call fits the rows into columns (one
 array per fit-JSON key), and one write_curve and one write_fit_json call
-write every spot's row and fit to its own two files.  ``fit`` prints the
-one-row fit document of measure_sim.fit_exponential and writes that text
-to --out.
+write every spot's row and fit to its own two files.  A spot's fit
+document holds its fit columns, its index and its true T1; the
+condition's plan, seed and stream index are written once, in its
+summary.json entry.  ``fit`` prints the one-row fit document of
+measure_sim.fit_exponential and writes that text to --out, so a spot's
+fit document is that text plus ``spot`` and ``t1_true_s``.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep passes its
@@ -285,15 +288,14 @@ def cmd_simulate(args) -> int:
         fits = fit_curves(tau, signal, stderr)
         stems = [f"{name}/spot_{j:04d}" for j in range(args.spots)]
         write_curve(tau, signal, stderr, [f"{out_dir}/{s}_curve.tsv" for s in stems])
-        write_fit_json(fits, [f"{out_dir}/{s}_fit.json" for s in stems],
-                       shared={"plan": plan.as_dict(), "seed": sc.seed, "condition": name},
-                       columns={"spot": range(args.spots), "t1_true_s": t1_true})
+        write_fit_json(fits | {"spot": range(args.spots), "t1_true_s": t1_true},
+                       [f"{out_dir}/{s}_fit.json" for s in stems])
         outputs += [f"{s}_{kind}" for s in stems for kind in ("curve.tsv", "fit.json")]
         t1_hats = fits["t1_hat_s"][fits["converged"]]
 
         cond_doc = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
-            "condition_index": index,
+            "condition_index": index, "plan": plan.as_dict(),
             "n_spots": args.spots, "n_converged": len(t1_hats),
             "t1_predicted_s": t1_pred, "gaussian": None,
         }

@@ -17,7 +17,8 @@ signals and errors in one numpy pass, fit_curves fits the rows in one
 batch and returns the fits as columns, one array per fit-JSON key with
 one entry per row, and write_curve and write_fit_json write each row's
 curve file and fit document in one call per condition, the documents
-from one template of json.dumps's own per-key entries (render_fit_json).
+from one template of json.dumps's own per-key entries (render_fit_json)
+over one mapping of per-row columns.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class MeasurementPlan:
         object.__setattr__(self, "dark_times", taus)
 
     def as_dict(self) -> dict:
-        """The plan as a fit document records it, in SI units."""
+        """The plan as summary.json records it, in SI units."""
         return {"dark_times_s": list(self.dark_times), "shots_per_point": self.shots_per_point,
                 "detection_window_s": self.detection_window,
                 "photon_rate_per_s": self.photon_rate, "contrast": self.contrast,
@@ -479,31 +480,23 @@ def _json_scalar(value) -> str:
     return json.dumps(value)
 
 
-def render_fit_json(fits: dict, shared: dict | None = None, columns: dict | None = None):
+def render_fit_json(columns: dict):
     """Yield row j's JSON document, json.dumps(doc, indent=2,
-    sort_keys=True) + "\n", where doc holds row j of each fit column
-    (fit_curves) and of each sequence in columns, plus the keys of shared,
-    which every row shares.  No key may repeat.
+    sort_keys=True) + "\n", where doc holds row j of each column: the fit
+    columns of fit_curves, and any other per-row sequences.
 
     json.dumps writes a document's entries in sorted key order, joined by
     ",\n", each as json.dumps({key: value}, indent=2, sort_keys=True)[2:-2]
-    spells it.  So the template is built entry by entry: a shared entry is
-    rendered once, a per-row key takes a %s and covariance its 3x3 layout
-    of %s.  Each row's text is then one %-format of its scalars, in
-    sorted-key order and spelled as json spells them.
+    spells it.  So the template is built entry by entry: a key takes a %s
+    and covariance its 3x3 layout of %s.  Each row's text is then one
+    %-format of its scalars, in sorted-key order and spelled as json
+    spells them.
     """
-    shared, extra = shared or {}, columns or {}
-    keys = [*fits, *shared, *extra]
-    if len(set(keys)) < len(keys):
-        raise ParameterError(f"fit JSON keys repeat: {keys}")
-    columns = {**fits, **extra}
+    columns = dict(columns)
     cov = np.reshape(columns.pop("covariance"), (-1, 9)).tolist()
     entries = {key: "  " + json.dumps(key).replace("%", "%%") + ": %s" for key in columns}
     entries["covariance"] = json.dumps({"covariance": [[0] * 3] * 3},
                                        indent=2)[2:-2].replace("0", "%s")
-    for key, value in shared.items():
-        entries[key] = json.dumps({key: value}, indent=2,
-                                  sort_keys=True)[2:-2].replace("%", "%%")
     template = "{\n" + ",\n".join(entries[key] for key in sorted(entries)) + "\n}\n"
     values = [np.asarray(columns[key]).tolist() for key in sorted(columns)]
     at = sum(key < "covariance" for key in columns)
@@ -511,9 +504,8 @@ def render_fit_json(fits: dict, shared: dict | None = None, columns: dict | None
         yield template % tuple(map(_json_scalar, row[:at] + row_cov + row[at:]))
 
 
-def write_fit_json(fits: dict, paths, shared: dict | None = None,
-                   columns: dict | None = None) -> None:
+def write_fit_json(columns: dict, paths) -> None:
     """Write row j's JSON document (render_fit_json) to paths[j]."""
-    for path, text in zip(paths, render_fit_json(fits, shared, columns), strict=True):
+    for path, text in zip(paths, render_fit_json(columns), strict=True):
         with open(path, "wb") as fh:
             fh.write(text.encode())

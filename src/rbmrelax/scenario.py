@@ -332,10 +332,13 @@ def _scaled(k: int):
             # parsing needs the ValueError family
             raise ValueError(f"not a number: {s!r}") from None
         v = float(d)
-        # a finite number beyond double range would read as inf; a literal
-        # inf or nan goes on to Scenario, whose checks name the key
+        # a finite number beyond double range would read as inf, and a
+        # nonzero one below it as 0; a literal inf or nan goes on to
+        # Scenario, whose checks name the key
         if d.is_finite() and not math.isfinite(v):
             raise ValueError(f"{s.strip()!r} overflows a double")
+        if d and not v:
+            raise ValueError(f"{s.strip()!r} underflows a double to 0")
         return v
 
     def to_text(v: float) -> str:

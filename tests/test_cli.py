@@ -203,20 +203,44 @@ def same_fields(a: dict, b: dict) -> bool:
 
 
 def test_fit_reproduces_simulate_fit(fast_config, tmp_path, capsys):
-    # simulate fits a condition in one batch, fit one curve alone: every fit
-    # field must come out the same, bit for bit, verdict included
+    # simulate fits a condition in one batch, fit one curve alone: a spot's
+    # document is the refit's plus its index and true T1, bit for bit,
+    # verdict included, and nothing else
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(fast_config), "--spots", "2",
                  "--out", str(out)]) == 0
     for j, (code, converged) in enumerate([(2, False), (0, True)]):
-        stored = json.loads((out / "fast" / f"spot_{j:04d}_fit.json").read_text())
+        stored_text = (out / "fast" / f"spot_{j:04d}_fit.json").read_text()
+        stored = json.loads(stored_text)
         refit_path = tmp_path / f"refit_{j}.json"
         assert main(["fit", str(out / "fast" / f"spot_{j:04d}_curve.tsv"),
                      "--out", str(refit_path)]) == code
         refit = json.loads(refit_path.read_text())
         assert refit["converged"] is converged
-        assert same_fields(refit, {key: stored[key] for key in refit})
+        assert set(stored) == set(refit) | {"spot", "t1_true_s"}
+        assert stored["spot"] == j
+        expected = refit | {"spot": j, "t1_true_s": stored["t1_true_s"]}
+        assert stored_text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
         assert (refit["message"] == NOT_POSITIVE) is not converged
+
+
+def test_simulate_writes_each_plan_once_in_summary(fast_config, tmp_path, capsys):
+    # the plan, seed and condition name live in summary.json, once per
+    # condition; a spot's fit document holds only that spot's numbers
+    other = tmp_path / "other.ini"
+    other.write_text(FAST_BODY.replace("n_dark_times = 8", "n_dark_times = 10"))
+    out = tmp_path / "pair"
+    assert main(["simulate", "--config", str(fast_config), "--config", str(other),
+                 "--spots", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for cfg in (fast_config, other):
+        sc = parse_config(cfg)
+        cond = summary["conditions"][cfg.stem]
+        plan = measurement_plan(sc, cond["t1_predicted_s"]).as_dict()
+        assert cond["plan"] == plan and len(plan["dark_times_s"]) == sc.n_dark_times
+        for path in (out / cfg.stem).glob("spot_*_fit.json"):
+            assert not {"plan", "seed", "condition"} & set(json.loads(path.read_text()))
+    assert len(list(out.glob("*/spot_*_fit.json"))) == 2 * 3
 
 
 def test_fit_shuffled_rows_identical(fast_config, tmp_path, capsys):
@@ -798,6 +822,23 @@ def test_overflowing_bulk_rate_is_a_parameter_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: t1_bulk 5e-324 s is too small: its reciprocal overflows\n"
+
+
+@pytest.mark.parametrize("section, key", [("solvent", "a_s_water_nm"),
+                                          ("particle", "diameter_nm")])
+@pytest.mark.parametrize("verb", ["t1", "simulate"])
+def test_value_that_underflows_its_unit_shift_leaves_no_output(tmp_path, capsys,
+                                                                section, key, verb):
+    # 5e-324 nm is 5e-333 m, below the smallest double: once read as 0
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(f"[{section}]\n{key} = 5e-324\n")
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == 1
+    assert sorted(tmp_path.iterdir()) == [cfg]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {cfg}: bad value for [{section}] {key}: "
+                            "'5e-324' underflows a double to 0\n")
 
 
 def test_tau_span_factor_above_100_leaves_no_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -186,13 +187,11 @@ def test_fit_statistical_pull(tmp_path):
     # chi-square per dof should be order unity for a correct error model
     assert 0.2 < fit["reduced_chi_sq"] < 5.0
     out = tmp_path / "fit.json"
-    write_fit_json(fits, [out], shared={"plan": PLAN.as_dict(), "seed": 99, "spot": 0})
-    import json
-
+    write_fit_json(fits | {"spot": [0], "t1_true_s": [T1_REF]}, [out])
     doc = json.loads(out.read_text())
     assert doc["t1_hat_s"] == fit["t1_hat_s"]
-    assert doc["plan"]["shots_per_point"] == PLAN.shots_per_point
-    assert doc["seed"] == 99 and doc["spot"] == 0
+    assert doc["spot"] == 0 and doc["t1_true_s"] == T1_REF
+    assert set(doc) == set(fit) | {"spot", "t1_true_s"}
 
 
 def test_curve_roundtrip(tmp_path):

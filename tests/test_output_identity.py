@@ -1,10 +1,12 @@
 """The output identity tool reports a data file that does not parse as a
-difference instead of stopping at it.
+difference instead of stopping at it, and explains a changed JSON layout.
 
 tools/output_identity.py is not part of the package, so its directory is
 put on sys.path here.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,3 +23,21 @@ def test_number_diff_names_a_file_that_does_not_parse(tmp_path):
     assert output_identity.number_diff(empty, good).startswith(
         "the revision's file does not parse: ")
     assert output_identity.number_diff(good, good) == "all 1 numbers equal, the text differs"
+
+
+def test_number_diff_names_keys_on_one_side_and_compares_the_shared_ones(tmp_path):
+    rev, here = tmp_path / "rev.json", tmp_path / "here.json"
+    rev.write_text(json.dumps({"plan": {"contrast": 0.2}, "seed": 3, "spot": 0,
+                               "t1_s": [1.5, float("nan")], "note": "x"}))
+    here.write_text(json.dumps({"conditions": {"fast": {"plan": [1.0]}}, "spot": 0,
+                                "t1_s": [1.5, float("nan"), 2.0], "note": "y"}))
+    assert output_identity.number_diff(rev, here) == (
+        "only in the revision's: plan, seed; "
+        "only in this checkout's: conditions, t1_s[2]; all 3 shared numbers equal")
+    # a number against a string or null differs too, by no count of ulps
+    here.write_text(json.dumps({"spot": 0, "t1_s": [math.nextafter(1.5, 2.0), None],
+                                "note": 2, "plan": {"contrast": 0.2}, "seed": 3}))
+    assert output_identity.number_diff(rev, here) == "3 of 6 numbers differ, by at most 1 ulp"
+    here.write_text(json.dumps({"plan": {"contrast": 0.2}, "seed": 3, "spot": 0,
+                                "t1_s": [1.5, float("nan")], "note": "x"}, indent=2))
+    assert output_identity.number_diff(rev, here) == "all 5 numbers equal, the text differs"

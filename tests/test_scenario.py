@@ -348,6 +348,23 @@ def test_config_number_beyond_double_range_rejected(text, message):
     assert scenario_from_text("[solvent]\na_s_water_nm = 1e309\n").a_s_water == 1e300
 
 
+@pytest.mark.parametrize("section, key", [("solvent", "a_s_water_nm"),
+                                          ("particle", "diameter_nm")])
+def test_config_number_that_underflows_its_unit_shift_rejected(section, key):
+    # 5e-324 nm is 5e-333 m: a nonzero number the file spells must not read
+    # as 0, whose range error would name a value the file does not hold
+    with pytest.raises(ConfigError, match=rf"^<string>: bad value for \[{section}\] {key}: "
+                                          r"'5e-324' underflows a double to 0$"):
+        scenario_from_text(f"[{section}]\n{key} = 5e-324\n")
+
+
+def test_config_number_on_a_subnormal_or_zero_still_parses():
+    # 3e-315 nm lands on the smallest subnormal; a spelled zero stays 0
+    assert scenario_from_text("[solvent]\na_s_water_nm = 3e-315\n").a_s_water == 5e-324
+    for zero in ("0", "-0", "0e-400"):
+        assert scenario_from_text(f"[solvent]\na_s_water_nm = {zero}\n").a_s_water == 0.0
+
+
 @pytest.mark.parametrize("key", ["a_s_water_nm", "a_s_other_nm"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
 def test_nonfinite_or_negative_solvent_radius_rejected(key, value):

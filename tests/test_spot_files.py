@@ -1,8 +1,8 @@
 """The batch writers of simulate's spot files against their references.
 
 Each fit document must equal json.dumps(doc, indent=2, sort_keys=True)
-+ "\\n" of the fit row's record with its shared and per-spot keys added,
-and each curve file must equal write_table's, byte for byte, whatever the
++ "\\n" of the fit row's record with its per-spot keys added, and each
+curve file must equal write_table's, byte for byte, whatever the
 keys and values.
 """
 
@@ -10,12 +10,10 @@ import json
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rbmrelax.cli import main
-from rbmrelax.errors import ParameterError
 from rbmrelax.measure_sim import (
     _CONVERGED,
     _NOT_FINITE,
@@ -38,9 +36,6 @@ FAILURES = (_NOT_FINITE, _NOT_POSITIVE, _ON_BOUND, _OPEN)
 NAMES = ('a"b', "back\\slash", "Wasser-Aceton é℃", "\\u0000", "\x00",
          "%s %% %(x)s", '50% "wet" é')
 KEYS = st.one_of(st.sampled_from(NAMES), st.text())
-# what a shared key may hold: a scalar, a string or a nested document
-SHARED = st.one_of(values, st.integers(), st.booleans(), st.none(), KEYS,
-                   st.dictionaries(KEYS, values, max_size=2))
 PLAN = MeasurementPlan(dark_times=(0.0, 1e-6, 1e-5, 1e-4, 1e-3), shots_per_point=100,
                        detection_window=5e-7, photon_rate=1e5, contrast=0.2)
 # the record of a row whose tau grid is too short to fit
@@ -75,9 +70,8 @@ def columns_of(batch):
             for key in TOO_SHORT}
 
 
-def reference(record, shared=None, row=None):
-    return json.dumps({**record, **(shared or {}), **(row or {})},
-                      indent=2, sort_keys=True) + "\n"
+def reference(record, row=None):
+    return json.dumps({**record, **(row or {})}, indent=2, sort_keys=True) + "\n"
 
 
 def test_plan_entry_spelling():
@@ -89,20 +83,17 @@ def test_plan_entry_spelling():
 
 @settings(max_examples=200, deadline=None)
 @given(batch=st.lists(records(), min_size=1, max_size=4),
-       shared=st.dictionaries(KEYS, SHARED, max_size=3),
-       plan=st.booleans(),
        row_columns=st.dictionaries(KEYS, st.lists(values, min_size=4, max_size=4),
-                                   max_size=2))
-def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, shared, plan, row_columns):
+                                   max_size=3))
+def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, row_columns):
+    # simulate's columns: the fit's, the spot index and any per-row extras
     n = len(batch)
-    if plan:
-        shared["plan"] = PLAN.as_dict()
-    columns = {"spot": range(n), **{key: value[:n] for key, value in row_columns.items()}}
-    assume(not set(TOO_SHORT) & (set(shared) | set(columns)) and not set(shared) & set(columns))
+    extra = {"spot": range(n), **{key: value[:n] for key, value in row_columns.items()}}
+    assume(not set(TOO_SHORT) & set(extra))
     paths = [tmp_path_factory.mktemp("fits") / f"spot_{j}.json" for j in range(n)]
-    write_fit_json(columns_of(batch), paths, shared=shared, columns=columns)
+    write_fit_json(columns_of(batch) | extra, paths)
     for j, (record, path) in enumerate(zip(batch, paths)):
-        expected = reference(record, shared, {key: value[j] for key, value in columns.items()})
+        expected = reference(record, {key: value[j] for key, value in extra.items()})
         assert path.read_bytes() == expected.encode()
 
 
@@ -128,15 +119,6 @@ def test_fit_verb_output_is_a_one_row_record(tmp_path, capsys):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert out.read_text() == text
     assert capsys.readouterr().out == text
-
-
-def test_repeated_key_is_rejected():
-    with pytest.raises(ParameterError, match="keys repeat"):
-        list(render_fit_json(columns_of([TOO_SHORT]), shared={"message": "x"}))
-    with pytest.raises(ParameterError, match="keys repeat"):
-        list(render_fit_json(columns_of([TOO_SHORT]), columns={"message": ["x"]}))
-    with pytest.raises(ParameterError, match="keys repeat"):
-        list(render_fit_json(columns_of([TOO_SHORT]), shared={"seed": 1}, columns={"seed": [2]}))
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,7 +25,8 @@ The matrix, for the shipped configs:
 * `simulate` of a short-grid config (SHORT below) whose batch mixes three
   rows too short to fit with one that does not converge;
 * `simulate` of FAST under a condition name with a per cent sign, quotes
-  and a non-ASCII letter (ESCAPED below), which its fit files hold;
+  and a non-ASCII letter (ESCAPED below), which names its directory and
+  its summary.json entry;
 * `sensitivity` on a comma grid holding a density whose rate sits on the
   level splitting (NOVIB below), so the file lists skipped_densities;
 * `oracle all`, whose report goes to stdout and is saved as a data file
@@ -34,9 +35,12 @@ The matrix, for the shipped configs:
 Prints the number of compared files and each differing path, and exits 1
 when a file differs or exists on one side only, or when a command exits
 with another code than the matrix expects in either tree.  For a
-differing .tsv or .json file it also prints how many of its numbers differ
-and the largest difference in ulps, so a last-digit drift reads as one, or
-that a side does not parse (say, an empty .json file).
+differing .json file it names the key paths that only one side has (say,
+`plan` or `conditions.fast.plan`), then counts the differing numbers at
+the paths both share; for a differing .tsv file it counts the differing
+numbers.  Either way it prints the largest difference in ulps, so a
+last-digit drift reads as one, or that a side does not parse (say, an
+empty .json file).
 Only the standard library is used.
 """
 
@@ -45,7 +49,6 @@ from __future__ import annotations
 import argparse
 import filecmp
 import json
-import math
 import os
 import re
 import struct
@@ -184,31 +187,44 @@ def data_files(out: Path) -> set:
 
 
 def numbers(path: Path) -> list:
-    """Every number of a .json document, or every numeric field of a .tsv
-    table, metadata comments included, in file order."""
-    text = path.read_text()
-    if path.suffix == ".json":
-        found = []
-
-        def walk(node):
-            if isinstance(node, dict):
-                for key in sorted(node):
-                    walk(node[key])
-            elif isinstance(node, list):
-                for item in node:
-                    walk(item)
-            elif isinstance(node, (int, float)) and not isinstance(node, bool):
-                found.append(float(node))
-
-        walk(json.loads(text))
-        return found
+    """Every numeric field of a .tsv table, metadata comments included, in
+    file order."""
     found = []
-    for token in re.split(r"[\s,=]+", text):
+    for token in re.split(r"[\s,=]+", path.read_text()):
         try:
             found.append(float(token))
         except ValueError:
             pass
     return found
+
+
+def _number(node):
+    return float(node) if isinstance(node, (int, float)) and not isinstance(node, bool) else None
+
+
+def json_pairs(a, b, path: str = "") -> tuple:
+    """Walk two parsed JSON documents together.  Returns the key paths
+    only a has, those only b has (dotted, list items as [i]), and the
+    (a, b) number pairs at the paths both share, None on a side whose
+    value there is not a number."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        subs = {k: f"{path}.{k}" if path else k for k in a.keys() | b.keys()}
+    elif isinstance(a, list) and isinstance(b, list):
+        subs = {i: f"{path}[{i}]" for i in range(max(len(a), len(b)))}
+        a, b = dict(enumerate(a)), dict(enumerate(b))
+    else:
+        pair = (_number(a), _number(b))
+        return [], [], [] if pair == (None, None) else [pair]
+    only_a, only_b, pairs = [], [], []
+    for key in sorted(subs):
+        if key not in b:
+            only_a.append(subs[key])
+        elif key not in a:
+            only_b.append(subs[key])
+        else:
+            more = json_pairs(a[key], b[key], subs[key])
+            only_a, only_b, pairs = only_a + more[0], only_b + more[1], pairs + more[2]
+    return only_a, only_b, pairs
 
 
 def _ordered(x: float) -> int:
@@ -218,23 +234,40 @@ def _ordered(x: float) -> int:
 
 
 def number_diff(a: Path, b: Path) -> str:
-    """How many numbers of data file a (the revision's) and b (this
-    checkout's) differ, and by at most how many ulps; NaN equals NaN.  A
-    file that does not parse is named instead."""
+    """How data files a (the revision's) and b (this checkout's) differ.
+    For .json, the key paths that only one side has, then how many numbers
+    at the shared paths differ; for .tsv, how many numbers differ.  Either
+    way by at most how many ulps; NaN equals NaN.  A file that does not
+    parse is named instead."""
     parsed = []
     for side, path in (("the revision's", a), ("this checkout's", b)):
         try:
-            parsed.append(numbers(path))
+            parsed.append(json.loads(path.read_text()) if path.suffix == ".json"
+                          else numbers(path))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             return f"{side} file does not parse: {exc}"
-    xs, ys = parsed
-    if len(xs) != len(ys):
-        return f"{len(xs)} against {len(ys)} numbers"
-    ulps = [abs(_ordered(x) - _ordered(y)) for x, y in zip(xs, ys)
-            if x != y and not (math.isnan(x) and math.isnan(y))]
-    if not ulps:
-        return f"all {len(xs)} numbers equal, the text differs"
-    return f"{len(ulps)} of {len(xs)} numbers differ, by at most {max(ulps)} ulp"
+    notes, shared = [], ""
+    if a.suffix == ".json":
+        only_a, only_b, pairs = json_pairs(*parsed)
+        for side, only in (("the revision's", only_a), ("this checkout's", only_b)):
+            if only:
+                notes.append(f"only in {side}: {', '.join(only)}")
+        shared = "shared " if notes else ""
+    else:
+        xs, ys = parsed
+        if len(xs) != len(ys):
+            return f"{len(xs)} against {len(ys)} numbers"
+        pairs = list(zip(xs, ys))
+    differ = [(x, y) for x, y in pairs if x != y and not (x != x and y != y)]  # NaN equals NaN
+    ulps = [abs(_ordered(x) - _ordered(y)) for x, y in differ
+            if x is not None and y is not None]
+    if not differ:
+        count = f"all {len(pairs)} {shared}numbers equal"
+        notes.append(count if notes else f"{count}, the text differs")
+    else:
+        count = f"{len(differ)} of {len(pairs)} {shared}numbers differ"
+        notes.append(f"{count}, by at most {max(ulps)} ulp" if ulps else count)
+    return "; ".join(notes)
 
 
 def main(argv=None) -> int:
