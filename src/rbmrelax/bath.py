@@ -183,7 +183,7 @@ def b_perp_sq_volume(g: ParticleGeometry, bath: VolumeBath):
 
 @dataclass(frozen=True)
 class McFieldResult:
-    """Monte Carlo estimate of B_perp^2 with its reproducibility record.
+    """Monte Carlo estimate of B_perp^2 and its standard error.
 
     tail_fraction is the analytic beyond-cutoff share added to the mean
     (volume baths only); tail_warning flags a cutoff too small for the
@@ -192,8 +192,6 @@ class McFieldResult:
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
     tail_fraction: float = 0.0
     tail_warning: bool = False
 
@@ -310,7 +308,7 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
         raise ParameterError(f"unsupported bath type {type(bath).__name__}")
 
     if density == 0.0:
-        return McFieldResult(0.0, 0.0, samples, seed)
+        return McFieldResult(0.0, 0.0)
 
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -336,6 +334,5 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     stderr = math.sqrt(var_one / count) * n_spins
     mean = mean_one * n_spins + tail
     tail_fraction = tail / mean if mean > 0.0 else 0.0
-    return McFieldResult(mean=mean, stderr=stderr, samples=samples, seed=seed,
-                         tail_fraction=tail_fraction,
+    return McFieldResult(mean=mean, stderr=stderr, tail_fraction=tail_fraction,
                          tail_warning=bool(stderr > 0.0 and tail > stderr))

@@ -205,13 +205,16 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
                            r_trans=translational_rate(p, geom.radius + sc.standoff),
                            r_rot=rbm_rate(p))
 
-        sources = [NoiseSource(gamma=sc.surface_gamma, b_perp_sq=b2_surf,
-                               tau_c=1.0 / sc.surface_rate, label="surface")]
+        sources = {"surface": NoiseSource(b_perp_sq=b2_surf, tau_c=1.0 / sc.surface_rate)}
         # the molecular source exists where its field does; elsewhere it
-        # contributes exactly zero
+        # contributes exactly zero.  Where it exists its correlation time
+        # must lie in the window; the error names the density it fails at
+        tau_mol = 1.0 / rates["total"]
+        require(((tau_mol >= TAU_C_MIN) & (tau_mol <= TAU_C_MAX)) | (b2_mol == 0.0),
+                f"at {_KEY['gd_density']} {{!r}} the molecular bath's correlation time 1/R "
+                f"leaves its window: tau_c must lie in [{TAU_C_MIN:g}, {TAU_C_MAX:g}] s", n)
         if np.asarray(b2_mol > 0.0).any():
-            sources.append(NoiseSource(gamma=sc.gd_gamma, b_perp_sq=b2_mol,
-                                       tau_c=1.0 / rates["total"], label="molecular"))
+            sources["molecular"] = NoiseSource(b_perp_sq=b2_mol, tau_c=tau_mol)
         doc = t1_total(sources, t1_bulk=sc.t1_bulk)
 
     return doc | {f"gd_rate_{name}_per_s": rate for name, rate in rates.items()} | {
@@ -299,10 +302,13 @@ def density_sensitivity_curve(sc: Scenario, grid=None) -> SensitivityCurve:
                                     else OPTIMAL_DENSITY_CAL)
     grid = check_density_grid(grid)
     pred = predict(sc, gd_density=grid)
+    b2 = pred["b_perp_sq_molecular_t2"]
+    require(b2 > 0.0, f"{_KEY['gd_density']} {{!r}} is too small: its field variance "
+            "underflows to 0 T^2", grid)
     return optimize_density(grid, SensitivityInputs(
         contrast=sc.contrast, photon_rate=sc.photon_rate,
         detection_window=sc.detection_window, acquisition_time=sc.acquisition_time,
-        b_perp_sq=pred["b_perp_sq_molecular_t2"], r_total=pred["gd_rate_total_per_s"]))
+        b_perp_sq=b2, r_total=pred["gd_rate_total_per_s"]))
 
 
 # config format: INI sections with strict schema; every key optional,

@@ -46,7 +46,8 @@ class SensitivityInputs:
     r_total is the total fluctuation rate of the probed bath (1/s);
     b_perp_sq its mean-square transverse field (T^2); acquisition_time the
     total averaging time T (s).  b_perp_sq and r_total may be arrays.  The
-    bath spins are electrons (GAMMA_E), probed at the level splitting OMEGA_0.
+    sensor is the NV electron spin (GAMMA_E), probed at the level splitting
+    OMEGA_0.
     """
 
     contrast: float

@@ -33,7 +33,7 @@ from .bath import (
     b_perp_sq_surface,
     b_perp_sq_volume,
 )
-from .constants import GAMMA_E, OMEGA_0
+from .constants import OMEGA_0
 from .core_relax import NoiseSource, lorentzian_psd
 from .errors import ParameterError, SingularityError
 from .sensitivity import SensitivityInputs, delta_r_min, delta_r_oracle
@@ -166,7 +166,7 @@ def check_lorentzian_quadrature() -> OracleCheck:
     worst_window = 0.0
     converged = True
     for i, (b2, tau_c) in enumerate(_QUAD_CASES):
-        src = NoiseSource(gamma=GAMMA_E, b_perp_sq=b2, tau_c=tau_c)
+        src = NoiseSource(b_perp_sq=b2, tau_c=tau_c)
 
         def density(u, _src=src, _tau=tau_c):
             return lorentzian_psd(_src, u / _tau) / _tau

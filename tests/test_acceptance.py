@@ -151,8 +151,7 @@ def test_08_property_suite(capsys, tmp_path):
         failures.append("lorentzian normalization")
 
     grid = OMEGA_0 * np.array([0.1, 0.5, 1.0, 2.0, 10.0])
-    curve = rate_contribution(NoiseSource(gamma=1.76e11, b_perp_sq=1e-9,
-                                          tau_c=1.0 / grid))
+    curve = rate_contribution(NoiseSource(b_perp_sq=1e-9, tau_c=1.0 / grid))
     if grid[curve.argmax()] != OMEGA_0:
         failures.append("narrowing peak not at resonance")
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from rbmrelax.bath import ParticleGeometry, SurfaceBath, b_perp_sq_surface
-from rbmrelax.constants import GAMMA_E
 from rbmrelax.core_relax import NoiseSource, t1_total
 from rbmrelax.errors import ParameterError
 from rbmrelax.scenario import (
@@ -59,7 +58,7 @@ def test_calibrate_surface_inverts_forward_model():
     sigma_true = 1.3e18
     b2 = b_perp_sq_surface(ParticleGeometry(diameter=25.0e-9),
                            SurfaceBath(areal_density=sigma_true))
-    t1 = t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=b2, tau_c=1.0 / 18e9)],
+    t1 = t1_total({"surface": NoiseSource(b_perp_sq=b2, tau_c=1.0 / 18e9)},
                   t1_bulk=3e-3)["t1_s"]
     sigma_hat = calibrate.calibrate_surface(t1, 25.0e-9, t1_bulk=3e-3, surface_rate=18e9)
     assert sigma_hat == pytest.approx(sigma_true, rel=1e-12)

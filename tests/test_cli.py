@@ -731,6 +731,7 @@ def test_oracle_rejects_sensor_offset_config(tmp_path, capsys):
 
 
 KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensity_per_m3 = 1e24\n"
+DENSE = "[molecular_bath]\ndensity_per_m3 = 1e35\n"
 
 
 @pytest.mark.parametrize("body, verb, code, message", [
@@ -764,6 +765,17 @@ KAPPA_OVERFLOW = "[molecular_bath]\ndipolar_coefficient_m3_per_s = 1e300\ndensit
        "1e+300 is too large: its dipolar rate at density 1e+24 /m^3 overflows")
       for verb in ("t1", "sweep --axis water_fraction --grid 0:1:3",
                    "sensitivity --grid 1e24:1e26:3:log")),
+    # a dipolar rate past 1e15 /s: the tau_c bound named no key and no density
+    *((DENSE, verb, 1, f"error: at [molecular_bath] density_per_m3 {first} the molecular "
+       "bath's correlation time 1/R leaves its window: tau_c must lie in [1e-15, 1000] s")
+      for verb, first in (("t1", "1e+35"),
+                          ("sweep --axis gd_density --grid 1e23:1e36:5", "2.50000000000075e+35"),
+                          ("sensitivity --grid 1e30:1e36:7:log", "1e+31"))),
+    # the default grid's smallest field variance underflowed to 0 T^2, and
+    # the message named neither key nor density
+    ("[molecular_bath]\ndensity_per_m3 = 1e-300\n", "sensitivity", 1,
+     "error: [molecular_bath] density_per_m3 3.162277660168379e-302 is too small: "
+     "its field variance underflows to 0 T^2"),
 ])
 def test_overflowing_input_fails_before_output(tmp_path, capsys, body, verb, code, message):
     cfg = tmp_path / "extreme.ini"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbmrelax.constants import GAMMA_E, OMEGA_0
+from rbmrelax.constants import OMEGA_0
 from rbmrelax.core_relax import (
     NoiseSource,
     lorentzian_psd,
@@ -12,7 +12,7 @@ from rbmrelax.core_relax import (
 )
 from rbmrelax.errors import ParameterError
 
-SRC = NoiseSource(gamma=GAMMA_E, b_perp_sq=2.0e-9, tau_c=1.0 / 18.0e9)
+SRC = NoiseSource(b_perp_sq=2.0e-9, tau_c=1.0 / 18.0e9)
 
 
 def test_psd_zero_frequency():
@@ -33,7 +33,7 @@ def test_psd_even_in_detuning_shape():
 
 
 def test_rate_contribution_value():
-    # 1.5 gamma^2 S(omega0), hand-evaluated
+    # 1.5 gamma_e^2 S(omega0), hand-evaluated
     assert rate_contribution(SRC) == pytest.approx(5158.3159010389109, rel=1e-14)
 
 
@@ -46,53 +46,39 @@ def test_zero_frequency_allowed_negative_rejected():
 
 def test_source_validation():
     with pytest.raises(ParameterError):
-        NoiseSource(gamma=0.0, b_perp_sq=1e-9, tau_c=1e-9)
+        NoiseSource(b_perp_sq=-1e-9, tau_c=1e-9)
     with pytest.raises(ParameterError):
-        NoiseSource(gamma=GAMMA_E, b_perp_sq=-1e-9, tau_c=1e-9)
-    with pytest.raises(ParameterError):
-        NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=0.0)
-    # negative gamma is physical (nuclear species); must be accepted
-    NoiseSource(gamma=-2.675e8, b_perp_sq=1e-9, tau_c=1e-9)
+        NoiseSource(b_perp_sq=1e-9, tau_c=0.0)
 
 
 def test_t1_total_bookkeeping():
-    other = NoiseSource(gamma=GAMMA_E, b_perp_sq=5.0e-10, tau_c=1e-10, label="fast")
-    res = t1_total([SRC, other], t1_bulk=3e-3)
+    other = NoiseSource(b_perp_sq=5.0e-10, tau_c=1e-10)
+    res = t1_total({"slow": SRC, "fast": other}, t1_bulk=3e-3)
     sources = [k for k in res if k.startswith("rate_source_")]
     total = 1.0 / 3e-3 + sum(res[k] for k in sources)
     assert res["rate_total_per_s"] == pytest.approx(total, rel=1e-14)
     assert res["t1_s"] == pytest.approx(1.0 / res["rate_total_per_s"], rel=1e-14)
     assert res["rate_bulk_per_s"] == pytest.approx(1.0 / 3e-3, rel=1e-14)
-    # one key per source, in label order
-    assert sources == ["rate_source_fast_per_s", "rate_source_source_0_per_s"]
+    # one key per source, in name order
+    assert sources == ["rate_source_fast_per_s", "rate_source_slow_per_s"]
 
 
 def test_t1_total_no_sources_gives_bulk():
-    res = t1_total([], t1_bulk=3e-3)
+    res = t1_total({}, t1_bulk=3e-3)
     assert res["t1_s"] == pytest.approx(3e-3, rel=1e-14)
 
 
 def test_t1_total_rejects_a_bulk_t1_whose_rate_overflows():
     # 1 / 5.6e-309 is still finite; the bulk rate of 5e-309 s is not
-    assert t1_total([], t1_bulk=5.6e-309)["t1_s"] > 0.0
+    assert t1_total({}, t1_bulk=5.6e-309)["t1_s"] > 0.0
     for t1_bulk in (5e-309, 5e-324):
         with pytest.raises(ParameterError, match="reciprocal overflows"):
-            t1_total([], t1_bulk=t1_bulk)
-
-
-def test_t1_total_rejects_duplicate_labels():
-    a = NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="x")
-    b = NoiseSource(gamma=GAMMA_E, b_perp_sq=2e-9, tau_c=1e-9, label="x")
-    with pytest.raises(ParameterError):
-        t1_total([a, b], t1_bulk=3e-3)
-    with pytest.raises(ParameterError):
-        t1_total([NoiseSource(gamma=GAMMA_E, b_perp_sq=1e-9, tau_c=1e-9, label="bulk")],
-                 t1_bulk=3e-3)
+            t1_total({}, t1_bulk=t1_bulk)
 
 
 def narrowing(rates):
     """Rate contribution of SRC's field variance at each fluctuation rate."""
-    return rate_contribution(NoiseSource(gamma=SRC.gamma, b_perp_sq=SRC.b_perp_sq,
+    return rate_contribution(NoiseSource(b_perp_sq=SRC.b_perp_sq,
                                          tau_c=1.0 / np.asarray(rates)))
 
 

@@ -14,7 +14,6 @@ import pytest
 from scipy.integrate import quad
 
 import rbmrelax.validation as validation
-from rbmrelax.constants import GAMMA_E
 from rbmrelax.core_relax import NoiseSource, lorentzian_psd
 from rbmrelax.validation import (
     QUAD_LIMIT,
@@ -42,7 +41,7 @@ def scipy_quad(f, a, b, points, epsrel):
 
 def rescaled_density(b2, tau_c, tau_ref):
     """The oracle's integrand: lorentzian_psd at omega = u / tau_ref."""
-    src = NoiseSource(gamma=GAMMA_E, b_perp_sq=b2, tau_c=tau_c)
+    src = NoiseSource(b_perp_sq=b2, tau_c=tau_c)
     return lambda u: lorentzian_psd(src, u / tau_ref) / tau_ref
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rbmrelax.constants import GAMMA_E, OMEGA_0
 from rbmrelax.errors import ConfigError, ParameterError, SingularityError
 from rbmrelax.measure_sim import simulate_curve
+from rbmrelax.sensitivity import SensitivityInputs, induced_rate
 from rbmrelax.scenario import (
     _SCHEMA,
     OPTIMAL_DENSITY_CAL,
@@ -58,6 +60,38 @@ def test_prediction_bookkeeping():
     bare = predict(Scenario())
     assert [k for k in bare if k.startswith("rate_source_")] == ["rate_source_surface_per_s"]
     assert bare["b_perp_sq_molecular_t2"] == 0.0
+
+
+GAMMA_PROTON = 2.675222e8  # rad/(s*T)
+
+
+def test_every_source_couples_through_the_sensor_gamma():
+    # proton baths: their gamma sets their moment, and so their field
+    # variance, but each field relaxes the NV electron through GAMMA_E
+    sc = replace(parse_config(CONFIG_DIR / "gd_water_25nm.ini"),
+                 gd_gamma=GAMMA_PROTON, surface_gamma=GAMMA_PROTON)
+    d = predict(sc)
+    for name, r in (("surface", sc.surface_rate), ("molecular", d["gd_rate_total_per_s"])):
+        b2 = d[f"b_perp_sq_{name}_t2"]
+        expected = 3.0 * GAMMA_E**2 * b2 * r / (r**2 + OMEGA_0**2)
+        assert d[f"rate_source_{name}_per_s"] == pytest.approx(expected, rel=1e-12), name
+    inp = SensitivityInputs(contrast=sc.contrast, photon_rate=sc.photon_rate,
+                            detection_window=sc.detection_window,
+                            acquisition_time=sc.acquisition_time,
+                            b_perp_sq=d["b_perp_sq_molecular_t2"],
+                            r_total=d["gd_rate_total_per_s"])
+    assert d["rate_source_molecular_per_s"] == pytest.approx(
+        induced_rate(inp, inp.r_total), rel=1e-12)
+
+
+@pytest.mark.parametrize("attr, name", [("gd_gamma", "molecular"),
+                                        ("surface_gamma", "surface")])
+def test_source_rate_scales_as_the_bath_gamma_squared(attr, name):
+    # the bath's gamma enters once, squared, through its moment
+    sc = Scenario(gd_density=OPTIMAL_DENSITY_CAL)
+    k = 0.25
+    scaled = predict(replace(sc, **{attr: k * GAMMA_E}))[f"rate_source_{name}_per_s"]
+    assert scaled / predict(sc)[f"rate_source_{name}_per_s"] == pytest.approx(k**2, rel=1e-12)
 
 
 def test_predict_overrides_match_replaced_scenario():

@@ -34,7 +34,7 @@ from rbmrelax.bath import (
     b_perp_sq_surface,
     volume_amplitude,
 )
-from rbmrelax.constants import GAMMA_E, OMEGA_0
+from rbmrelax.constants import OMEGA_0
 from rbmrelax.core_relax import NoiseSource, rate_contribution
 from rbmrelax.errors import positive, require
 from rbmrelax.hydro import (
@@ -116,7 +116,7 @@ def calibrate_surface(t1_target: float = BARE_T1_25NM,
     b2_per_sigma = b_perp_sq_surface(ParticleGeometry(diameter=diameter),
                                      SurfaceBath(areal_density=1.0))
     rate_per_sigma = rate_contribution(
-        NoiseSource(gamma=GAMMA_E, b_perp_sq=b2_per_sigma, tau_c=1.0 / surface_rate))
+        NoiseSource(b_perp_sq=b2_per_sigma, tau_c=1.0 / surface_rate))
     return rate_needed / rate_per_sigma
 
 
