@@ -38,7 +38,7 @@ formats a column that does not vary along the axis once and writes the
 rows in blocks of a fixed row count, so the table text adds a fixed amount
 to the memory of the grid and predict's arrays.
 No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
-uses validation's own adaptive Gauss-Legendre rule.  ``simulate`` and
+is one fixed Gauss-Legendre sum of validation's own.  ``simulate`` and
 ``fit`` import measure_sim when they run, ``oracle`` validation, and
 ``sensitivity`` (through scenario.density_sensitivity_curve) sensitivity,
 so start-up of every verb stays at numpy's cost.
@@ -98,7 +98,7 @@ try:
                 os.environ[var] = value
 
     from . import __version__
-    from .errors import ConfigError, ParameterError
+    from .errors import ConfigError, ParameterError, allocate
     from .scenario import (
         config_hash,
         density_sensitivity_curve,
@@ -182,6 +182,7 @@ def _parse_grid(spec: str) -> np.ndarray:
             raise ConfigError("grid needs at least 2 points")
         if not lo < hi:
             raise ConfigError(f"grid requires lo < hi, got {lo!r}:{hi!r}")
+        allocate(n, f"grid size {n} in {spec!r}", ConfigError)
         if scale == "log":
             if lo <= 0.0:
                 raise ConfigError("log grid requires positive bounds")

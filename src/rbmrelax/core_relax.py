@@ -26,15 +26,6 @@ from .constants import GAMMA_E, OMEGA_0, TAU_C_MAX, TAU_C_MIN
 from .errors import ParameterError, nonnegative, positive, require
 
 
-def _as_omega(value) -> float:
-    """An angular frequency in rad/s, checked finite and >= 0 (zero is the
-    zero-field limit)."""
-    omega = float(value)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise ParameterError(f"angular frequency must be finite and >= 0, got {value!r}")
-    return omega
-
-
 @dataclass(frozen=True)
 class NoiseSource:
     """One independent Lorentzian magnetic-noise source.
@@ -72,10 +63,9 @@ def lorentzian_psd(source: NoiseSource, omega):
 
     Even in omega, maximal at omega = 0, and normalised so that
     integral S(omega) d omega / (2 pi) over the real line = b_perp_sq.
-    Units: T^2 * s.
+    omega (rad/s) may be an array.  Units: T^2 * s.
     """
-    w = _as_omega(omega)
-    x = w * source.tau_c
+    x = omega * source.tau_c
     return source.b_perp_sq * 2.0 * source.tau_c / (1.0 + x * x)
 
 

@@ -45,6 +45,16 @@ def power_finite(value, n: int):
     return abs(value) < sys.float_info.max ** (1.0 / n)
 
 
+def allocate(shape, what: str, error=ParameterError):
+    """np.empty(shape), or an error naming what when no array of that shape
+    can be held.  Called before other work, so that a count too large to
+    hold fails at once, touching no memory."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        raise error(f"{what} is too large: {exc}") from None
+
+
 def require(ok, message: str, value=None) -> None:
     """Raise ParameterError unless ok holds for every element.
 

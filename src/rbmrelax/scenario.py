@@ -64,7 +64,7 @@ from .bath import (
 )
 from .constants import GAMMA_E, TAU_C_MAX, TAU_C_MIN
 from .core_relax import NoiseSource, t1_total
-from .errors import ConfigError, ParameterError, nonnegative, positive, require
+from .errors import ConfigError, ParameterError, allocate, nonnegative, positive, require
 from .hydro import (
     A_S_ACETONE_DEFAULT,
     A_S_WATER_DEFAULT,
@@ -230,11 +230,7 @@ def measurement_plan(sc: Scenario, t1_expected: float):
     # imported here: the forward verbs never load the simulation and fit
     from .measure_sim import MeasurementPlan, default_dark_times
 
-    try:  # first, so a count too large to hold fails at once, touching no memory
-        np.empty(sc.n_dark_times)
-    except (ValueError, MemoryError) as exc:
-        raise ParameterError(
-            f"{_KEY['n_dark_times']} {sc.n_dark_times} is too large: {exc}") from None
+    allocate(sc.n_dark_times, f"{_KEY['n_dark_times']} {sc.n_dark_times}")
     return MeasurementPlan(
         dark_times=default_dark_times(t1_expected, n_points=sc.n_dark_times,
                                       tau_min=sc.tau_min,
@@ -270,7 +266,7 @@ def draw_spots(sc: Scenario, stream: np.random.SeedSequence, n_spots: int):
         raise ParameterError(f"need >= 2 spots, got {n_spots}")
     spreads = [(attr, getattr(sc, attr))
                for attr in ("diameter_jitter", "density_jitter", "density_jitter")]
-    factors = np.empty((n_spots, 3))  # first, so a count too large to hold fails at once
+    factors = allocate((n_spots, 3), f"spot count {n_spots}")
     rngs = [np.random.default_rng(child) for child in stream.spawn(n_spots)]
     factors[:] = [[_lognormal_factor(rng, attr, s) for attr, s in spreads] for rng in rngs]
     d, n, sigma = factors.T

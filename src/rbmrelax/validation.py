@@ -3,9 +3,9 @@
 Three families of checks are bundled here:
 
 * ``quadrature``: the Lorentzian spectral density integrates back to its
-  variance, checked by an in-house adaptive Gauss-Legendre quadrature
-  (numpy only; scipy's ``quad`` is its reference in the tests) and by the
-  arctan antiderivative.
+  variance and has the Lorentzian shape, checked by one fixed 21-point
+  Gauss-Legendre rule under omega tau_c = tan theta, which maps a correct
+  density onto a constant.
 * ``bath_mc``: the closed-form mean-square transverse fields agree with
   the Monte Carlo dipolar sum within statistics, and the Monte Carlo
   standard error shrinks as samples^-1/2.
@@ -19,7 +19,6 @@ verdict, so a failure is diagnosable from the report alone.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -42,9 +41,9 @@ from .sensitivity import SensitivityInputs, delta_r_min, delta_r_oracle
 MC_SIGMA_BAND = 3.0
 # allowed departure of the stderr scaling exponent from -1/2
 SLOPE_TOLERANCE = 0.05
-# allowed relative departure of the formula/oracle ratios from their mean,
-# and of the mean from its predicted constant: rounding only
-RATIO_TOLERANCE = 1e-12
+# allowed relative error of a check whose exact value is known: rounding only
+# (the formula/oracle ratios, the Lorentzian's integral and quadrature nodes)
+ROUNDING_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,69 +74,6 @@ def format_report(report: OracleReport) -> str:
     return "\n".join(lines)
 
 
-# the adaptive quadrature's rule pair, as (nodes, weights) on [-1, 1]: an
-# interval's value is its 21-point Gauss-Legendre sum, and that sum's
-# distance from the 10-point one is its (pessimistic) error estimate
-_GAUSS_FINE = tuple(v.tolist() for v in np.polynomial.legendre.leggauss(21))
-_GAUSS_COARSE = tuple(v.tolist() for v in np.polynomial.legendre.leggauss(10))
-# most subintervals one integral may use, as in the QUADPACK default
-QUAD_LIMIT = 200
-
-
-class _QuadratureLimit(ArithmeticError):
-    """Adaptive quadrature ran out of subintervals short of its tolerance."""
-
-
-def _gauss_pair(f, a: float, b: float) -> tuple:
-    """(value, error estimate) of the integral of f over [a, b], calling f
-    once per node."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-
-    def rule(nodes, weights):
-        return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-
-    fine = rule(*_GAUSS_FINE)
-    return fine, abs(fine - rule(*_GAUSS_COARSE))
-
-
-def _adaptive_quad(f, a: float, b: float, *, epsrel: float, points=()) -> float:
-    """Integral of f over [a, b] to a relative error estimate of epsrel.
-
-    Globally adaptive, as QUADPACK's qag: the subinterval with the largest
-    error estimate is bisected until the summed estimate is at most
-    epsrel * |integral|.  ``points`` are breakpoints inside a finite
-    [a, b].  A half-line (b = inf, no breakpoints) is mapped onto (0, 1] by
-    u = a + (1 - t) / t.  Needing more than QUAD_LIMIT subintervals raises
-    _QuadratureLimit, so an unconverged integral never passes as a number.
-    """
-    if math.isinf(b):
-        g = f
-
-        def f(t):
-            return g(a + (1.0 - t) / t) / (t * t)
-
-        edges = (0.0, 1.0)
-    else:
-        edges = (a, *points, b)
-    heap = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        value, err = _gauss_pair(f, lo, hi)
-        heap.append((-err, lo, hi, value))
-    heapq.heapify(heap)
-    while True:
-        total = math.fsum(item[3] for item in heap)
-        if math.fsum(-item[0] for item in heap) <= epsrel * abs(total):
-            return total
-        if len(heap) >= QUAD_LIMIT:
-            raise _QuadratureLimit(
-                f"[{a:g}, {b:g}] missed epsrel {epsrel:g} in {QUAD_LIMIT} subintervals")
-        _, lo, hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for left, right in ((lo, mid), (mid, hi)):
-            value, err = _gauss_pair(f, left, right)
-            heapq.heappush(heap, (-err, left, right, value))
-
-
 def _sig3(x: float) -> float:
     """x rounded to 3 significant digits, for report lines whose later
     digits are round-off."""
@@ -146,53 +82,39 @@ def _sig3(x: float) -> float:
 
 # (b_perp_sq in T^2, tau_c in s) of the quadrature check's spectral densities
 _QUAD_CASES = ((1.0, 1.0e-9), (2.5e-8, 1.0 / 18.0e9), (0.3, 1.0e-6))
+# the quadrature check's rule: 21 Gauss-Legendre nodes x and weights w on
+# [-1, 1]; theta = pi/4 (x + 1) spans [0, pi/2]
+_GL_NODES, _GL_WEIGHTS = (v.tolist() for v in np.polynomial.legendre.leggauss(21))
 
 
 def check_lorentzian_quadrature() -> OracleCheck:
     """Integrated spectral density equals the field variance.
 
-    The density is even in frequency, so the full-line integral is twice
-    the half-line one.  Frequency is rescaled by the correlation time so
-    the adaptive quadrature sees the knee at order one; the integrand is
-    still the implementation under test.  Two routes are compared:
-    quadrature to infinity against the variance itself (1e-6 budget), and
-    a finite window against the arctan antiderivative (1e-8 budget).  The
-    relative errors are reported to 3 significant digits; the verdict uses
-    them unrounded.  A case whose quadrature runs out of subintervals fails
-    the check with a ``case<i>_failure`` detail.
+    The density is even in frequency, so the full-line integral over
+    d omega / (2 pi) is 1/pi times the half-line one.  Under omega tau_c =
+    tan theta the half line maps onto [0, pi/2], and a correct Lorentzian
+    turns into the constant g = S(omega) sec^2(theta) / tau_c = 2 b_perp_sq.
+    One fixed 21-point Gauss-Legendre sum in theta, one array call of the
+    density under test, then checks both the normalization, (1/pi) sum
+    w_i g_i against b_perp_sq, and the shape, each g_i against 2 b_perp_sq,
+    to ROUNDING_TOLERANCE.  The relative errors are reported to 3 significant
+    digits; the verdict uses them unrounded.
     """
     details = {}
-    worst_full = 0.0
-    worst_window = 0.0
-    converged = True
+    worst_norm = worst_node = 0.0
+    tan = np.array([math.tan(math.pi / 4.0 * (x + 1.0)) for x in _GL_NODES])
     for i, (b2, tau_c) in enumerate(_QUAD_CASES):
-        src = NoiseSource(b_perp_sq=b2, tau_c=tau_c)
-
-        def density(u, _src=src, _tau=tau_c):
-            return lorentzian_psd(_src, u / _tau) / _tau
-
-        window = 50.0
-        try:
-            below = _adaptive_quad(density, 0.0, 1.0, epsrel=1e-12)
-            above = _adaptive_quad(density, 1.0, math.inf, epsrel=1e-12)
-            part = _adaptive_quad(density, 0.0, window, points=(1.0,), epsrel=1e-13)
-        except _QuadratureLimit as exc:
-            details[f"case{i}_failure"] = str(exc)
-            converged = False
-            continue
-        full = 2.0 * (below + above) / (2.0 * math.pi)
-        err_full = abs(full - b2) / b2
-        part = 2.0 * part / (2.0 * math.pi)
-        analytic = (2.0 * b2 / math.pi) * math.atan(window)
-        err_window = abs(part - analytic) / analytic
-
-        worst_full = max(worst_full, err_full)
-        worst_window = max(worst_window, err_window)
-        details[f"case{i}_rel_err_full"] = _sig3(err_full)
-        details[f"case{i}_rel_err_window"] = _sig3(err_window)
-    details["worst_rel_err_full"] = _sig3(worst_full)
-    details["worst_rel_err_window"] = _sig3(worst_window)
-    passed = converged and worst_full < 1e-6 and worst_window < 1e-8
+        psd = lorentzian_psd(NoiseSource(b_perp_sq=b2, tau_c=tau_c), tan / tau_c)
+        g = (psd * (1.0 + tan * tan) / tau_c).tolist()
+        # (1/pi) times the sum over theta, whose weights are pi/4 w
+        err_norm = abs(math.fsum(w * v for w, v in zip(_GL_WEIGHTS, g)) / 4.0 - b2) / b2
+        err_node = max(abs(v - 2.0 * b2) for v in g) / (2.0 * b2)
+        worst_norm, worst_node = max(worst_norm, err_norm), max(worst_node, err_node)
+        details[f"case{i}_rel_err_norm"] = _sig3(err_norm)
+        details[f"case{i}_rel_err_node"] = _sig3(err_node)
+    details["worst_rel_err_norm"] = _sig3(worst_norm)
+    details["worst_rel_err_node"] = _sig3(worst_node)
+    passed = worst_norm <= ROUNDING_TOLERANCE and worst_node <= ROUNDING_TOLERANCE
     return OracleCheck("lorentzian_quadrature", passed, details)
 
 
@@ -252,7 +174,7 @@ def check_sensitivity_ratio() -> OracleCheck:
     sqrt(2 / (e * s(tau=T1))) to rounding: the formula prices the shot
     noise of a bare exponential at depth 1/e, the oracle that of the full
     signal including its baseline.  The ratios must lie within
-    RATIO_TOLERANCE of their mean, and the mean within it of the constant.
+    ROUNDING_TOLERANCE of their mean, and the mean within it of the constant.
     """
     template = SensitivityInputs(
         contrast=0.2, photon_rate=1.0e5, detection_window=500.0e-9,
@@ -280,7 +202,7 @@ def check_sensitivity_ratio() -> OracleCheck:
         "max_relative_deviation": max_dev,
         "expected_constant_offset": expected,
     }
-    passed = max_dev <= RATIO_TOLERANCE and abs(mean / expected - 1.0) <= RATIO_TOLERANCE
+    passed = max_dev <= ROUNDING_TOLERANCE and abs(mean / expected - 1.0) <= ROUNDING_TOLERANCE
     return OracleCheck("sensitivity_ratio", passed, details)
 
 
@@ -294,7 +216,7 @@ _CHECKS = {
 def run_oracles(which: str = "all") -> OracleReport:
     """Run one named check family, or all of them."""
     if which == "all":
-        names = ("quadrature", "bath_mc", "sensitivity")
+        names = tuple(_CHECKS)
     elif which in _CHECKS:
         names = (which,)
     else:

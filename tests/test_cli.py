@@ -776,6 +776,17 @@ DENSE = "[molecular_bath]\ndensity_per_m3 = 1e35\n"
     ("[molecular_bath]\ndensity_per_m3 = 1e-300\n", "sensitivity", 1,
      "error: [molecular_bath] density_per_m3 3.162277660168379e-302 is too small: "
      "its field variance underflows to 0 T^2"),
+    # grid sizes and spot counts that numpy rejects before it allocates
+    # anything (2^63 elements or more): the error line named neither, and a
+    # 2^63-point grid raised an IndexError with a traceback
+    *(("", f"{verb} --grid {grid}", 1,
+       f"error: grid size {grid.split(':')[2]} in '{grid}' is too large: ")
+      for verb, grid in (("sweep --axis water_fraction", "0:1:99999999999999999999"),
+                         ("sweep --axis diameter", "1e-8:2e-8:9223372036854775808:log"),
+                         ("sensitivity", "1e23:1e28:99999999999999999999:log"))),
+    # three jitter factors per spot: 3 x 3074457345618258603 > 2^63
+    *(("", f"simulate --spots {n}", 1, f"error: spot count {n} is too large: ")
+      for n in (99999999999999999999, 3074457345618258603)),
 ])
 def test_overflowing_input_fails_before_output(tmp_path, capsys, body, verb, code, message):
     cfg = tmp_path / "extreme.ini"

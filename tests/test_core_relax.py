@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -37,11 +35,14 @@ def test_rate_contribution_value():
     assert rate_contribution(SRC) == pytest.approx(5158.3159010389109, rel=1e-14)
 
 
-def test_zero_frequency_allowed_negative_rejected():
-    # zero is the zero-field limit; a negative angular frequency is an error
-    assert lorentzian_psd(SRC, 0.0) == pytest.approx(2.0e-9 * 2.0 * SRC.tau_c, rel=1e-15)
-    with pytest.raises(ParameterError):
-        lorentzian_psd(SRC, -1.0)
+def test_psd_array_call_equals_scalar_calls_and_is_even():
+    # one call on an array of frequencies gives the scalar calls' bits, and
+    # S(-w) = S(w); zero is the zero-field limit
+    omegas = (-OMEGA_0, 0.0, OMEGA_0)
+    values = lorentzian_psd(SRC, np.array(omegas))
+    assert values.tolist() == [lorentzian_psd(SRC, w) for w in omegas]
+    assert values[0] == values[2]
+    assert values[1] == pytest.approx(2.0e-9 * 2.0 * SRC.tau_c, rel=1e-15)
 
 
 def test_source_validation():

@@ -1,5 +1,6 @@
 """The output identity tool reports a data file that does not parse as a
-difference instead of stopping at it, and explains a changed JSON layout.
+difference instead of stopping at it, and explains a changed JSON layout
+or a changed report, key by key.
 
 tools/output_identity.py is not part of the package, so its directory is
 put on sys.path here.
@@ -41,3 +42,18 @@ def test_number_diff_names_keys_on_one_side_and_compares_the_shared_ones(tmp_pat
     here.write_text(json.dumps({"plan": {"contrast": 0.2}, "seed": 3, "spot": 0,
                                 "t1_s": [1.5, float("nan")], "note": "x"}, indent=2))
     assert output_identity.number_diff(rev, here) == "all 5 numbers equal, the text differs"
+
+
+def test_number_diff_reads_a_report_by_check_and_key(tmp_path):
+    rev, here = tmp_path / "rev.txt", tmp_path / "here.txt"
+    rev.write_text("PASS  quad\n      err_full = 2.2e-16\n      n = 21\n"
+                   "PASS  mc\n      n = 1000000\n      warned = False\noverall: PASS\n")
+    here.write_text("PASS  quad\n      err_norm = 2.2e-16\n      n = 21\n"
+                    "PASS  mc\n      n = 1000000\n      warned = True\noverall: PASS\n")
+    assert output_identity.number_diff(rev, here) == (
+        "only in the revision's: quad.err_full; only in this checkout's: quad.err_norm; "
+        "all 2 shared numbers equal")
+    # a report without headings, as t1's, holds its keys at the top
+    rev.write_text("t1_s = 1.5\nrate_total_per_s = 0.5\n")
+    here.write_text(f"t1_s = {math.nextafter(1.5, 2.0)!r}\nrate_total_per_s = 0.5\n")
+    assert output_identity.number_diff(rev, here) == "1 of 2 numbers differ, by at most 1 ulp"

@@ -5,10 +5,10 @@ line, which writes the same data bytes as main() called in process, and
 a sweep whose memory does not grow with its table.
 
 scipy is a test-only dependency: the tests use it as the reference for
-the numpy PCHIP, the batched fit and the oracle's quadrature.  Each case
-runs in a fresh interpreter, because this test session has imported scipy
-and every package module already; one of them blocks scipy outright, so
-that any import of it fails.
+the numpy PCHIP and the batched fit.  Each case runs in a fresh
+interpreter, because this test session has imported scipy and every
+package module already; one of them blocks scipy outright, so that any
+import of it fails.
 """
 
 import json

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import pytest
 
 import rbmrelax.validation as validation
+from rbmrelax import cli
 from rbmrelax.bath import VolumeBath
 from rbmrelax.constants import OMEGA_0
 from rbmrelax.errors import ParameterError
@@ -20,7 +22,48 @@ from rbmrelax.validation import (
 def test_quadrature_check_passes():
     check = check_lorentzian_quadrature()
     assert check.passed
-    assert check.details["worst_rel_err_full"] < 1e-6
+    assert check.details["worst_rel_err_norm"] <= 1e-12
+    assert check.details["worst_rel_err_node"] <= 1e-12
+
+
+def test_check_reports_errors_to_three_digits():
+    check = check_lorentzian_quadrature()
+    assert check.passed
+    for key, value in check.details.items():
+        assert value == float(f"{value:.3g}"), key
+
+
+def mutated_psd(factor=1.0, knee_tau=1.0, power=1.0):
+    """lorentzian_psd with its factor 2 scaled, tau scaled in the knee and
+    the denominator raised to a power."""
+    def psd(source, omega):
+        x = omega * source.tau_c * knee_tau
+        return factor * source.b_perp_sq * 2.0 * source.tau_c / (1.0 + x * x) ** power
+    return psd
+
+
+# mutated densities and the worst (normalization, node) errors they give
+MUTATIONS = {
+    "factor 2 lost": (mutated_psd(factor=0.5), 0.5, 0.5),
+    "denominator to the 1.5": (mutated_psd(power=1.5), 0.363, 0.995),
+    "tau scaled by 1.01 in the knee": (mutated_psd(knee_tau=1.01), 0.0099, 0.0197),
+    "knee scaled by 1.0002": (mutated_psd(knee_tau=1.0 / 1.0002), 2e-4, 4e-4),
+    "omega read as omega / 2 pi": (mutated_psd(knee_tau=1.0 / (2.0 * math.pi)), 5.28, 38.4),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_quadrature_check_fails_a_mutated_lorentzian(monkeypatch, name):
+    psd, norm, node = MUTATIONS[name]
+    monkeypatch.setattr(validation, "lorentzian_psd", psd)
+    check = check_lorentzian_quadrature()
+    assert not check.passed
+    assert check.details["worst_rel_err_norm"] == pytest.approx(norm, rel=0.01)
+    assert check.details["worst_rel_err_node"] == pytest.approx(node, rel=0.01)
+
+
+def test_cli_offers_every_oracle_family():
+    assert set(cli.ORACLE_NAMES) == set(validation._CHECKS) | {"all"}
 
 
 @pytest.mark.parametrize("forced", [False, True])

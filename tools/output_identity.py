@@ -37,10 +37,12 @@ when a file differs or exists on one side only, or when a command exits
 with another code than the matrix expects in either tree.  For a
 differing .json file it names the key paths that only one side has (say,
 `plan` or `conditions.fast.plan`), then counts the differing numbers at
-the paths both share; for a differing .tsv file it counts the differing
-numbers.  Either way it prints the largest difference in ulps, so a
-last-digit drift reads as one, or that a side does not parse (say, an
-empty .json file).
+the paths both share; a .txt report (`t1`'s, or the oracle's, whose
+`key = value` lines fall under their check's `PASS  <check>` heading, as
+`bath_mc.surface_z`) is compared the same way; for a differing .tsv file
+it counts the differing numbers.  Either way it prints the largest
+difference in ulps, so a last-digit drift reads as one, or that a side
+does not parse (say, an empty .json file).
 Only the standard library is used.
 """
 
@@ -198,6 +200,25 @@ def numbers(path: Path) -> list:
     return found
 
 
+def report_doc(text: str) -> dict:
+    """A `key = value` report as {key: value}, each key under the check of
+    the `PASS  <check>` or `FAIL  <check>` heading above it, if any; a value
+    that parses as a float is one."""
+    doc = section = {}
+    for line in text.splitlines():
+        verdict, _, check = line.partition("  ")
+        if verdict in ("PASS", "FAIL") and check:
+            section = doc[check] = {}
+            continue
+        key, sep, value = line.strip().partition(" = ")
+        if sep:
+            try:
+                section[key] = float(value)
+            except ValueError:
+                section[key] = value
+    return doc
+
+
 def _number(node):
     return float(node) if isinstance(node, (int, float)) and not isinstance(node, bool) else None
 
@@ -235,19 +256,21 @@ def _ordered(x: float) -> int:
 
 def number_diff(a: Path, b: Path) -> str:
     """How data files a (the revision's) and b (this checkout's) differ.
-    For .json, the key paths that only one side has, then how many numbers
-    at the shared paths differ; for .tsv, how many numbers differ.  Either
+    For .json and .txt reports, the key paths that only one side has, then
+    how many numbers at the shared paths differ; for .tsv, how many numbers
+    differ.  Either
     way by at most how many ulps; NaN equals NaN.  A file that does not
     parse is named instead."""
+    parse = {".json": lambda p: json.loads(p.read_text()),
+             ".txt": lambda p: report_doc(p.read_text())}.get(a.suffix, numbers)
     parsed = []
     for side, path in (("the revision's", a), ("this checkout's", b)):
         try:
-            parsed.append(json.loads(path.read_text()) if path.suffix == ".json"
-                          else numbers(path))
+            parsed.append(parse(path))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             return f"{side} file does not parse: {exc}"
     notes, shared = [], ""
-    if a.suffix == ".json":
+    if parse is not numbers:
         only_a, only_b, pairs = json_pairs(*parsed)
         for side, only in (("the revision's", only_a), ("this checkout's", only_b)):
             if only:
@@ -304,7 +327,7 @@ def main(argv=None) -> int:
             a, b = outs["rev"] / name, outs["here"] / name
             if not filecmp.cmp(a, b, shallow=False):
                 differing.append(f"{name}: {number_diff(a, b)}"
-                                 if a.suffix in (".tsv", ".json") else name)
+                                 if a.suffix in (".tsv", ".json", ".txt") else name)
 
     print(f"{len(common)} data files compared against {args.rev}, "
           f"{len(differing)} differences")
