@@ -182,10 +182,10 @@ def _parse_grid(spec: str) -> np.ndarray:
             raise ConfigError("grid needs at least 2 points")
         if not lo < hi:
             raise ConfigError(f"grid requires lo < hi, got {lo!r}:{hi!r}")
+        if scale == "log" and lo <= 0.0:
+            raise ConfigError("log grid requires positive bounds")
         allocate(n, f"grid size {n} in {spec!r}", ConfigError)
         if scale == "log":
-            if lo <= 0.0:
-                raise ConfigError("log grid requires positive bounds")
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
     values = [_grid_number(token, spec) for token in text.split(",") if token.strip()]

@@ -784,6 +784,9 @@ DENSE = "[molecular_bath]\ndensity_per_m3 = 1e35\n"
       for verb, grid in (("sweep --axis water_fraction", "0:1:99999999999999999999"),
                          ("sweep --axis diameter", "1e-8:2e-8:9223372036854775808:log"),
                          ("sensitivity", "1e23:1e28:99999999999999999999:log"))),
+    # the cheap bounds check comes first
+    ("", "sensitivity --grid 0:1e28:99999999999999999999:log", 1,
+     "error: log grid requires positive bounds"),
     # three jitter factors per spot: 3 x 3074457345618258603 > 2^63
     *(("", f"simulate --spots {n}", 1, f"error: spot count {n} is too large: ")
       for n in (99999999999999999999, 3074457345618258603)),

@@ -34,7 +34,8 @@ def test_number_diff_names_keys_on_one_side_and_compares_the_shared_ones(tmp_pat
                                 "t1_s": [1.5, float("nan"), 2.0], "note": "y"}))
     assert output_identity.number_diff(rev, here) == (
         "only in the revision's: plan, seed; "
-        "only in this checkout's: conditions, t1_s[2]; all 3 shared numbers equal")
+        "only in this checkout's: conditions, t1_s[2]; other values differ at: note; "
+        "all 3 shared numbers equal")
     # a number against a string or null differs too, by no count of ulps
     here.write_text(json.dumps({"spot": 0, "t1_s": [math.nextafter(1.5, 2.0), None],
                                 "note": 2, "plan": {"contrast": 0.2}, "seed": 3}))
@@ -52,7 +53,11 @@ def test_number_diff_reads_a_report_by_check_and_key(tmp_path):
                     "PASS  mc\n      n = 1000000\n      warned = True\noverall: PASS\n")
     assert output_identity.number_diff(rev, here) == (
         "only in the revision's: quad.err_full; only in this checkout's: quad.err_norm; "
-        "all 2 shared numbers equal")
+        "other values differ at: mc.warned; all 2 shared numbers equal")
+    # verdicts are compared as values too
+    here.write_text(rev.read_text().replace("PASS", "FAIL"))
+    assert output_identity.number_diff(rev, here) == (
+        "other values differ at: mc.verdict, overall, quad.verdict; all 3 numbers equal")
     # a report without headings, as t1's, holds its keys at the top
     rev.write_text("t1_s = 1.5\nrate_total_per_s = 0.5\n")
     here.write_text(f"t1_s = {math.nextafter(1.5, 2.0)!r}\nrate_total_per_s = 0.5\n")

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import rbmrelax.validation as validation
 from rbmrelax import cli
 from rbmrelax.bath import VolumeBath
 from rbmrelax.constants import OMEGA_0
+from rbmrelax.core_relax import lorentzian_psd
 from rbmrelax.errors import ParameterError
 from rbmrelax.validation import (
     OracleCheck,
@@ -61,6 +63,26 @@ def test_quadrature_check_fails_a_mutated_lorentzian(monkeypatch, name):
     assert check.details["worst_rel_err_norm"] == pytest.approx(norm, rel=0.01)
     assert check.details["worst_rel_err_node"] == pytest.approx(node, rel=0.01)
 
+
+
+def spoiled_psd(nodes, values):
+    """lorentzian_psd with values written at the given nodes."""
+    def psd(source, omega):
+        out = lorentzian_psd(source, omega)
+        out[nodes] = values
+        return out
+    return psd
+
+
+# NaN past the first node, which max() would skip, and a sum fsum rejects
+@pytest.mark.parametrize("nodes, values", [(slice(1, None), math.nan), ([10], math.nan),
+                                           ([5, 15], [math.inf, -math.inf])],
+                         ids=["nan past the first node", "one nan node", "inf and -inf"])
+def test_quadrature_check_fails_a_non_finite_lorentzian(monkeypatch, nodes, values):
+    monkeypatch.setattr(validation, "lorentzian_psd", spoiled_psd(nodes, values))
+    check = check_lorentzian_quadrature()
+    assert not check.passed
+    assert not check.details["worst_rel_err_node"] <= 1e-12
 
 def test_cli_offers_every_oracle_family():
     assert set(cli.ORACLE_NAMES) == set(validation._CHECKS) | {"all"}

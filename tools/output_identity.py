@@ -202,15 +202,19 @@ def numbers(path: Path) -> list:
 
 def report_doc(text: str) -> dict:
     """A `key = value` report as {key: value}, each key under the check of
-    the `PASS  <check>` or `FAIL  <check>` heading above it, if any; a value
-    that parses as a float is one."""
+    the `PASS  <check>` or `FAIL  <check>` heading above it, if any, with the
+    heading's word as the check's `verdict` and an `overall: <word>` line as
+    `overall`; a value that parses as a float is one."""
     doc = section = {}
     for line in text.splitlines():
         verdict, _, check = line.partition("  ")
         if verdict in ("PASS", "FAIL") and check:
-            section = doc[check] = {}
+            section = doc[check] = {"verdict": verdict}
             continue
         key, sep, value = line.strip().partition(" = ")
+        if not sep and key.startswith("overall: "):
+            key, sep, value = key.partition(": ")
+            section = doc
         if sep:
             try:
                 section[key] = float(value)
@@ -225,9 +229,10 @@ def _number(node):
 
 def json_pairs(a, b, path: str = "") -> tuple:
     """Walk two parsed JSON documents together.  Returns the key paths
-    only a has, those only b has (dotted, list items as [i]), and the
-    (a, b) number pairs at the paths both share, None on a side whose
-    value there is not a number."""
+    only a has, those only b has (dotted, list items as [i]), the (a, b)
+    number pairs at the paths both share, None on a side whose value there
+    is not a number, and the shared paths of unequal values that are not
+    numbers on either side, as strings or booleans."""
     if isinstance(a, dict) and isinstance(b, dict):
         subs = {k: f"{path}.{k}" if path else k for k in a.keys() | b.keys()}
     elif isinstance(a, list) and isinstance(b, list):
@@ -235,17 +240,19 @@ def json_pairs(a, b, path: str = "") -> tuple:
         a, b = dict(enumerate(a)), dict(enumerate(b))
     else:
         pair = (_number(a), _number(b))
-        return [], [], [] if pair == (None, None) else [pair]
-    only_a, only_b, pairs = [], [], []
+        if pair == (None, None):
+            return [], [], [], [] if a == b else [path]
+        return [], [], [pair], []
+    found = ([], [], [], [])
     for key in sorted(subs):
         if key not in b:
-            only_a.append(subs[key])
+            found[0].append(subs[key])
         elif key not in a:
-            only_b.append(subs[key])
+            found[1].append(subs[key])
         else:
-            more = json_pairs(a[key], b[key], subs[key])
-            only_a, only_b, pairs = only_a + more[0], only_b + more[1], pairs + more[2]
-    return only_a, only_b, pairs
+            for acc, more in zip(found, json_pairs(a[key], b[key], subs[key])):
+                acc.extend(more)
+    return found
 
 
 def _ordered(x: float) -> int:
@@ -256,11 +263,11 @@ def _ordered(x: float) -> int:
 
 def number_diff(a: Path, b: Path) -> str:
     """How data files a (the revision's) and b (this checkout's) differ.
-    For .json and .txt reports, the key paths that only one side has, then
-    how many numbers at the shared paths differ; for .tsv, how many numbers
-    differ.  Either
-    way by at most how many ulps; NaN equals NaN.  A file that does not
-    parse is named instead."""
+    For .json and .txt reports, the key paths that only one side has, the
+    shared paths whose other values (strings, booleans, verdicts) differ,
+    then how many numbers at the shared paths differ; for .tsv, how many
+    numbers differ.  Either way by at most how many ulps; NaN equals NaN.
+    A file that does not parse is named instead."""
     parse = {".json": lambda p: json.loads(p.read_text()),
              ".txt": lambda p: report_doc(p.read_text())}.get(a.suffix, numbers)
     parsed = []
@@ -271,11 +278,13 @@ def number_diff(a: Path, b: Path) -> str:
             return f"{side} file does not parse: {exc}"
     notes, shared = [], ""
     if parse is not numbers:
-        only_a, only_b, pairs = json_pairs(*parsed)
+        only_a, only_b, pairs, changed = json_pairs(*parsed)
         for side, only in (("the revision's", only_a), ("this checkout's", only_b)):
             if only:
                 notes.append(f"only in {side}: {', '.join(only)}")
         shared = "shared " if notes else ""
+        if changed:
+            notes.append(f"other values differ at: {', '.join(changed)}")
     else:
         xs, ys = parsed
         if len(xs) != len(ys):
