@@ -27,14 +27,16 @@ whose rows are, in order, r^3 (volume bath only), cos theta, cos theta_m
 and phi.
 
 The Monte Carlo runs in a fixed working set and never holds that block.
-Per chunk each row gets its own generator, advanced to where the row
-starts in the chunk's stream; per tile of _TILE columns the kernel fills
-the rows of one (rows + 2, _TILE) scratch block from them, computes in
-place with the two extra rows as temporaries, and writes the samples into
-one chunk-wide row.  Both are allocated once per b_perp_mc call: a traced
-peak of 3.2 MiB (surface) and 3.4 MiB (volume) whatever the sample
-count.  Every step acts element by element, so _TILE changes no number;
-_CHUNK, which sets the streams, changes every one.
+Per chunk the k columns are cut into contiguous parts, one per CPU (each
+of at least _MIN_PART scratch columns), run on threads.  Part [a, b)
+advances each row r's own generator r * k + a doubles into the chunk's
+stream; per tile the kernel fills the rows of the part's columns of one
+(rows + 2, _TILE) scratch block, computes in place with the two extra
+rows as temporaries, and writes the samples into one chunk-wide row.
+Both are allocated once per b_perp_mc call: a traced peak of 3.2 MiB
+(surface) and 3.4 MiB (volume) whatever the sample count.  Every step
+acts element by element, so no number depends on _TILE or the part
+count; _CHUNK, which sets the streams, changes every one.
 
 The closed forms broadcast: diameter, areal density and number density may
 be numpy arrays, validated element by element.
@@ -43,7 +45,9 @@ be numpy arrays, validated element by element.
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +66,11 @@ MIN_MC_SAMPLES = 10_000
 DEFAULT_CUTOFF_FACTOR = 20.0
 # samples per spawned stream; changing it changes every Monte Carlo result
 _CHUNK = 250_000
-# columns per tile of the kernel's draws and arithmetic, 256 KiB per row;
-# it changes no result.  32,768 outran 16,384 and 65,536 on a 2-vCPU Xeon
-# with 2 MiB of L2 per core
+# columns of the scratch block, 256 KiB per row, shared by the parts; it
+# changes no result.  With two parts on a 2-vCPU Xeon (2 MiB of L2 per core)
+# 32,768 outran 16,384 by 18% and trailed 65,536, twice the block, by 7%
 _TILE = 32_768
+_MIN_PART = 8_192   # least scratch columns of a part, when a chunk is split
 
 
 def is_spin(s: float) -> bool:
@@ -197,19 +202,19 @@ class McFieldResult:
 
 
 def _dipole_samples(gens, out, scratch, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
-    """Per-spin transverse field variance samples, T^2, written to the
-    k-wide row out, which it returns.
+    """Per-spin transverse field variance samples, T^2, written to out,
+    columns [a, b) of a chunk's k, which it returns.
 
     gens holds one generator per row of the module docstring, each placed
-    where its row of rng.random((rows, k)) starts in the chunk's stream, so
-    column j takes the doubles of column j of that block: one column per
-    spin, a layout that fixes every Monte Carlo number.  With rhat =
+    where column a of its row of rng.random((rows, k)) lies in the chunk's
+    stream, so column j takes the doubles of column j of that block: one
+    column per spin, a layout that fixes every Monte Carlo number.  With rhat =
     (sin theta, 0, cos theta), m . rhat = m_x sin theta + m_z cos theta,
     B_x = 3 (m . rhat) sin theta - m_x and B_y = -m_y, with m_y^2 =
-    sin^2 theta_m (1 - cos^2 phi).  Tiles of at most _TILE columns are
-    drawn into the first rows of scratch (rows + 2 rows, each at least
-    min(_TILE, k) wide) and computed in place, the last two rows being
-    temporaries; each tile's samples go to its columns of out.
+    sin^2 theta_m (1 - cos^2 phi).  Tiles of at most scratch.shape[1]
+    columns are drawn into the first rows of scratch (rows + 2 rows) and
+    computed in place, the last two rows being temporaries; each tile's
+    samples go to its columns of out.
     """
     scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
     if isinstance(bath, SurfaceBath):
@@ -220,8 +225,8 @@ def _dipole_samples(gens, out, scratch, g: ParticleGeometry, bath, r_min, r_cut)
         r3_span = (r_cut**3 - r_min**3) / scale
         r3_low = r_min**3 / scale
 
-    for a in range(0, out.size, _TILE):
-        tile = scratch[:, :min(_TILE, out.size - a)]
+    for a in range(0, out.size, scratch.shape[1]):
+        tile = scratch[:, :out.size - a]
         for gen, row in zip(gens, tile):
             gen.random(out=row)
         c, mz, cphi, mx, my2 = tile[-5:]
@@ -244,7 +249,7 @@ def _dipole_samples(gens, out, scratch, g: ParticleGeometry, bath, r_min, r_cut)
         np.sqrt(s, out=s)                       # sin theta
 
         mz *= c
-        bx = np.multiply(mx, s, out=out[a:a + _TILE])
+        bx = np.multiply(mx, s, out=out[a:a + tile.shape[1]])
         bx += mz                                # m . rhat
         bx *= 3.0
         bx *= s
@@ -276,12 +281,12 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     the uniforms of one rng.random((rows, chunk)) block of its own spawned
     child stream, rows in the order r^3 (volume only), cos theta,
     cos theta_m, phi, drawn row by row and tile by tile in a working set
-    that does not grow with samples (module docstring); _TILE changes no
-    number.  The sums of x and x^2 run over each whole chunk, as numpy
-    pairwise sums, so they do not depend on the BLAS thread count; the
-    mean and variance come from those totals, so the result is
-    reproducible for a given (samples, seed) regardless of how chunks are
-    dispatched.
+    that does not grow with samples, split by column across the CPUs
+    (module docstring).  The sums of x and x^2 run over each whole chunk,
+    as numpy pairwise sums, so they do not depend on the BLAS thread count;
+    the mean and variance come from those totals, so no number depends on
+    the part count and the result is reproducible for a given (samples,
+    seed).  An exception in any part is raised here once every part ends.
 
     Returns the estimated mean and standard error of B_perp^2 in T^2;
     deterministic for fixed inputs.
@@ -316,13 +321,33 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
     width = min(_CHUNK, samples)
     out = np.empty(width)
     scratch = np.empty((rows + 2, min(_TILE, width)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_parts = max(1, min(cpus, scratch.shape[1] // _MIN_PART))
+    blocks = np.array_split(scratch, n_parts, axis=1)
+    errors = []
+
+    def run_part(child, k, p):
+        a, b = k * p // n_parts, k * (p + 1) // n_parts
+        try:    # row r of random((rows, k)) starts r * k doubles in, its column a a more
+            gens = [np.random.Generator(np.random.PCG64(child).advance(r * k + a))
+                    for r in range(rows)]
+            out[a:b] = _dipole_samples(gens, out[a:b], blocks[p], g, bath, r_min, r_cut)
+        except BaseException as exc:    # raised by the caller once every part has ended
+            errors.append(exc)
+
     count, total, total_sq = 0, 0.0, 0.0
     for i, child in enumerate(streams):
         k = min(_CHUNK, samples - i * _CHUNK)
-        # row r of random((rows, k)) starts r * k doubles into the stream
-        gens = [np.random.Generator(np.random.PCG64(child).advance(r * k))
-                for r in range(rows)]
-        vals = _dipole_samples(gens, out[:k], scratch, g, bath, r_min, r_cut)
+        threads = [threading.Thread(target=run_part, args=(child, k, p))
+                   for p in range(1, n_parts)]
+        for t in threads:
+            t.start()
+        run_part(child, k, 0)
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        vals = out[:k]
         count += k
         # numpy's pairwise sums, not a BLAS dot: the totals do not depend
         # on the BLAS thread count

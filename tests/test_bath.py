@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,64 @@ def test_mc_working_set_is_one_block(bath):
     assert peak <= bound
 
 
+def report_cpus(monkeypatch, n):
+    """Make b_perp_mc see n CPUs, so that it splits each chunk into up to n
+    parts (fewer where a part's scratch would fall below _MIN_PART columns)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("samples", [10_000, 260_000, 1_000_000])
+def test_mc_does_not_depend_on_the_part_count(monkeypatch, bath, samples):
+    # 260,000 samples: a full chunk, then a 10,000-column one; a 10,000-wide
+    # scratch block holds one part only, a 32,768-wide one at most four
+    report_cpus(monkeypatch, 1)
+    want = b_perp_mc(GEOM, bath, samples=samples, seed=17)
+    widths = []
+
+    def spy(gens, out, scratch, *args):
+        widths.append(scratch.shape[1])
+        return _dipole_samples(gens, out, scratch, *args)
+
+    monkeypatch.setattr(bath_module, "_dipole_samples", spy)
+    n_chunks = -(-samples // bath_module._CHUNK)
+    for cpus in (2, 3, 5):
+        report_cpus(monkeypatch, cpus)
+        widths.clear()
+        assert b_perp_mc(GEOM, bath, samples=samples, seed=17) == want
+        n_parts = 1 if samples == 10_000 else min(cpus, 4)
+        assert len(widths) == n_parts * n_chunks
+        assert sum(widths[:n_parts]) == min(bath_module._TILE, samples)
+        assert min(widths) >= bath_module._MIN_PART or n_parts == 1
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_mc_working_set_and_tiles_at_several_parts(monkeypatch, bath, cpus):
+    # the parts share the one scratch block, and its width changes no bit
+    report_cpus(monkeypatch, cpus)
+    test_mc_working_set_is_one_block(bath)
+    for tile in (1_000, 250_000):
+        with monkeypatch.context() as m:
+            test_mc_tile_width_changes_no_bit(m, bath, tile)
+
+
+def test_mc_raises_a_failing_part(monkeypatch):
+    # a part that fails on its thread fails the call, which returns no sum
+    # with that part missing and leaves no thread running
+    def fail_past_column_0(gens, out, scratch, *args):
+        if out.ctypes.data != out.base.ctypes.data:
+            raise MemoryError("part")
+        return _dipole_samples(gens, out, scratch, *args)
+
+    report_cpus(monkeypatch, 2)
+    monkeypatch.setattr(bath_module, "_dipole_samples", fail_past_column_0)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="^part$"):
+        b_perp_mc(GEOM, VOLUME, samples=260_000, seed=9)
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"cutoff_factor": math.inf}, r"^cutoff_factor must be finite and exceed 1, got inf$"),
     ({"cutoff_factor": math.nan}, r"^cutoff_factor must be finite and exceed 1, got nan$"),
@@ -349,7 +409,10 @@ def test_dipole_samples_invariant_under_turns_about_the_axis(bath):
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 @pytest.mark.parametrize("seed", [101, 202])
 def test_half_plane_kernel_matches_normal_vector_kernel(monkeypatch, bath, seed):
-    # the two streams are independent estimates of one mean
+    # the two streams are independent estimates of one mean; the reference
+    # draws from its first generator only, whose stream would overlap
+    # between the parts of a chunk, so the chunk runs as one part
+    report_cpus(monkeypatch, 1)
     new = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)
     monkeypatch.setattr(bath_module, "_dipole_samples", normal_vector_samples)
     old = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)

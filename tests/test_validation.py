@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ def test_bath_mc_reports_the_volume_tail_warning(monkeypatch, forced):
     assert check.details["volume_tail_warning"] is forced
     assert f"      volume_tail_warning = {forced}" in format_report(
         OracleReport(checks=(check,))).splitlines()
+
+
+def test_bath_mc_report_does_not_depend_on_the_part_count(monkeypatch):
+    # b_perp_mc splits each chunk into one part per CPU it sees
+    texts = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        texts.append(format_report(run_oracles("bath_mc")))
+    assert texts[0] == texts[1]
+    assert texts[0].endswith("overall: PASS")
 
 
 def test_sensitivity_ratio_check_passes():
