@@ -328,7 +328,7 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
 
     def run_part(child, k, p):
         a, b = k * p // n_parts, k * (p + 1) // n_parts
-        try:    # row r of random((rows, k)) starts r * k doubles in, its column a a more
+        try:    # column a of row r of random((rows, k)) lies r * k + a doubles in
             gens = [np.random.Generator(np.random.PCG64(child).advance(r * k + a))
                     for r in range(rows)]
             out[a:b] = _dipole_samples(gens, out[a:b], blocks[p], g, bath, r_min, r_cut)

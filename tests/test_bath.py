@@ -345,6 +345,11 @@ def test_mc_does_not_depend_on_the_part_count(monkeypatch, bath, samples):
         assert len(widths) == n_parts * n_chunks
         assert sum(widths[:n_parts]) == min(bath_module._TILE, samples)
         assert min(widths) >= bath_module._MIN_PART or n_parts == 1
+    # where the platform cannot tell the CPUs, one part
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    widths.clear()
+    assert b_perp_mc(GEOM, bath, samples=samples, seed=17) == want
+    assert len(widths) == n_chunks
 
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])

@@ -113,7 +113,7 @@ def test_bath_mc_report_does_not_depend_on_the_part_count(monkeypatch):
     # b_perp_mc splits each chunk into one part per CPU it sees
     texts = []
     for cpus in (1, 3):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
         texts.append(format_report(run_oracles("bath_mc")))
     assert texts[0] == texts[1]

@@ -8,12 +8,13 @@ Usage:
 repository, and the working tree of this checkout (tracked files and
 untracked files that .gitignore does not exclude, uncommitted edits
 included) is copied into another.  Each side then runs its own
-`bench/run.py --workload W --seed S --seconds 30 --trace 0`, one run at a
-time.  Pair i of a workload uses seed `--seed` + i, and the pairs run in
-ABBA order (base first in even pairs, the change first in odd ones), so a
-drift of the host's speed over a series falls on both sides alike.  Before
-every run the copy's .bench_run/ is removed and os.sync() is called, so
-that no run pays for the files or the write-back of another.
+`bench/run.py --workload W --seed S --seconds T --trace 0`, one run at a
+time, T being the run_seconds of BENCHMARK.json.  Pair i of a workload
+uses seed `--seed` + i, and the pairs run in ABBA order (base first in
+even pairs, the change first in odd ones), so a drift of the host's speed
+over a series falls on both sides alike.  Before every run the copy's
+.bench_run/ is removed and os.sync() is called, so that no run pays for
+the files or the write-back of another.
 
 For each workload it prints every end-to-end metric of BENCHMARK.json:
 both sides' medians over the pairs, the relative change of the medians,
@@ -174,7 +175,6 @@ def main(argv=None) -> int:
                         help="a workload to run (repeatable); default: every workload")
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7201, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, one in each order")
@@ -184,7 +184,8 @@ def main(argv=None) -> int:
                         "commit": _git("rev-parse", f"{args.rev}^{{commit}}").strip()},
                "change": {"commit": _git("rev-parse", "HEAD").strip(),
                           "uncommitted_edits": bool(_git("status", "--porcelain").strip())}}
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs, seconds = spec["end_to_end"], spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
         for tree in trees.values():
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
         copy_working_tree(trees["change"])
 
         def run_one(side, workload, seed):
-            result = bench_run(trees[side], workload, seed, args.seconds)
+            result = bench_run(trees[side], workload, seed, seconds)
             print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{k} {m['value']:.6g}" for k, m in result["metrics"].items()),
                   flush=True)
@@ -201,7 +202,7 @@ def main(argv=None) -> int:
 
         raw = run_pairs(schedule(workloads, args.pairs, args.seed), run_one)
     doc = record(args.pr, commits, {"workloads": workloads, "pairs": args.pairs,
-                                    "seed": args.seed, "seconds": args.seconds}, raw, specs)
+                                    "seed": args.seed, "seconds": seconds}, raw, specs)
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(report(doc["summary"]))
     return 0 if all(e["all_correct"] for e in doc["summary"].values()) else 1
