@@ -38,22 +38,23 @@ formats a column that does not vary along the axis once and writes the
 rows in blocks of a fixed row count, so the table text adds a fixed amount
 to the memory of the grid and predict's arrays.
 No verb loads scipy: the fit is numpy's, and ``oracle``'s quadrature check
-is one fixed Gauss-Legendre sum of validation's own.  ``simulate`` and
-``fit`` import measure_sim when they run, ``oracle`` validation, and
-``sensitivity`` (through scenario.density_sensitivity_curve) sensitivity,
-so start-up of every verb stays at numpy's cost.
+is one fixed Gauss-Legendre sum of validation's own.  Loading this module
+imports numpy and rbmrelax.errors; a verb imports what it runs when it
+runs: scenario (with hydro, table, bath and core_relax) for every verb
+but ``fit`` and ``oracle``, measure_sim for ``simulate`` and ``fit``,
+sensitivity for ``sensitivity``, and validation for ``oracle``.
 
-The cyclic garbage collector is paused while this module loads, and the
-caller's setting goes back afterwards, also if loading fails: the ~24,000
-objects that loading builds live until exit, and the young collections
-their allocation triggers would only walk them again.  When loading ends
-they move to the oldest generation without a collection.  When ``main``
+The cyclic garbage collector is paused while this module loads and while
+a verb imports its modules, and the caller's setting goes back after,
+also if loading fails: what loading builds lives until exit, and the
+young collections its allocation triggers would only walk it again.  It
+then moves to the oldest generation without a collection.  When ``main``
 runs the process's own command line (``argv`` is None: ``python -m
-rbmrelax.cli``, the ``rbmrelax`` script, ``--version``), it first moves
-them to the collector's permanent generation (gc.freeze()), so neither the
-verb's collections nor the interpreter's last ones at exit walk them.
-Callers that pass ``argv``, and code that imports the library, are never
-frozen.
+rbmrelax.cli``, the ``rbmrelax`` script, ``--version``), it moves to the
+collector's permanent generation instead (gc.freeze(), before the verb
+and again after its imports), so neither the verb's collections nor the
+interpreter's last ones at exit walk it.  Callers that pass ``argv``, and
+code that imports the library, are never frozen.
 
 This module loads numpy with a one-thread BLAS pool: it sets the BLAS and
 OpenMP thread variables to 1 for the import, then puts the caller's values
@@ -68,18 +69,35 @@ not the CLI, keeps its own BLAS.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
+
+
+@contextmanager
+def _loading(freeze: bool = False):
+    """Pause the collector for a block of imports, then move what they built
+    out of the young generation, which the next young collection would walk
+    at once: to the permanent one if freeze (the process's own command
+    line), else to the oldest (module docstring)."""
+    caller_collects = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        # unfreeze would also release objects a caller froze, so not then
+        if freeze or not gc.get_freeze_count():
+            gc.freeze()
+            if not freeze:
+                gc.unfreeze()
+        if caller_collects:
+            gc.enable()
+
 
 # no collections while loading builds its long-lived objects (module docstring)
-_caller_collects = gc.isenabled()
-gc.disable()
-try:
+with _loading():
     import argparse
-    import json
     import math
     import os
     import sys
-    from dataclasses import replace
-    from datetime import datetime, timezone
     from pathlib import Path
 
     _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -99,24 +117,6 @@ try:
 
     from . import __version__
     from .errors import ConfigError, ParameterError, allocate
-    from .scenario import (
-        config_hash,
-        density_sensitivity_curve,
-        draw_spots,
-        measurement_plan,
-        parse_config,
-        predict,
-    )
-    from .table import write_table
-finally:
-    # the young generation now holds the whole loaded heap, which the next
-    # young collection would walk at once: move it to the oldest instead
-    # (unfreeze would also release objects a caller froze, so not then)
-    if not gc.get_freeze_count():
-        gc.freeze()
-        gc.unfreeze()
-    if _caller_collects:
-        gc.enable()
 
 # sweep axis -> (its column, the predict override it sets)
 SWEEP_AXES = {"gd_density": ("gd_density_per_m3", "gd_density"),
@@ -140,6 +140,8 @@ def _write_manifest(path: Path, command: str, configs, outputs) -> None:
     its random stream; outputs lists every data file the command wrote,
     relative to the manifest's own directory.
     """
+    import json
+    from datetime import datetime, timezone
     manifest = {"command": command, "version": __version__,
                 "created_utc": datetime.now(timezone.utc).isoformat(),
                 "configs": list(configs), "outputs": sorted(str(o) for o in outputs)}
@@ -147,6 +149,7 @@ def _write_manifest(path: Path, command: str, configs, outputs) -> None:
 
 
 def _config_entry(path, sc, **extra) -> dict:
+    from .scenario import config_hash
     return {"path": str(path), "sha256": config_hash(sc), "seed": sc.seed, **extra}
 
 
@@ -201,6 +204,8 @@ def _t1_report(pred) -> str:
 
 
 def cmd_t1(args) -> int:
+    with _loading(args.freeze):
+        from .scenario import parse_config, predict
     sc = parse_config(args.config)
     report = _t1_report(predict(sc))
     sys.stdout.write(report)
@@ -220,6 +225,9 @@ SWEEP_COLUMNS = ("viscosity_pa_s", "microviscosity_factor",
 
 
 def cmd_sweep(args) -> int:
+    with _loading(args.freeze):
+        from .scenario import parse_config, predict
+        from .table import write_table
     sc = parse_config(args.config)
     values = _parse_grid(args.grid)
     column, override = SWEEP_AXES[args.axis]
@@ -238,15 +246,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .measure_sim import (
-        fit_curves,
-        gaussian_summary,
-        separation_scores,
-        simulate_curve,
-        write_curve,
-        write_fit_json,
-    )
+    with _loading(args.freeze):
+        import json
+        from dataclasses import replace
 
+        from .measure_sim import (fit_curves, gaussian_summary, separation_scores,
+                                  simulate_curve, write_curve, write_fit_json)
+        from .scenario import config_hash, draw_spots, measurement_plan, parse_config, predict
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # every condition is predicted and planned, and every spot's true T1
@@ -332,8 +338,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .measure_sim import fit_exponential, read_curve, render_fit_json
-
+    with _loading(args.freeze):
+        from .measure_sim import fit_exponential, read_curve, render_fit_json
     curve = read_curve(args.data)
     try:
         fit = fit_exponential(*curve)
@@ -353,8 +359,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    from .sensitivity import write_sensitivity_curve
-
+    with _loading(args.freeze):
+        from .scenario import density_sensitivity_curve, parse_config
+        from .sensitivity import write_sensitivity_curve
     sc = parse_config(args.config)
     grid = _parse_grid(args.grid) if args.grid else None
     curve = density_sensitivity_curve(sc, grid=grid)
@@ -374,8 +381,8 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .validation import format_report, run_oracles
-
+    with _loading(args.freeze):
+        from .validation import format_report, run_oracles
     report = run_oracles(args.which)
     print(format_report(report))
     return 0 if report.passed else 3
@@ -441,6 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.freeze = argv is None
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -568,10 +568,11 @@ def test_simulate_conditions_never_share_a_stream(tmp_path, capsys):
 def test_shipped_acetone_then_water_draw_distinct_streams(tmp_path, monkeypatch,
                                                           capsys):
     # acetone (seed 20260102) first, water (20260101) second once collided
-    import rbmrelax.cli as cli_mod
+    # simulate imports draw_spots from rbmrelax.scenario when it runs
+    import rbmrelax.scenario as scenario_mod
 
     states = {}
-    real_draw_spots = cli_mod.draw_spots
+    real_draw_spots = scenario_mod.draw_spots
 
     def recording_draw_spots(sc, stream, n_spots):
         # each spot's generator state before its jitter draws
@@ -579,7 +580,7 @@ def test_shipped_acetone_then_water_draw_distinct_streams(tmp_path, monkeypatch,
                            for child in stream.spawn(n_spots)]
         return real_draw_spots(sc, stream, n_spots)
 
-    monkeypatch.setattr(cli_mod, "draw_spots", recording_draw_spots)
+    monkeypatch.setattr(scenario_mod, "draw_spots", recording_draw_spots)
     configs = Path(__file__).resolve().parents[1] / "configs"
     assert main(["simulate", "--config", str(configs / "gd_acetone_x046_25nm.ini"),
                  "--config", str(configs / "gd_water_25nm.ini"), "--spots", "3",

@@ -1,8 +1,9 @@
-"""No verb loads scipy, the package holds no module that no verb loads, the
-CLI loads numpy with a one-thread BLAS pool, and the collector contract of
-the CLI: paused while it loads, frozen only for the process's own command
-line, which writes the same data bytes as main() called in process, and
-a sweep whose memory does not grow with its table.
+"""No verb loads scipy, the package holds no module that no verb loads, each
+verb imports only what it runs, the CLI loads numpy with a one-thread BLAS
+pool, and the collector contract of the CLI: paused while it and each
+verb's modules load, frozen only for the process's own command line, which
+writes the same data bytes as main() called in process, and a sweep whose
+memory does not grow with its table.
 
 scipy is a test-only dependency: the tests use it as the reference for
 the numpy PCHIP and the batched fit.  Each case runs in a fresh
@@ -17,9 +18,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbmrelax.cli import main
+from rbmrelax.measure_sim import write_curve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -173,6 +176,65 @@ print(sorted(m for m in ("rbmrelax.sensitivity", "rbmrelax.measure_sim",
                          "rbmrelax.validation") if m in sys.modules))
 """)
     assert stdout.splitlines()[-2] == "[]"
+
+
+def test_each_verb_imports_only_what_it_runs(tmp_path):
+    # a bare import loads the CLI and its error types; the oracles load no
+    # config parser, forward model or fit
+    stdout = run_fresh(tmp_path, """\
+import json
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+package = sorted(m for m in sys.modules if m == "rbmrelax" or m.startswith("rbmrelax."))
+assert main(["oracle", "all"]) == 0
+print(json.dumps([package, loaded(("rbmrelax.scenario", "rbmrelax.hydro",
+                                   "rbmrelax.measure_sim", "configparser"))]))
+""")
+    package, after_oracle = json.loads(stdout.splitlines()[-2])
+    assert (package, after_oracle) == (["rbmrelax", "rbmrelax.cli", "rbmrelax.errors"], [])
+
+
+# each verb as the process's own command line, in its own interpreter, so
+# that it finds every module it imports
+VERB_RUNS = {
+    "t1": ["t1", "--config", "{cfg}"],
+    "sweep": ["sweep", "--config", "{cfg}", "--axis", "gd_density", "--grid", "0,1e24",
+              "--out", "{out}/sweep.tsv"],
+    "sensitivity": ["sensitivity", "--config", "{sens}", "--grid", "1e24:1e27:4:log",
+                    "--out", "{out}/sens.tsv"],
+    "simulate": ["simulate", "--config", "{cfg}", "--spots", "2", "--out", "{out}/sim"],
+    "fit": ["fit", "{out}/curve.tsv"],
+    "oracle": ["oracle", "quadrature"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_RUNS))
+def test_verb_imports_run_with_the_collector_paused(tmp_path, verb):
+    # every package module the verb imports is found with the collector
+    # off and ends frozen, and the caller's setting is back afterwards
+    tau = np.geomspace(1e-6, 1e-3, 12)[None]
+    write_curve(tau, 0.7 + 0.2 * np.exp(-tau / 1e-4), np.full_like(tau, 1e-3),
+                [tmp_path / "curve.tsv"])
+    argv = [a.format(cfg=CONFIGS / "gd_water_25nm.ini", sens=CONFIGS / "sensitivity_20nm.ini",
+                     out=tmp_path) for a in VERB_RUNS[verb]]
+    run_fresh(tmp_path, f"""\
+import gc
+found = []
+
+class Watch:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.startswith("rbmrelax."):
+            found.append((name, gc.isenabled()))
+
+sys.meta_path.insert(0, Watch)
+sys.argv = ["rbmrelax", *{argv!r}]
+assert main() == 0
+assert found and not any(enabled for _, enabled in found), found
+young = {{id(o) for o in gc.get_objects()}}
+assert not [name for name, _ in found if id(vars(sys.modules[name])) in young], found
+assert gc.isenabled()
+""")
 
 
 # one small run of each kind of data file: a table along an axis, a

@@ -12,17 +12,23 @@ included) is copied into another.  Each side then runs its own
 time, T being the run_seconds of BENCHMARK.json.  Pair i of a workload
 uses seed `--seed` + i, and the pairs run in ABBA order (base first in
 even pairs, the change first in odd ones), so a drift of the host's speed
-over a series falls on both sides alike.  Before every run the copy's
+over a series falls on both sides alike; that holds only for an even
+count, so an odd `--pairs` is rejected.  Before every run the copy's
 .bench_run/ is removed and os.sync() is called, so that no run pays for
 the files or the write-back of another.
 
 For each workload it prints every end-to-end metric of BENCHMARK.json:
 both sides' medians over the pairs, the relative change of the medians,
-and the number of pairs in which the change was better.  It writes
-BENCH_<N>.json at the root of this checkout, with both sides' medians and
-interquartile ranges, the commits and the raw pairs.  It writes nothing
-else into this checkout, and exits 1 when a run fails its output checks.
-Only the standard library is used.
+the number of pairs in which the change was better, and each pair's
+change/base ratio.  It writes BENCH_<N>.json at the root of this
+checkout, with both sides' medians and interquartile ranges, the pair
+ratios, the commits and the raw pairs.  Each run in the raw pairs keeps
+the harness's environment record (numpy and scipy versions, output
+filesystem, thread caps) and its unscaled --version times (setup_wall_s),
+read from the run's .bench_run/<workload>/result_trace0.json before the
+next run removes it.  It writes nothing else into this checkout, and
+exits 1 when a run fails its output checks.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ def run_pairs(plan, run_one) -> list:
                               "failed": results[side]["failed"],
                               "attempted": results[side]["attempted"],
                               "metrics": {name: m["value"]
-                                          for name, m in results[side]["metrics"].items()}}
+                                          for name, m in results[side]["metrics"].items()},
+                              "environment": results[side]["environment"]}
                        for side in ("base", "change")}})
     return raw
 
@@ -84,12 +91,14 @@ def summarize(raw, specs) -> dict:
             base = [p["base"]["metrics"][name] for p in pairs]
             change = [p["change"]["metrics"][name] for p in pairs]
             b, c = spread(base), spread(change)
+            ratios = [y / x if x else None for x, y in zip(base, change)]
             metrics[name] = {
                 "unit": spec["unit"], "better": spec["better"], "base": b, "change": c,
                 "relative_change": (c["median"] / b["median"] - 1.0
                                     if b["median"] else None),
                 "pairs_won": sum(sign * (y - x) > 0.0 for x, y in zip(base, change)),
                 "pairs": len(pairs),
+                "pair_ratios": ratios,
             }
         summary[workload] = {
             "all_correct": all(p[s]["correct"] for p in pairs for s in ("base", "change")),
@@ -120,9 +129,11 @@ def report(summary: dict) -> str:
         lines.append(f"{workload}: {verdict}")
         for name, m in entry["metrics"].items():
             rel = "" if m["relative_change"] is None else f" {m['relative_change']:+.1%}"
+            ratios = ", ".join("-" if r is None else f"{r:.4f}" for r in m["pair_ratios"])
             lines.append(f"  {name}: {m['base']['median']:.6g} -> {m['change']['median']:.6g}"
                          f" {m['unit']}{rel}, change better in {m['pairs_won']} of "
-                         f"{m['pairs']} pairs ({m['better']} is better)")
+                         f"{m['pairs']} pairs ({m['better']} is better); "
+                         f"change/base per pair: {ratios}")
     return "\n".join(lines)
 
 
@@ -154,7 +165,14 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def run_environment(record: dict) -> dict:
+    """The environment record of one harness result file, with the run's
+    unscaled --version times."""
+    return {**record["environment"], "setup_wall_s": record["detail"]["setup_wall_s"]}
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one harness run, with its environment record."""
     shutil.rmtree(tree / ".bench_run", ignore_errors=True)
     os.sync()
     done = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
@@ -164,7 +182,8 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode or not lines:
         raise SystemExit(f"error: bench/run.py in {tree} exited {done.returncode}:\n"
                          f"{done.stderr.strip()}")
-    return json.loads(lines[-1])
+    record = json.loads((tree / ".bench_run" / workload / "result_trace0.json").read_text())
+    return {**json.loads(lines[-1]), "environment": run_environment(record)}
 
 
 def main(argv=None) -> int:
@@ -173,11 +192,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<PR>.json")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="a workload to run (repeatable); default: every workload")
-    parser.add_argument("--pairs", type=int, default=4)
+    parser.add_argument("--pairs", type=int, default=4, help="an even count")
     parser.add_argument("--seed", type=int, default=7201, help="seed of the first pair")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, one in each order")
+    if args.pairs < 2 or args.pairs % 2:
+        parser.error("--pairs must be even and at least 2: ABBA order balances "
+                     "only whole pairs of pairs")
 
     workloads = args.workload or list(WORKLOADS)
     commits = {"base": {"rev": args.rev,
