@@ -42,7 +42,8 @@ acts element by element, so no number depends on _TILE or the part
 count; _CHUNK, which sets the streams, changes every one.
 
 The closed forms broadcast: diameter, areal density and number density may
-be numpy arrays, validated element by element.
+be numpy arrays, checked where they enter (scenario); the powers derived
+from them here are checked element by element.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAMMA_E, HBAR, MU0_OVER_4PI
-from .errors import ParameterError, nonnegative, positive, power_finite, require
+from .errors import ParameterError, power_finite, require
 
 # Orientation-averaged variance factor of a single dipole (see module
 # docstring) and the transverse fraction for a randomly oriented sensor.
@@ -81,29 +82,24 @@ def is_spin(s: float) -> bool:
     return math.isfinite(2.0 * s) and s > 0.0 and abs(2.0 * s - round(2.0 * s)) <= 1e-9
 
 
-def _check_spin(s: float) -> float:
-    require(is_spin(s), "spin quantum number must be a positive half-integer, got {!r}", s)
-    return s
-
-
 def moment_sq(spin: float, gamma: float) -> float:
-    """Squared magnitude gamma^2 hbar^2 S(S+1) of a fluctuating moment, (J/T)^2."""
-    s = _check_spin(spin)
+    """Squared magnitude gamma^2 hbar^2 S(S+1) of a fluctuating moment,
+    (J/T)^2, for a positive half-integer spin (is_spin)."""
     require(power_finite(gamma, 2), "gamma {!r} is too large: its square overflows", gamma)
-    m2 = gamma**2 * HBAR**2 * s * (s + 1.0)
-    require(m2 < math.inf, f"spin {s!r} and gamma {gamma!r} give a squared moment of {{!r}}", m2)
+    m2 = gamma**2 * HBAR**2 * spin * (spin + 1.0)
+    require(m2 < math.inf,
+            f"spin {spin!r} and gamma {gamma!r} give a squared moment of {{!r}}", m2)
     return m2
 
 
 @dataclass(frozen=True)
 class ParticleGeometry:
-    """Spherical particle with the sensor at its center; diameter may be a
-    numpy array."""
+    """Spherical particle with the sensor at its center; diameter, > 0, may
+    be a numpy array."""
 
     diameter: float
 
     def __post_init__(self):
-        require(positive(self.diameter), "diameter must be positive, got {!r}", self.diameter)
         # the surface field divides by radius**4, which must neither
         # overflow nor underflow
         require(power_finite(self.radius, 4),
@@ -124,13 +120,6 @@ class SurfaceBath:
     spin_quantum_number: float = 0.5
     gamma: float = GAMMA_E
 
-    def __post_init__(self):
-        require(nonnegative(self.areal_density),
-                "areal density must be >= 0, got {!r}", self.areal_density)
-        _check_spin(self.spin_quantum_number)
-        if self.gamma == 0.0 or not math.isfinite(self.gamma):
-            raise ParameterError("gamma must be finite and nonzero")
-
 
 @dataclass(frozen=True)
 class VolumeBath:
@@ -144,15 +133,6 @@ class VolumeBath:
     spin_quantum_number: float = 3.5
     gamma: float = GAMMA_E
     standoff: float = 0.0
-
-    def __post_init__(self):
-        require(nonnegative(self.number_density),
-                "number density must be >= 0, got {!r}", self.number_density)
-        _check_spin(self.spin_quantum_number)
-        if self.gamma == 0.0 or not math.isfinite(self.gamma):
-            raise ParameterError("gamma must be finite and nonzero")
-        if not (math.isfinite(self.standoff) and self.standoff >= 0.0):
-            raise ParameterError(f"standoff must be >= 0, got {self.standoff!r}")
 
 
 def surface_amplitude(bath: SurfaceBath) -> float:

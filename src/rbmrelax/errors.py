@@ -5,8 +5,10 @@ map to CLI exit code 1.  SingularityError covers a condition that arises
 from valid input (resonant divergence) and maps to exit code 2, as does a
 non-converged fit, which is reported in its result rather than raised.
 
-The checks accept Python floats and numpy arrays alike, so one validation
-serves a scalar prediction and a whole grid.  NaN fails every check.
+Each input is checked once, where it enters: a config value by the
+scenario schema, a predict override against its key's range, a table by
+its loader, a CLI grid by the CLI.  The checks take Python floats and numpy
+arrays alike; NaN fails every check.
 """
 
 import math

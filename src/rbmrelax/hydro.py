@@ -12,7 +12,8 @@ same evaluation order), so it reproduces scipy bit for bit without
 importing it; each SolventMixture builds it once, on first use.
 
 Every rate function broadcasts over numpy arrays: composition, radius and
-viscosity may be arrays, and validation applies to every element.
+viscosity may be arrays, checked where they enter (scenario and
+load_viscosity_table); the powers derived here are checked element-wise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import K_B
-from .errors import ConfigError, ParameterError, nonnegative, positive, power_finite, require
+from .errors import ConfigError, power_finite, require
 from .table import read_table
 
 
@@ -38,7 +39,8 @@ class HydroParams:
     a: hydrodynamic radius of the tracked molecule (m); a_s: effective
     solvent molecule radius (m, 0 recovers the continuum limit); eta:
     dynamic viscosity (Pa*s); temperature in K.  Fields may be numpy
-    arrays that broadcast together.
+    arrays that broadcast together.  a, eta and temperature are finite and
+    > 0, a_s finite and >= 0 (preconditions).
     """
 
     a: float
@@ -47,17 +49,12 @@ class HydroParams:
     temperature: float
 
     def __post_init__(self):
-        require(positive(self.a), "molecule radius must be positive, got {!r}", self.a)
         # the rotational rate divides by a**3, which must neither overflow
         # nor underflow
         require(power_finite(self.a, 3),
                 "molecule radius {!r} m is too large: its cube overflows", self.a)
         require(self.a**3 >= sys.float_info.min,
                 "molecule radius {!r} m is too small: its cube underflows", self.a)
-        require(nonnegative(self.a_s), "solvent radius must be >= 0, got {!r}", self.a_s)
-        require(positive(self.eta), "viscosity must be positive, got {!r}", self.eta)
-        require(positive(self.temperature),
-                "temperature must be positive, got {!r}", self.temperature)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,9 @@ class SolventMixture:
 
     The viscosity table is a tuple of (mole fraction water, viscosity Pa*s)
     rows at the reference temperature, sorted ascending and covering
-    [0, 1]; a_s_water and a_s_other are the effective solvent radii (m).
-    Every function of composition takes the mole fraction as an argument.
+    [0, 1], as load_viscosity_table returns it; a_s_water and a_s_other are
+    the effective solvent radii (m), finite and >= 0.  Every function of
+    composition takes the mole fraction, in [0, 1], as an argument.
     """
 
     viscosity_table: tuple
@@ -75,20 +73,8 @@ class SolventMixture:
     a_s_other: float
 
     def __post_init__(self):
-        for name in ("a_s_water", "a_s_other"):
-            value = getattr(self, name)
-            require(nonnegative(value), f"{name} must be finite and >= 0, got {{!r}}", value)
-        table = tuple((float(x), float(eta)) for x, eta in self.viscosity_table)
-        if len(table) < 2:
-            raise ParameterError("viscosity table needs at least 2 rows")
-        xs, etas = np.array(table).T
-        require(nonnegative(xs), "mole fractions must be finite and >= 0, got {!r}", xs)
-        require(positive(etas), "viscosities must be finite and positive, got {!r}", etas)
-        if np.any(xs[1:] <= xs[:-1]):
-            raise ParameterError("viscosity table must be strictly sorted by mole fraction")
-        if xs[0] != 0.0 or xs[-1] != 1.0:
-            raise ParameterError("viscosity table must cover mole fractions [0, 1]")
-        object.__setattr__(self, "viscosity_table", table)
+        object.__setattr__(self, "viscosity_table", tuple(
+            (float(x), float(eta)) for x, eta in self.viscosity_table))
 
     @cached_property
     def interpolant(self) -> Pchip:
@@ -103,9 +89,8 @@ def microviscosity_factor(a, a_s):
 
     Always in (0, 1]; equals 1 in the continuum limit a_s = 0 and decreases
     monotonically as the solvent molecules grow relative to the solute.
+    a is finite and > 0, a_s finite and >= 0.
     """
-    require(positive(a), "molecule radius must be positive, got {!r}", a)
-    require(nonnegative(a_s), "solvent radius must be >= 0, got {!r}", a_s)
     u = a_s / a
     one_plus_2u = 1.0 + 2.0 * u
     require(power_finite(one_plus_2u, 3),
@@ -134,9 +119,8 @@ def translational_rate(p: HydroParams, length_scale):
 
     The length scale is the distance over which a molecule must move for
     its dipolar coupling to the sensor to change appreciably; the particle
-    radius is the natural choice.
+    radius is the natural choice; it is finite and > 0.
     """
-    require(positive(length_scale), "length scale must be positive, got {!r}", length_scale)
     return translational_diffusivity(p) / length_scale**2
 
 
@@ -204,10 +188,6 @@ class Pchip:
         return values if xq.ndim else float(values)
 
 
-def _check_fraction(x):
-    require((x >= 0.0) & (x <= 1.0), "mole fraction must lie in [0, 1], got {!r}", x)
-
-
 def mixture_viscosity(m: SolventMixture, x):
     """Viscosity of the mixture at water mole fraction x, Pa*s.
 
@@ -215,13 +195,11 @@ def mixture_viscosity(m: SolventMixture, x):
     free of the over/undershoot a plain cubic spline would produce around
     the interior viscosity maximum.
     """
-    _check_fraction(x)
     return m.interpolant(x)
 
 
 def effective_solvent_radius(m: SolventMixture, x):
     """Mole-fraction-weighted effective solvent radius, m."""
-    _check_fraction(x)
     return x * m.a_s_water + (1.0 - x) * m.a_s_other
 
 
@@ -236,10 +214,10 @@ def total_rate(r_dip, r_vib, r_trans, r_rot) -> dict:
     """Compose the total fluctuation rate from its four components: the
     components under dip, vib, trans and rot, and their sum under total,
     all in 1/s."""
-    rates = {"dip": r_dip, "vib": r_vib, "trans": r_trans, "rot": r_rot}
-    for name, value in rates.items():
-        require(nonnegative(value), f"r_{name} must be finite and >= 0, got {{!r}}", value)
-    return rates | {"total": r_dip + r_vib + r_trans + r_rot}
+    total = r_dip + r_vib + r_trans + r_rot
+    # a sum of Python floats overflows to inf without an error
+    require(total < math.inf, "the molecular bath's fluctuation rates sum to {!r} /s", total)
+    return {"dip": r_dip, "vib": r_vib, "trans": r_trans, "rot": r_rot, "total": total}
 
 
 VISCOSITY_COLUMNS = ("mole_fraction", "viscosity_mPa_s")
@@ -250,10 +228,14 @@ def load_viscosity_table(path) -> tuple:
 
     The header must name the columns ``mole_fraction viscosity_mPa_s``, so
     a table in other units is rejected instead of being misread; values
-    must be finite.  Viscosities are converted to Pa*s.  The table must be
-    strictly sorted by mole fraction and cover 0 through 1.
+    must be finite and viscosities > 0.  Viscosities are converted to Pa*s.
+    The table must be strictly sorted by mole fraction and cover 0 through 1.
     """
     rows, _ = read_table(path, VISCOSITY_COLUMNS, "viscosity table")
+    for x, eta in rows:
+        if eta <= 0.0:
+            raise ConfigError(f"{path}: viscosity at mole fraction {x!r} must be > 0 mPa*s, "
+                              f"got {eta!r}")
     xs = [r[0] for r in rows]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ConfigError(f"{path}: rows must be strictly sorted by mole fraction")

@@ -41,12 +41,14 @@ _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).
 class MeasurementPlan:
     """Acquisition settings for one relaxation curve.
 
-    dark_times: sorted tau grid in s (>= 4 points); shots_per_point: shot
-    repetitions per tau; detection_window: readout window length in s;
-    photon_rate: detected counts/s during the window; contrast: relative
-    signal swing between polarized and thermal states, in (0, 1).  The
-    expected counts per dark time, shots_per_point * counts_per_shot, must
-    stay below the largest mean numpy can draw a Poisson count from.
+    dark_times: sorted tau grid in s (>= 4 finite points >= 0);
+    shots_per_point: shot repetitions per tau (>= 1); detection_window:
+    readout window length in s; photon_rate: detected counts/s during the
+    window (both finite and > 0); contrast: relative signal swing between
+    polarized and thermal states, in (0, 1).  These are preconditions,
+    which scenario.measurement_plan meets.  The expected counts per dark
+    time, shots_per_point * counts_per_shot, are checked against the
+    largest mean numpy can draw a Poisson count from.
     """
 
     dark_times: tuple
@@ -57,21 +59,6 @@ class MeasurementPlan:
     include_reference: bool = True
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in self.dark_times)
-        if len(taus) < _MIN_FIT_POINTS:
-            raise ParameterError(f"need >= {_MIN_FIT_POINTS} dark times, got {len(taus)}")
-        if any(t < 0.0 or not math.isfinite(t) for t in taus):
-            raise ParameterError("dark times must be finite and >= 0")
-        if any(b < a for a, b in zip(taus, taus[1:])):
-            raise ParameterError("dark times must be sorted ascending")
-        if self.shots_per_point < 1:
-            raise ParameterError(f"shots_per_point must be >= 1, got {self.shots_per_point!r}")
-        if not (math.isfinite(self.detection_window) and self.detection_window > 0.0):
-            raise ParameterError("detection window must be positive")
-        if not (math.isfinite(self.photon_rate) and self.photon_rate > 0.0):
-            raise ParameterError("photon rate must be positive")
-        if not (0.0 < self.contrast < 1.0):
-            raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
         # simulate_curve draws each dark time's shot-summed counts at once
         try:
             counts = self.shots_per_point * self.counts_per_shot
@@ -82,7 +69,6 @@ class MeasurementPlan:
                 "[measurement] shots_per_point x photon_rate_per_s x detection_window_ns "
                 f"is {counts:.6g} counts per dark time, at or above the "
                 f"{_POISSON_LAM_MAX:.6g} that a Poisson draw allows")
-        object.__setattr__(self, "dark_times", taus)
 
     def as_dict(self) -> dict:
         """The plan as summary.json records it, in SI units."""
@@ -99,15 +85,9 @@ class MeasurementPlan:
 
 def default_dark_times(t1_expected: float, n_points: int = 12,
                        tau_min: float = 1e-6, span_factor: float = 5.0) -> tuple:
-    """Log-spaced tau grid from tau_min to span_factor * t1_expected."""
-    if not (math.isfinite(t1_expected) and t1_expected > 0.0):
-        raise ParameterError(f"t1_expected must be positive, got {t1_expected!r}")
-    if n_points < _MIN_FIT_POINTS:
-        raise ParameterError(f"need >= {_MIN_FIT_POINTS} points, got {n_points}")
-    tau_max = span_factor * t1_expected
-    if tau_max <= tau_min:
-        raise ParameterError("tau grid is empty: span_factor * t1_expected <= tau_min")
-    return tuple(np.geomspace(tau_min, tau_max, n_points))
+    """Log-spaced tau grid from tau_min to span_factor * t1_expected, a
+    tuple of floats; the span must be finite and above tau_min."""
+    return tuple(np.geomspace(tau_min, span_factor * t1_expected, n_points).tolist())
 
 
 def simulate_curve(t1_true, rngs, plan: MeasurementPlan):

@@ -12,9 +12,10 @@ mixture, with its viscosity interpolant, is built once per scenario
 This module also owns the INI-style config format (strict schema,
 unknown keys are errors) and its canonical serialization used for run
 hashing.  _SCHEMA declares each key's Scenario attribute, parse, format
-and valid range once; a Scenario value outside its key's range, from a file
-or a library caller, raises a ParameterError that names [section] key and
-spells the value in the file's units.
+and valid range once.  A Scenario value outside its key's range raises a
+ParameterError that names [section] key in the file's units, and predict
+checks its overrides against the same ranges; the value types of the
+other modules check only what they derive.
 
 The calibrated constants below were derived once (see tools/calibrate.py)
 and are frozen here so that importing the package never re-runs root searches:
@@ -176,10 +177,15 @@ def predict(sc: Scenario, *, gd_density=None, x_water=None, diameter=None,
     Keyword overrides evaluate other parameter points without rebuilding
     the scenario; they are how sweeps and spot jitter are implemented.
     Each may be a scalar or an array, and arrays broadcast against each
-    other, so a whole sweep is one call.  Every override element is
-    validated; a numerical overflow raises FloatingPointError rather than
-    leaving an inf or NaN in the result.
+    other, so a whole sweep is one call.  Each override element is checked
+    against its config key's range; a numerical overflow raises
+    FloatingPointError rather than leaving an inf or NaN in the result.
     """
+    for name, value in (("diameter", diameter), ("surface_density", surface_density),
+                        ("gd_density", gd_density), ("x_water", x_water)):
+        if value is not None:
+            ok, what = _RANGE[name]
+            require(ok(value), f"{name} must be {what}, got {{!r}}", value)
     n = sc.gd_density if gd_density is None else gd_density
     x = sc.x_water if x_water is None else x_water
     d = sc.diameter if diameter is None else diameter
@@ -231,6 +237,12 @@ def measurement_plan(sc: Scenario, t1_expected: float):
     from .measure_sim import MeasurementPlan, default_dark_times
 
     allocate(sc.n_dark_times, f"{_KEY['n_dark_times']} {sc.n_dark_times}")
+    tau_min = _SCHEMA["measurement", "tau_min_us"][2](sc.tau_min)
+    span = _SCHEMA["measurement", "tau_span_factor"][2](sc.tau_span_factor)
+    require(sc.tau_min < sc.tau_span_factor * t1_expected < math.inf,
+            f"{_KEY['tau_min']} {tau_min} and tau_span_factor {span} give no dark-time grid: "
+            f"tau_span_factor x the predicted T1 of {t1_expected * 1e6:.6g} us must be finite "
+            "and above tau_min_us")
     return MeasurementPlan(
         dark_times=default_dark_times(t1_expected, n_points=sc.n_dark_times,
                                       tau_min=sc.tau_min,
@@ -376,7 +388,7 @@ _ANY = (lambda v: True, "any value")
 _POSITIVE = (positive, "finite and > 0")
 _NONNEGATIVE = (nonnegative, "finite and >= 0")
 _NONZERO = (lambda v: v != 0.0 and math.isfinite(v), "finite and nonzero")
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_UNIT = (lambda v: (v >= 0.0) & (v <= 1.0), "in [0, 1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _SPIN = (is_spin, "a positive half-integer")
 
@@ -427,6 +439,8 @@ _SCHEMA = {
 }
 # Scenario attribute -> "[section] key", its one spelling in messages
 _KEY = {attr: f"[{section}] {key}" for (section, key), (attr, *_) in _SCHEMA.items()}
+# Scenario attribute -> its valid range, which predict's overrides share
+_RANGE = {attr: valid for attr, *_, valid in _SCHEMA.values()}
 
 
 def scenario_from_text(text: str, source: str = "<string>") -> Scenario:

@@ -47,7 +47,8 @@ class SensitivityInputs:
     b_perp_sq its mean-square transverse field (T^2); acquisition_time the
     total averaging time T (s).  b_perp_sq and r_total may be arrays.  The
     sensor is the NV electron spin (GAMMA_E), probed at the level splitting
-    OMEGA_0.
+    OMEGA_0.  Preconditions: contrast in (0, 1), every other field finite
+    and > 0.  Checked: a finite, positive shot-noise factor.
     """
 
     contrast: float
@@ -58,12 +59,6 @@ class SensitivityInputs:
     r_total: float
 
     def __post_init__(self):
-        if not (0.0 < self.contrast < 1.0):
-            raise ParameterError(f"contrast must lie in (0, 1), got {self.contrast!r}")
-        for name in ("photon_rate", "detection_window", "acquisition_time",
-                     "b_perp_sq", "r_total"):
-            value = getattr(self, name)
-            require(positive(value), f"{name} must be finite and positive, got {{!r}}", value)
         root = self.contrast * math.sqrt(
             self.photon_rate * self.detection_window * self.acquisition_time)
         require(positive(root) and positive(1.0 / root),

@@ -145,9 +145,9 @@ def test_sweep_range_check_before_compute(fast_config, tmp_path, capsys):
     # from reading a leading minus as an option
     out = tmp_path / "x.tsv"
     for axis, grid, message in [
-        ("gd_density", "-1,1e25", "number density must be >= 0, got -1.0"),
-        ("water_fraction", "0:1.5:4", "mole fraction must lie in [0, 1], got 1.5"),
-        ("diameter", "0,25e-9", "diameter must be positive, got 0.0"),
+        ("gd_density", "-1,1e25", "gd_density must be finite and >= 0, got -1.0"),
+        ("water_fraction", "0:1.5:4", "x_water must be in [0, 1], got 1.5"),
+        ("diameter", "0,25e-9", "diameter must be finite and > 0, got 0.0"),
     ]:
         assert main(["sweep", "--config", str(fast_config), "--axis", axis,
                      f"--grid={grid}", "--out", str(out)]) == 1
@@ -453,21 +453,32 @@ def test_spot_count_too_large_to_allocate_is_one_error_line(fast_config, tmp_pat
     assert len(err) == 1 and err[0].startswith("error:") and "allocate" in err[0]
 
 
-@pytest.mark.parametrize("shots", [10**21, 10**400], ids=["1e21", "1e400"])
+POISSON_CEILING = "error: [measurement] shots_per_point x photon_rate_per_s x detection_window_ns"
+
+
+@pytest.mark.parametrize("body, message", [
+    (f"shots_per_point = {10**21}", POISSON_CEILING),
+    (f"shots_per_point = {10**400}", POISSON_CEILING),
+    # the grid would end at 5 x 130 us, below its first dark time: the
+    # message named neither key
+    ("tau_min_us = 10000", "error: [measurement] tau_min_us 10000 and tau_span_factor 5 give "
+     "no dark-time grid: tau_span_factor x the predicted T1 of 130 us must be finite and "
+     "above tau_min_us"),
+], ids=["1e21", "1e400", "empty-tau-grid"])
 def test_counts_beyond_a_poisson_draw_fail_while_planning(fast_config, tmp_path, capsys,
-                                                         shots):
+                                                         body, message):
     # 10^21 shots expect 5e19 counts per dark time, past numpy's Poisson
-    # ceiling (~9.2e18); 10^400 is not a float at all.  The second condition's
-    # plan fails before the first condition's files are written
+    # ceiling (~9.2e18); 10^400 is not a float at all.  A plan that cannot
+    # be drawn, for these or for an empty dark-time grid, fails the second
+    # condition before the first condition's files are written
     big = tmp_path / "big.ini"
-    big.write_text(f"[measurement]\nshots_per_point = {shots}\n")
+    big.write_text(f"[measurement]\n{body}\n")
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(fast_config), "--config", str(big),
                  "--spots", "5", "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(
-        "error: [measurement] shots_per_point x photon_rate_per_s x detection_window_ns")
+    assert len(err) == 1 and err[0].startswith(message)
 
 
 def test_counts_below_the_poisson_ceiling_still_run(tmp_path, capsys):

@@ -10,16 +10,25 @@ scalar pow in the last bit, so exact equality is not required.
 """
 
 import json
+import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from rbmrelax.errors import ParameterError
 from rbmrelax.hydro import Pchip, default_table_path, load_viscosity_table
-from rbmrelax.scenario import Scenario, density_sensitivity_curve, parse_config, predict
+from rbmrelax.scenario import (
+    _KEY,
+    Scenario,
+    density_sensitivity_curve,
+    parse_config,
+    predict,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((Path(__file__).parent / "data" / "forward_golden.json").read_text())
@@ -81,6 +90,43 @@ def test_bad_override_element_is_a_parameter_error(override, bad):
             "surface_density": 1e18}[override]
     with pytest.raises(ParameterError, match=re.escape(repr(float(bad)))):
         predict(sc, **{override: np.array([good, bad, good])})
+
+
+WATER = parse_config(ROOT / "configs" / "gd_water_25nm.ini")
+IN_RANGE = {"gd_density": (0.0, 1e25, 6.9e25), "x_water": (0.0, 0.046, 1.0),
+            "diameter": (10e-9, 25e-9), "surface_density": (0.0, 1.6e18)}
+# NaN, the infinities, negatives, signed zeros, subnormals, 1 -+ 1 ulp and
+# magnitudes near DBL_MAX
+EXTREMES = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, sys.float_info.min / 2,
+            math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), sys.float_info.max / 2,
+            sys.float_info.max, -sys.float_info.max)
+NAMES = OVERRIDES + tuple(_KEY.values())
+
+
+@st.composite
+def override_arrays(draw):
+    """One to four overrides, each an array of the same length mixing
+    in-range values with extremes."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(OVERRIDES), min_size=1, unique=True))
+    return {name: np.array(draw(st.lists(st.sampled_from(IN_RANGE[name] + EXTREMES),
+                                         min_size=n, max_size=n)))
+            for name in names}
+
+
+@settings(max_examples=150, deadline=None)
+@given(overrides=override_arrays())
+def test_override_arrays_fail_by_name_or_stay_finite(overrides):
+    # the overrides enter the program at predict, which checks them once:
+    # a bad element is a ParameterError naming its keyword or a config key,
+    # and anything accepted gives finite values under every key
+    try:
+        pred = predict(WATER, **overrides)
+    except ParameterError as exc:
+        assert any(name in str(exc) for name in NAMES), str(exc)
+        return
+    for key, value in pred.items():
+        assert np.all(np.isfinite(value)), key
 
 
 def _curve_scenario(case):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,17 +83,6 @@ def test_translational_values():
     assert translational_rate(p, 12.5e-9) == pytest.approx(2812635.0467184926, rel=1e-12)
 
 
-def test_hydro_params_validation():
-    with pytest.raises(ParameterError):
-        HydroParams(a=0.0, a_s=0.0, eta=1e-3, temperature=300.0)
-    with pytest.raises(ParameterError):
-        HydroParams(a=1e-9, a_s=-1e-10, eta=1e-3, temperature=300.0)
-    with pytest.raises(ParameterError):
-        HydroParams(a=1e-9, a_s=0.0, eta=0.0, temperature=300.0)
-    with pytest.raises(ParameterError):
-        HydroParams(a=1e-9, a_s=0.0, eta=1e-3, temperature=0.0)
-
-
 def test_mixture_endpoints_match_table():
     # the interpolant passes through the table nodes
     m = reference_mixture()
@@ -110,14 +97,6 @@ def test_mixture_has_interior_maximum():
     peak = max(etas)
     assert peak > etas[0] and peak > etas[-1]
     assert peak == pytest.approx(1.298e-3, rel=0.02)
-
-
-def test_mixture_coverage_enforced():
-    m = reference_mixture()
-    with pytest.raises(ParameterError):
-        mixture_viscosity(m, -0.01)
-    with pytest.raises(ParameterError):
-        mixture_viscosity(m, 1.01)
 
 
 def test_effective_solvent_radius_linear_rule():
@@ -148,8 +127,9 @@ def test_total_rate_is_component_sum():
     assert br["total"] == pytest.approx(
         br["dip"] + br["vib"] + br["trans"] + br["rot"], rel=1e-14)
     assert list(br) == ["dip", "vib", "trans", "rot", "total"]
-    with pytest.raises(ParameterError):
-        total_rate(r_dip=-1.0, r_vib=0.0, r_trans=0.0, r_rot=1.0e9)
+    # a sum of Python floats past the float range is an error, not an inf
+    with pytest.raises(ParameterError, match=r"rates sum to inf /s$"):
+        total_rate(r_dip=0.0, r_vib=1e308, r_trans=0.0, r_rot=1e308)
 
 
 def test_load_viscosity_table_roundtrip():
@@ -187,22 +167,10 @@ def test_load_viscosity_table_errors(tmp_path):
     nan.write_text("mole_fraction viscosity_mPa_s\n0.0 0.306\n0.50  nan\n1.0 0.89\n")
     with pytest.raises(ConfigError, match=r"nan\.txt:3: non-finite"):
         load_viscosity_table(nan)
-
-
-@pytest.mark.parametrize("rows", [
-    ((0.0, 3.06e-4), (0.5, math.nan), (1.0, 8.9e-4)),
-    ((0.0, 3.06e-4), (0.5, math.inf), (1.0, 8.9e-4)),
-    ((0.0, 3.06e-4), (math.nan, 5e-4), (1.0, 8.9e-4)),
-])
-def test_solvent_mixture_rejects_bad_rows(rows):
-    with pytest.raises(ParameterError):
-        SolventMixture(viscosity_table=rows,
-                       a_s_water=A_S_WATER_DEFAULT, a_s_other=A_S_ACETONE_DEFAULT)
-
-
-@pytest.mark.parametrize("field", ["a_s_water", "a_s_other"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1e-10])
-def test_solvent_mixture_rejects_bad_radius(field, value):
-    radii = {"a_s_water": A_S_WATER_DEFAULT, "a_s_other": A_S_ACETONE_DEFAULT, field: value}
-    with pytest.raises(ParameterError, match=f"{field} must be finite and >= 0"):
-        SolventMixture(viscosity_table=((0.0, 3.06e-4), (1.0, 8.9e-4)), **radii)
+    # a viscosity <= 0 is named with its file, in the file's mPa s
+    for name, value in (("zero", "0"), ("negative", "-1")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"mole_fraction viscosity_mPa_s\n0.0 0.306\n0.5 {value}\n1.0 0.89\n")
+        with pytest.raises(ConfigError, match=rf"{name}\.txt: viscosity at mole fraction "
+                                              rf"0\.5 must be > 0 mPa\*s, got {value}\.0$"):
+            load_viscosity_table(path)

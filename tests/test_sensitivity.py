@@ -79,15 +79,6 @@ def test_oracle_ratio_is_its_predicted_constant(rate):
         math.sqrt(2.0 / (math.e * depth)), rel=1e-12)
 
 
-def test_inputs_validation():
-    with pytest.raises(ParameterError):
-        replace(REF, contrast=0.0)
-    with pytest.raises(ParameterError):
-        replace(REF, b_perp_sq=-1e-8)
-    with pytest.raises(ParameterError):
-        replace(REF, acquisition_time=0.0)
-
-
 def test_default_density_grid():
     grid = default_density_grid(1e25)
     assert len(grid) == 121
