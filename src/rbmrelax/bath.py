@@ -30,16 +30,16 @@ block whose rows are, in order, r^3 (volume bath only), cos theta,
 cos theta_m and u.
 
 The Monte Carlo runs in a fixed working set and never holds that block.
-Per chunk the k columns are cut into contiguous parts, one per CPU (each
-of at least _MIN_PART scratch columns), run on threads.  Part [a, b)
-advances each row r's own generator r * k + a doubles into the chunk's
-stream; per tile the kernel fills the rows of the part's columns of one
-(rows + 2, _TILE) scratch block, computes in place with the two extra
-rows as temporaries, and writes the samples into one chunk-wide row.
-Both are allocated once per b_perp_mc call: a traced peak of 3.2 MiB
-(surface) and 3.4 MiB (volume) whatever the sample count.  Every step
-acts element by element, so no number depends on _TILE or the part
-count; _CHUNK, which sets the streams, changes every one.
+Threads, one per CPU up to the chunk count, run whole chunks of every
+request of a b_perp_mc_batch.  Row r of a k-column chunk draws from its
+own generator, advanced r * k doubles into the chunk's stream.  The chunk
+is walked as numpy's pairwise sum walks a k-wide row, a node of more than
+_TILE columns splitting at k//2 - (k//2) % 8, so its sums are numpy's
+bit for bit; each leaf is drawn, computed and summed in the worker's one
+(rows + 2, _TILE) block, two rows being temporaries: a traced peak of
+1.3 MiB (surface) and 1.5 MiB (volume) per worker.  No number depends on
+_TILE or the worker count; _CHUNK, which sets the streams, changes every
+one.
 
 The closed forms broadcast: diameter, areal density and number density may
 be numpy arrays, checked where they enter (scenario); the powers derived
@@ -70,11 +70,9 @@ MIN_MC_SAMPLES = 10_000
 DEFAULT_CUTOFF_FACTOR = 20.0
 # samples per spawned stream; changing it changes every Monte Carlo result
 _CHUNK = 250_000
-# columns of the scratch block, 256 KiB per row, shared by the parts; it
-# changes no result.  With two parts on a 2-vCPU Xeon (2 MiB of L2 per core)
-# 32,768 outran 16,384 by 18% and trailed 65,536, twice the block, by 7%
+# columns of each worker's block, 256 KiB per row; it changes no result.  Two
+# workers on a 2-vCPU Xeon took 18% longer at 16,384, and as long at 65,536
 _TILE = 32_768
-_MIN_PART = 8_192   # least scratch columns of a part, when a chunk is split
 
 
 def is_spin(s: float) -> bool:
@@ -184,100 +182,81 @@ class McFieldResult:
     tail_warning: bool = False
 
 
-def _dipole_samples(gens, out, scratch, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
-    """Per-spin transverse field variance samples, T^2, written to out,
-    columns [a, b) of a chunk's k, which it returns.
-
-    gens holds one generator per row of the module docstring, each placed
-    where column a of its row of rng.random((rows, k)) lies in the chunk's
-    stream, so column j takes the doubles of column j of that block: one
-    column per spin, a layout that fixes every Monte Carlo number.  With rhat =
-    (sin theta, 0, cos theta), m . rhat = m_x sin theta + m_z cos theta,
-    B_x = 3 (m . rhat) sin theta - m_x and B_y = -m_y, with m_y^2 =
-    sin^2 theta_m (1 - cos^2 phi) and cos phi = sin(2 pi (|u - 1/2| - 1/4))
-    (module docstring).  Tiles of at most scratch.shape[1] columns are
-    drawn into the first rows of scratch (rows + 2 rows) and computed in
-    place, the last two rows being temporaries; each tile's samples go to
-    its columns of out.
-    """
+def _dipole_samples(gens, tile, g: ParticleGeometry, bath, r_min, r_cut) -> np.ndarray:
+    """Per-spin transverse field variance samples, T^2, of a chunk's next
+    tile.shape[1] columns, written to and returned as the spent cos theta
+    row of tile, whose first rows the uniforms fill and whose last two are
+    temporaries.  gens holds one generator per row of the module
+    docstring, each where that column of its row of rng.random((rows, k))
+    lies in the chunk's stream: one column per spin, a layout that fixes
+    every Monte Carlo number.  With rhat = (sin theta, 0, cos theta),
+    m . rhat = m_x sin theta + m_z cos theta, B_x = 3 (m . rhat) sin theta
+    - m_x and B_y = -m_y, with m_y^2 = sin^2 theta_m (1 - cos^2 phi) and
+    cos phi = sin(2 pi (|u - 1/2| - 1/4))."""
     scale = MU0_OVER_4PI * math.sqrt(moment_sq(bath.spin_quantum_number, bath.gamma))
+    for gen, row in zip(gens, tile):
+        gen.random(out=row)
+    c, mz, cphi, mx, my2 = tile[-5:]
+    c *= 2.0
+    c -= 1.0
+    mz *= 2.0
+    mz -= 1.0
+    cphi -= 0.5
+    np.abs(cphi, out=cphi)
+    cphi -= 0.25                            # |u - 1/2| - 1/4, exact
+    cphi *= 2.0 * math.pi
+    np.sin(cphi, out=cphi)                  # cos phi
+
+    np.multiply(mz, mz, out=mx)
+    np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
+    np.multiply(cphi, cphi, out=my2)
+    np.subtract(1.0, my2, out=my2)
+    my2 *= mx
+    np.sqrt(mx, out=mx)
+    mx *= cphi
+    s = np.multiply(c, c, out=cphi)
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)                       # sin theta
+
+    mz *= c
+    bx = np.multiply(mx, s, out=c)          # cos theta is spent
+    bx += mz                                # m . rhat
+    bx *= 3.0
+    bx *= s
+    bx -= mx
+    bx *= bx
+    bx += my2
+
     if isinstance(bath, SurfaceBath):
         amp = scale / g.radius**3
+        bx *= amp * amp
     else:
         # r^3 uniform on [r_min^3, r_cut^3] places the spin uniformly in the
         # shell; dividing it by the moment's scale keeps (r^3)^2 in range
-        r3_span = (r_cut**3 - r_min**3) / scale
-        r3_low = r_min**3 / scale
-
-    for a in range(0, out.size, scratch.shape[1]):
-        tile = scratch[:, :out.size - a]
-        for gen, row in zip(gens, tile):
-            gen.random(out=row)
-        c, mz, cphi, mx, my2 = tile[-5:]
-        c *= 2.0
-        c -= 1.0
-        mz *= 2.0
-        mz -= 1.0
-        cphi -= 0.5
-        np.abs(cphi, out=cphi)
-        cphi -= 0.25                            # |u - 1/2| - 1/4, exact
-        cphi *= 2.0 * math.pi
-        np.sin(cphi, out=cphi)                  # cos phi
-
-        np.multiply(mz, mz, out=mx)
-        np.subtract(1.0, mx, out=mx)            # sin^2 theta_m
-        np.multiply(cphi, cphi, out=my2)
-        np.subtract(1.0, my2, out=my2)
-        my2 *= mx
-        np.sqrt(mx, out=mx)
-        mx *= cphi
-        s = np.multiply(c, c, out=cphi)
-        np.subtract(1.0, s, out=s)
-        np.sqrt(s, out=s)                       # sin theta
-
-        mz *= c
-        bx = np.multiply(mx, s, out=out[a:a + tile.shape[1]])
-        bx += mz                                # m . rhat
-        bx *= 3.0
-        bx *= s
-        bx -= mx
-        bx *= bx
-        bx += my2
-
-        if isinstance(bath, SurfaceBath):
-            bx *= amp * amp
-        else:
-            r3 = tile[0]
-            r3 *= r3_span
-            r3 += r3_low
-            r3 *= r3
-            bx /= r3
-    return out
+        r3 = tile[0]
+        r3 *= (r_cut**3 - r_min**3) / scale
+        r3 += r_min**3 / scale
+        r3 *= r3
+        bx /= r3
+    return bx
 
 
-def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
-              cutoff_factor: float = DEFAULT_CUTOFF_FACTOR) -> McFieldResult:
-    """Monte Carlo dipolar sum for either bath geometry.
+def _chunk_sums(gens, block, n, *kernel_args) -> tuple:
+    """Sum and sum of squares of a chunk's next n samples, bit for bit
+    numpy's pairwise sums of one n-wide row of them: a node wider than
+    block splits where numpy's does, and each leaf sums one tile."""
+    if n <= block.shape[1]:
+        vals = _dipole_samples(gens, block[:, :n], *kernel_args)
+        return float(vals.sum()), float(np.square(vals, out=vals).sum())
+    h = n // 2 - n // 2 % 8
+    (s1, q1), (s2, q2) = (_chunk_sums(gens, block, m, *kernel_args) for m in (h, n - h))
+    return s1 + s2, q1 + q2
 
-    Positions are sampled uniformly on the sphere surface (surface bath) or
-    uniformly in the exterior shell out to cutoff_factor * r_min (volume
-    bath, r^3 uniform, with the analytic r^-6 tail beyond the cutoff added
-    back), each in the x-z half-plane: a turn about the sensor axis leaves
-    B_perp^2 unchanged.  Spin orientations are isotropic (cos theta_m and
-    phi uniform).  Sampling is split into fixed-size chunks, each taking
-    the uniforms of one rng.random((rows, chunk)) block of its own spawned
-    child stream, rows in the order r^3 (volume only), cos theta,
-    cos theta_m, phi, drawn row by row and tile by tile in a working set
-    that does not grow with samples, split by column across the CPUs
-    (module docstring).  The sums of x and x^2 run over each whole chunk,
-    as numpy pairwise sums, so they do not depend on the BLAS thread count;
-    the mean and variance come from those totals, so no number depends on
-    the part count and the result is reproducible for a given (samples,
-    seed).  An exception in any part is raised here once every part ends.
 
-    Returns the estimated mean and standard error of B_perp^2 in T^2;
-    deterministic for fixed inputs.
-    """
+def _mc_setup(g: ParticleGeometry, bath, samples: int, seed: int,
+              cutoff_factor: float = DEFAULT_CUTOFF_FACTOR) -> tuple:
+    """Checks one b_perp_mc request; returns its sample rows, r_min, r_cut,
+    spin count, analytic tail and chunk streams (none at zero density)."""
     require(isinstance(samples, (int, np.integer)) and samples >= MIN_MC_SAMPLES,
             f"samples must be an integer >= {MIN_MC_SAMPLES}, got {{!r}}", samples)
     r_cut = None
@@ -298,53 +277,84 @@ def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
         tail = volume_amplitude(bath) * bath.number_density / r_cut**3
     else:
         raise ParameterError(f"unsupported bath type {type(bath).__name__}")
-
-    if density == 0.0:
-        return McFieldResult(0.0, 0.0)
-
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    n_chunks = 0 if density == 0.0 else (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    rows = 3 if isinstance(bath, SurfaceBath) else 4
-    width = min(_CHUNK, samples)
-    out = np.empty(width)
-    scratch = np.empty((rows + 2, min(_TILE, width)))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_parts = max(1, min(cpus, scratch.shape[1] // _MIN_PART))
-    blocks = np.array_split(scratch, n_parts, axis=1)
-    errors = []
+    return 3 if isinstance(bath, SurfaceBath) else 4, r_min, r_cut, n_spins, tail, streams
 
-    def run_part(child, k, p):
-        a, b = k * p // n_parts, k * (p + 1) // n_parts
-        try:    # column a of row r of random((rows, k)) lies r * k + a doubles in
-            gens = [np.random.Generator(np.random.PCG64(child).advance(r * k + a))
-                    for r in range(rows)]
-            out[a:b] = _dipole_samples(gens, out[a:b], blocks[p], g, bath, r_min, r_cut)
-        except BaseException as exc:    # raised by the caller once every part has ended
+
+def b_perp_mc_batch(requests) -> list:
+    """b_perp_mc of each request, a tuple of its positional arguments
+    (g, bath, samples, seed[, cutoff_factor]), all checked before anything
+    is drawn.  Threads, one per CPU up to the chunk count, take the
+    (request, chunk) jobs largest first (module docstring), and each
+    request adds its chunk sums in chunk order: no result depends on the
+    worker count or the rest of the batch.  A worker's exception is raised
+    once every worker has ended."""
+    setups = [_mc_setup(*request) for request in requests]
+    jobs = sorted(((min(_CHUNK, requests[i][2] - c * _CHUNK), i, c)
+                   for i, setup in enumerate(setups) for c in range(len(setup[-1]))),
+                  key=lambda job: -job[0])
+    sums = [[None] * len(setup[-1]) for setup in setups]
+    todo, lock, errors = iter(jobs), threading.Lock(), []
+
+    def work():
+        try:
+            block = np.empty((max(setup[0] for setup in setups) + 2, min(_TILE, jobs[0][0])))
+            while not errors:
+                with lock:
+                    k, i, c = next(todo, (0, 0, 0))
+                if not k:
+                    return
+                rows, r_min, r_cut, _, _, streams = setups[i]
+                gens = [np.random.Generator(np.random.PCG64(streams[c]).advance(r * k))
+                        for r in range(rows)]
+                sums[i][c] = _chunk_sums(gens, block[-rows - 2:], k, *requests[i][:2],
+                                         r_min, r_cut)
+        except BaseException as exc:    # raised by the caller once every worker has ended
             errors.append(exc)
 
-    count, total, total_sq = 0, 0.0, 0.0
-    for i, child in enumerate(streams):
-        k = min(_CHUNK, samples - i * _CHUNK)
-        threads = [threading.Thread(target=run_part, args=(child, k, p))
-                   for p in range(1, n_parts)]
-        for t in threads:
-            t.start()
-        run_part(child, k, 0)
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        vals = out[:k]
-        count += k
-        # numpy's pairwise sums, not a BLAS dot: the totals do not depend
-        # on the BLAS thread count
-        total += float(vals.sum())
-        total_sq += float(np.square(vals, out=vals).sum())
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    threads = [threading.Thread(target=work) for _ in range(1, min(cpus, len(jobs)))]
+    for t in threads:
+        t.start()
+    if jobs:
+        work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
-    mean_one = total / count
-    var_one = max(total_sq / count - mean_one**2, 0.0) * count / (count - 1)
-    stderr = math.sqrt(var_one / count) * n_spins
-    mean = mean_one * n_spins + tail
-    tail_fraction = tail / mean if mean > 0.0 else 0.0
-    return McFieldResult(mean=mean, stderr=stderr, tail_fraction=tail_fraction,
-                         tail_warning=bool(stderr > 0.0 and tail > stderr))
+    results = []
+    for request, (*_, n_spins, tail, streams), chunk_sums in zip(requests, setups, sums):
+        count, total, total_sq = request[2], 0.0, 0.0
+        for s, q in chunk_sums:    # in chunk order, which Python's sum() may not keep
+            total, total_sq = total + s, total_sq + q
+        mean_one = total / count
+        var_one = max(total_sq / count - mean_one**2, 0.0) * count / (count - 1)
+        stderr = math.sqrt(var_one / count) * n_spins
+        mean = mean_one * n_spins + tail
+        results.append(McFieldResult(mean, stderr, tail / mean if mean > 0.0 else 0.0,
+                                     bool(stderr > 0.0 and tail > stderr))
+                       if streams else McFieldResult(0.0, 0.0))
+    return results
+
+
+def b_perp_mc(g: ParticleGeometry, bath, samples: int, seed: int,
+              cutoff_factor: float = DEFAULT_CUTOFF_FACTOR) -> McFieldResult:
+    """Monte Carlo dipolar sum for either bath geometry, the one-request
+    case of b_perp_mc_batch.
+
+    Positions are sampled uniformly on the sphere surface (surface bath) or
+    uniformly in the exterior shell out to cutoff_factor * r_min (volume
+    bath, r^3 uniform, with the analytic r^-6 tail beyond the cutoff added
+    back), each in the x-z half-plane: a turn about the sensor axis leaves
+    B_perp^2 unchanged.  Spin orientations are isotropic.  Each fixed-size
+    chunk takes its uniforms from its own spawned child stream, and the
+    mean and variance come from numpy's pairwise sums of x and x^2 over
+    each chunk (module docstring), so they depend on neither the BLAS
+    thread count nor the worker count.
+
+    Returns the estimated mean and standard error of B_perp^2 in T^2;
+    deterministic for fixed (samples, seed).
+    """
+    return b_perp_mc_batch([(g, bath, samples, seed, cutoff_factor)])[0]

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -12,8 +14,10 @@ from rbmrelax.bath import (
     ParticleGeometry,
     SurfaceBath,
     VolumeBath,
+    _chunk_sums,
     _dipole_samples,
     b_perp_mc,
+    b_perp_mc_batch,
     b_perp_sq_surface,
     b_perp_sq_volume,
     moment_sq,
@@ -158,14 +162,14 @@ def half_plane_reference(rng, k, g, bath, r_min, r_cut, azimuth=None):
     return field[:, 0] ** 2 + field[:, 1] ** 2, radii[:, None] * rhat, moments
 
 
-def normal_vector_samples(gens, out, scratch, g, bath, r_min, r_cut):
+def normal_vector_samples(gens, tile, g, bath, r_min, r_cut):
     """The earlier dipole kernel: Gaussian-normalized position and moment
     vectors (one standard_normal((k, 3)) each) and r^3-uniform radii through
     a cube root.  It draws a different stream, so it lives here only, as
     the distributional reference for the half-plane kernel.  It takes the
     kernel's arguments, but only the first generator and the width k of
-    out, and returns a fresh array."""
-    rng, k = gens[0], out.size
+    tile, and returns a fresh array."""
+    rng, k = gens[0], tile.shape[1]
 
     def unit_vectors():
         v = rng.standard_normal((k, 3))
@@ -259,15 +263,22 @@ def one_shot_samples(rng, k, g, bath, r_min, r_cut):
     return bx
 
 
+def chunk_gens(seed, k, bath):
+    """One generator per row, each advanced to where its row of
+    default_rng(seed).random((rows, k)) starts."""
+    return [np.random.Generator(np.random.PCG64(seed).advance(r * k))
+            for r in range(_rows(bath))]
+
+
 def tiled_samples(seed, k, bath, r_min, r_cut):
-    """The kernel on a fresh k-wide row and scratch block, with one generator
-    per row, each advanced to where its row of
-    default_rng(seed).random((rows, k)) starts.  Returns the samples and
-    the last row's generator, which goes on where that block ends."""
-    rows = _rows(bath)
-    gens = [np.random.Generator(np.random.PCG64(seed).advance(r * k)) for r in range(rows)]
-    scratch = np.empty((rows + 2, min(bath_module._TILE, k)))
-    return _dipole_samples(gens, np.empty(k), scratch, GEOM, bath, r_min, r_cut), gens[-1]
+    """The kernel run tile by tile over k columns in one fresh block, the
+    samples materialised in one k-wide row.  Returns the samples and the
+    last row's generator, which goes on where random((rows, k)) ends."""
+    gens = chunk_gens(seed, k, bath)
+    block = np.empty((_rows(bath) + 2, min(bath_module._TILE, k)))
+    tiles = [_dipole_samples(gens, block[:, :min(block.shape[1], k - a)], GEOM, bath,
+                             r_min, r_cut).copy() for a in range(0, k, block.shape[1])]
+    return np.concatenate(tiles), gens[-1]
 
 
 def _limits(bath):
@@ -319,12 +330,17 @@ def test_mc_tile_width_changes_no_bit(monkeypatch, bath, tile):
     assert b_perp_mc(GEOM, bath, samples=260_000, seed=9) == want
 
 
+def seen_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 def test_mc_working_set_is_one_block(bath):
-    # one _CHUNK-wide row of samples and one (rows + 2, _TILE) scratch block
-    # of doubles plus 1 MiB for the rest, however many chunks run: 4.2 MiB
-    # surface, 4.4 MiB volume (traced 3.2 and 3.4 MiB)
-    bound = (bath_module._CHUNK + (_rows(bath) + 2) * bath_module._TILE) * 8 + 2**20
+    # one (rows + 2, _TILE) block of doubles per worker plus 1 MiB for the
+    # rest, however many chunks run, and no chunk-wide row: at two workers
+    # 3.5 MiB surface, 4.0 MiB volume (traced 2.5 and 3.0 MiB)
+    workers = min(seen_cpus(), 4)   # 1,000,000 samples are four chunks
+    bound = workers * (_rows(bath) + 2) * bath_module._TILE * 8 + 2**20
     tracemalloc.start()
     try:
         b_perp_mc(GEOM, bath, samples=1_000_000, seed=21)
@@ -335,45 +351,81 @@ def test_mc_working_set_is_one_block(bath):
 
 
 def report_cpus(monkeypatch, n):
-    """Make b_perp_mc see n CPUs, so that it splits each chunk into up to n
-    parts (fewer where a part's scratch would fall below _MIN_PART columns)."""
+    """Make b_perp_mc_batch see n CPUs, so that it runs up to n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class CountedThread(threading.Thread):
+    """A thread that counts its starts in the class's list."""
+    started = []
+
+    def start(self):
+        CountedThread.started.append(self)
+        super().start()
 
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 @pytest.mark.parametrize("samples", [10_000, 260_000, 1_000_000])
-def test_mc_does_not_depend_on_the_part_count(monkeypatch, bath, samples):
-    # 260,000 samples: a full chunk, then a 10,000-column one; a 10,000-wide
-    # scratch block holds one part only, a 32,768-wide one at most four
+def test_mc_does_not_depend_on_the_worker_count(monkeypatch, bath, samples):
+    # a batch equals its requests run one by one, bit for bit, whatever the
+    # number of workers; 260,000 samples are a full chunk, then a
+    # 10,000-column one, and the other request adds two chunks
+    other = (GEOM, VOLUME if bath is SURFACE else SURFACE, 300_000, 3)
     report_cpus(monkeypatch, 1)
-    want = b_perp_mc(GEOM, bath, samples=samples, seed=17)
-    widths = []
+    want = [b_perp_mc(GEOM, bath, samples=samples, seed=17), b_perp_mc(*other)]
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    n_chunks = -(-samples // bath_module._CHUNK) + 2
+    for cpus in (1, 2, 3, 5, None):
+        if cpus is None:   # the platform cannot tell the CPUs: one worker
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            report_cpus(monkeypatch, cpus)
+        CountedThread.started.clear()
+        assert b_perp_mc_batch([(GEOM, bath, samples, 17), other]) == want
+        # the caller's thread is a worker too
+        assert len(CountedThread.started) == min(cpus or 1, n_chunks) - 1
+        assert b_perp_mc(GEOM, bath, samples=samples, seed=17) == want[0]
 
-    def spy(gens, out, scratch, *args):
-        widths.append(scratch.shape[1])
-        return _dipole_samples(gens, out, scratch, *args)
 
-    monkeypatch.setattr(bath_module, "_dipole_samples", spy)
-    n_chunks = -(-samples // bath_module._CHUNK)
-    for cpus in (2, 3, 5):
-        report_cpus(monkeypatch, cpus)
-        widths.clear()
-        assert b_perp_mc(GEOM, bath, samples=samples, seed=17) == want
-        n_parts = 1 if samples == 10_000 else min(cpus, 4)
-        assert len(widths) == n_parts * n_chunks
-        assert sum(widths[:n_parts]) == min(bath_module._TILE, samples)
-        assert min(widths) >= bath_module._MIN_PART or n_parts == 1
-    # where the platform cannot tell the CPUs, one part
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    widths.clear()
-    assert b_perp_mc(GEOM, bath, samples=samples, seed=17) == want
-    assert len(widths) == n_chunks
+def test_mc_batch_does_not_depend_on_its_order_or_split(monkeypatch):
+    # more workers than cores, switching threads often: a lost, repeated
+    # or misplaced chunk sum would change a result
+    requests = [(GEOM, bath, n, seed) for seed, (bath, n) in enumerate(
+        [(SURFACE, 10_000), (VOLUME, 260_000), (SURFACE, 31_623), (VOLUME, 10_000),
+         (SURFACE, 600_000), (VOLUME, 50_000), (SurfaceBath(areal_density=0.0), 20_000)])]
+    report_cpus(monkeypatch, 1)
+    want = [b_perp_mc(*request) for request in requests]
+    assert want[-1] == bath_module.McFieldResult(0.0, 0.0)
+    report_cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert b_perp_mc_batch(requests) == want
+        assert b_perp_mc_batch(requests[::-1]) == want[::-1]
+        assert b_perp_mc_batch(requests[:3]) + b_perp_mc_batch(requests[3:]) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
+@pytest.mark.parametrize("tile", [1_000, 32_768])
+@pytest.mark.parametrize("k", [10_000, 10_007, 31_623, 65_537, 249_999, 250_000])
+def test_chunk_sums_are_numpys_pairwise_sums(bath, tile, k):
+    # the chunk's tree of tiles, split where numpy's pairwise sum splits a
+    # row, gives np.sum's bits over the materialised row; if numpy ever
+    # changes its summation order, this test says so
+    r_min, r_cut = _limits(bath)
+    row, _ = tiled_samples(k, k, bath, r_min, r_cut)
+    block = np.empty((_rows(bath) + 2, min(tile, k)))
+    got = _chunk_sums(chunk_gens(k, k, bath), block, k, GEOM, bath, r_min, r_cut)
+    assert got == (float(row.sum()), float(np.square(row).sum()))
 
 
 @pytest.mark.parametrize("bath", [SURFACE, VOLUME], ids=["surface", "volume"])
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_mc_working_set_and_tiles_at_several_parts(monkeypatch, bath, cpus):
-    # the parts share the one scratch block, and its width changes no bit
+    # the chunks dealt to several workers, each with its own block, whose
+    # width changes no bit
     report_cpus(monkeypatch, cpus)
     test_mc_working_set_is_one_block(bath)
     for tile in (1_000, 250_000):
@@ -381,19 +433,21 @@ def test_mc_working_set_and_tiles_at_several_parts(monkeypatch, bath, cpus):
             test_mc_tile_width_changes_no_bit(m, bath, tile)
 
 
-def test_mc_raises_a_failing_part(monkeypatch):
-    # a part that fails on its thread fails the call, which returns no sum
-    # with that part missing and leaves no thread running
-    def fail_past_column_0(gens, out, scratch, *args):
-        if out.ctypes.data != out.base.ctypes.data:
-            raise MemoryError("part")
-        return _dipole_samples(gens, out, scratch, *args)
+def test_mc_raises_a_failing_worker(monkeypatch):
+    # a worker that fails on its thread fails the batch once every worker
+    # has ended: one exception, no result, no thread left running
+    calls = itertools.count()
+
+    def fail_on_the_third_tile(*args):
+        if next(calls) == 2:
+            raise MemoryError("worker")
+        return _dipole_samples(*args)
 
     report_cpus(monkeypatch, 2)
-    monkeypatch.setattr(bath_module, "_dipole_samples", fail_past_column_0)
+    monkeypatch.setattr(bath_module, "_dipole_samples", fail_on_the_third_tile)
     before = threading.active_count()
-    with pytest.raises(MemoryError, match="^part$"):
-        b_perp_mc(GEOM, VOLUME, samples=260_000, seed=9)
+    with pytest.raises(MemoryError, match="^worker$"):
+        b_perp_mc_batch([(GEOM, VOLUME, 260_000, 9), (GEOM, SURFACE, 500_000, 8)])
     assert threading.active_count() == before
 
 
@@ -433,9 +487,7 @@ def test_dipole_samples_invariant_under_turns_about_the_axis(bath):
 @pytest.mark.parametrize("seed", [101, 202])
 def test_half_plane_kernel_matches_normal_vector_kernel(monkeypatch, bath, seed):
     # the two streams are independent estimates of one mean; the reference
-    # draws from its first generator only, whose stream would overlap
-    # between the parts of a chunk, so the chunk runs as one part
-    report_cpus(monkeypatch, 1)
+    # draws every tile of a chunk from its first generator only
     new = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)
     monkeypatch.setattr(bath_module, "_dipole_samples", normal_vector_samples)
     old = b_perp_mc(GEOM, bath, samples=1_000_000, seed=seed)

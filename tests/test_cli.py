@@ -19,6 +19,7 @@ from rbmrelax.constants import OMEGA_0
 from rbmrelax.measure_sim import CURVE_HEADER, fit_curves, simulate_curve
 from rbmrelax.scenario import (
     _SCHEMA,
+    Scenario,
     draw_spots,
     measurement_plan,
     parse_config,
@@ -904,11 +905,14 @@ def test_simulate_negative_seed_names_the_flag(fast_config, tmp_path, capsys):
     assert captured.err == "error: --seed must be >= 0, got -1\n"
 
 
-# the contract below runs every verb that reads a config on the shipped
-# gd_water_25nm config, with a short acquisition, and one key changed
-CONTRACT_BASE = serialize_scenario(replace(
-    parse_config(Path(__file__).resolve().parents[1] / "configs" / "gd_water_25nm.ini"),
-    shots_per_point=2000))
+# the contract below runs every verb that reads a config on one of two
+# bases, with a short acquisition, and one key changed: the shipped
+# gd_water_25nm config, and the default Scenario, which has no molecular
+# bath (gd_density = 0), so that its surface bath and bulk rate stand alone
+CONTRACT_BASES = {name: serialize_scenario(replace(sc, shots_per_point=2000)) for name, sc in (
+    ("gd_water_25nm",
+     parse_config(Path(__file__).resolve().parents[1] / "configs" / "gd_water_25nm.ini")),
+    ("no_molecular_bath", Scenario(gd_density=0.0)))}
 CONTRACT_VERBS = {
     "t1": ["t1"],
     "sweep": ["sweep", "--axis", "water_fraction", "--grid", "0:1:5"],
@@ -952,20 +956,27 @@ def _finite_output(path: Path) -> bool:
     return all(map(math.isfinite, _numbers(text)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(verb=st.sampled_from(sorted(CONTRACT_VERBS)), entry=st.sampled_from(sorted(_SCHEMA)),
-       value=st.sampled_from(EXTREME_TEXTS))
+@settings(max_examples=80, deadline=None)
+@given(base=st.sampled_from(sorted(CONTRACT_BASES)), verb=st.sampled_from(sorted(CONTRACT_VERBS)),
+       entry=st.sampled_from(sorted(_SCHEMA)), value=st.sampled_from(EXTREME_TEXTS))
 # 2s overflows to inf: the half-integer test's round(inf) was exit 2
-@example(verb="t1", entry=("molecular_bath", "spin"), value="1e308")
-@example(verb="t1", entry=("surface_bath", "spin"), value="1.7e308")
+@example(base="gd_water_25nm", verb="t1", entry=("molecular_bath", "spin"), value="1e308")
+@example(base="gd_water_25nm", verb="t1", entry=("surface_bath", "spin"), value="1.7e308")
 # a dark-time grid past 100 T1, rejected before the output directory
-@example(verb="simulate", entry=("measurement", "tau_span_factor"), value="1e300")
+@example(base="gd_water_25nm", verb="simulate", entry=("measurement", "tau_span_factor"),
+         value="1e300")
 # a zero rate, checked before its inverse is taken
-@example(verb="t1", entry=("surface_bath", "fluctuation_rate_ghz"), value="-0")
+@example(base="gd_water_25nm", verb="t1", entry=("surface_bath", "fluctuation_rate_ghz"),
+         value="-0")
 # a T1 search that reaches a T1 whose square underflows: the fit's
 # Jacobian warned of a division by zero, a traceback under -W error
-@example(verb="simulate", entry=("measurement", "tau_min_us"), value="1e-300")
-def test_every_verb_fails_typed_or_writes_finite_output(verb, entry, value):
+@example(base="gd_water_25nm", verb="simulate", entry=("measurement", "tau_min_us"),
+         value="1e-300")
+# without a molecular bath, a temperature that makes the molecular rate
+# overflow must still fail typed, not print gd_rate_trans_per_s = inf
+@example(base="no_molecular_bath", verb="t1", entry=("environment", "temperature_k"),
+         value="1.7e308")
+def test_every_verb_fails_typed_or_writes_finite_output(base, verb, entry, value):
     section, key = entry
     _, to_si, _, (ok, what) = _SCHEMA[entry]
     try:
@@ -974,7 +985,7 @@ def test_every_verb_fails_typed_or_writes_finite_output(verb, entry, value):
         outside = None  # the value does not parse
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "extreme.ini"
-        cfg.write_text(_with_value(CONTRACT_BASE, section, key, value))
+        cfg.write_text(_with_value(CONTRACT_BASES[base], section, key, value))
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):

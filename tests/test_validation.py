@@ -94,29 +94,28 @@ def test_bath_mc_reports_the_volume_tail_warning(monkeypatch, forced):
     # the shipped reference point never warns; a forced warning on the
     # volume bath's result must reach the report as it is
     if forced:
-        real = validation.b_perp_mc
+        real = validation.b_perp_mc_batch
 
-        def warned(geometry, bath, **kwargs):
-            result = real(geometry, bath, **kwargs)
-            if isinstance(bath, VolumeBath):
-                result = dataclasses.replace(result, tail_warning=True)
-            return result
+        def warned(requests):
+            return [dataclasses.replace(result, tail_warning=True)
+                    if isinstance(request[1], VolumeBath) else result
+                    for request, result in zip(requests, real(requests))]
 
-        monkeypatch.setattr(validation, "b_perp_mc", warned)
+        monkeypatch.setattr(validation, "b_perp_mc_batch", warned)
     check = check_bath_mc()
     assert check.details["volume_tail_warning"] is forced
     assert f"      volume_tail_warning = {forced}" in format_report(
         OracleReport(checks=(check,))).splitlines()
 
 
-def test_bath_mc_report_does_not_depend_on_the_part_count(monkeypatch):
-    # b_perp_mc splits each chunk into one part per CPU it sees
+def test_bath_mc_report_does_not_depend_on_the_worker_count(monkeypatch):
+    # b_perp_mc_batch runs one worker per CPU it sees, up to its 17 chunks
     texts = []
-    for cpus in (1, 3):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
         texts.append(format_report(run_oracles("bath_mc")))
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
     assert texts[0].endswith("overall: PASS")
 
 
