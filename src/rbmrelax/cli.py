@@ -17,19 +17,17 @@ Every file-producing verb writes a JSON manifest beside its outputs.
 Timestamps live only in manifests, so the data files of reruns with the
 same config and seed are byte-identical.  Tabular data files (sweeps,
 curves, sensitivity curves) use the one format of rbmrelax.table.
-``simulate`` plans every condition before it writes: its prediction,
-measurement plan and the true T1 of every spot (scenario.draw_spots, one
-array predict per condition), so a spot outside the model's domain fails
-the run with nothing written.  Per condition, one measure_sim.simulate_curve
-call then draws every spot's curve as a row of the tau, signal and stderr
-arrays, one measure_sim.fit_curves call fits the rows into columns (one
-array per fit-JSON key), and one write_curve and one write_fit_json call
-write every spot's row and fit to its own two files.  A spot's fit
-document holds its fit columns, its index and its true T1; the
-condition's plan, seed and stream index are written once, in its
-summary.json entry.  ``fit`` prints the one-row fit document of
-measure_sim.fit_exponential and writes that text to --out, so a spot's
-fit document is that text plus ``spot`` and ``t1_true_s``.
+``simulate`` runs in three phases.  Plan (_plan_simulate) predicts and
+plans every condition and draws every spot's true T1 (scenario.draw_spots,
+one array predict per condition), so a spot outside the model's domain
+fails the run with nothing written.  Compute (measure_sim.simulate_condition)
+simulates and fits one condition's spots and forms its summary entry, with
+no file I/O.  Write stores that condition's curve file and fit document
+per spot before the next is computed, then summary.json, the manifest and
+the stdout lines.  A fit document is the json.dumps of a spot's fit
+columns, index and true T1; the condition's plan, seed and stream index
+are written once, in summary.json.  ``fit`` prints the one-row document
+of its curve's fit and writes that text to --out.
 
 ``sweep`` and ``sensitivity`` evaluate their whole grid in one array
 predict call, so they share one density domain; a sweep passes its
@@ -245,19 +243,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    with _loading(args.freeze):
-        import json
-        from dataclasses import replace
+def _plan_simulate(args) -> list:
+    """One record per config, (name, config, scenario, condition index,
+    predicted T1, plan, (spot T1s, spot generators)), with nothing written,
+    so a bad condition or spot leaves no partial output."""
+    from dataclasses import replace
 
-        from .measure_sim import (fit_curves, gaussian_summary, separation_scores,
-                                  simulate_curve, write_curve, write_fit_json)
-        from .scenario import config_hash, draw_spots, measurement_plan, parse_config, predict
+    from .scenario import draw_spots, measurement_plan, parse_config, predict
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    # every condition is predicted and planned, and every spot's true T1
-    # drawn, before anything is written, so a bad condition or spot leaves
-    # no partial output
     conditions = []
     taken = set()
     for index, cfg in enumerate(args.config):
@@ -276,6 +270,16 @@ def cmd_simulate(args) -> int:
         spots = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(index,)),
                            args.spots)
         conditions.append((name, cfg, sc, index, t1_pred, plan, spots))
+    return conditions
+
+
+def cmd_simulate(args) -> int:
+    with _loading(args.freeze):
+        import json
+
+        from .measure_sim import separation_scores, simulate_condition, write_curve, write_fit_json
+        from .scenario import config_hash
+    conditions = _plan_simulate(args)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,32 +290,21 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}")
 
+    # compute and write alternate, so one condition's arrays are held at a time
     outputs = []
     summary_doc = {"conditions": {}, "separation": None}
     for name, cfg, sc, index, t1_pred, plan, (t1_true, rngs) in conditions:
-        cond_dir = out_dir / name
-        cond_dir.mkdir(exist_ok=True)
-        tau, signal, stderr = simulate_curve(t1_true, rngs, plan)
-        fits = fit_curves(tau, signal, stderr)
-        stems = [f"{name}/spot_{j:04d}" for j in range(args.spots)]
-        write_curve(tau, signal, stderr, [f"{out_dir}/{s}_curve.tsv" for s in stems])
-        write_fit_json(fits | {"spot": range(args.spots), "t1_true_s": t1_true},
-                       [f"{out_dir}/{s}_fit.json" for s in stems])
+        curve, columns, entry = simulate_condition(t1_true, rngs, plan)
+        (out_dir / name).mkdir(exist_ok=True)
+        stems = [f"{name}/spot_{j:04d}" for j in columns["spot"]]
+        write_curve(*curve, [f"{out_dir}/{s}_curve.tsv" for s in stems])
+        write_fit_json(columns, [f"{out_dir}/{s}_fit.json" for s in stems])
         outputs += [f"{s}_{kind}" for s in stems for kind in ("curve.tsv", "fit.json")]
-        t1_hats = fits["t1_hat_s"][fits["converged"]]
-
-        cond_doc = {
+        summary_doc["conditions"][name] = {
             "config": str(cfg), "config_sha256": config_hash(sc), "seed": sc.seed,
-            "condition_index": index, "plan": plan.as_dict(),
-            "n_spots": args.spots, "n_converged": len(t1_hats),
-            "t1_predicted_s": t1_pred, "gaussian": None,
+            "condition_index": index, "plan": plan.as_dict(), "n_spots": args.spots,
+            "t1_predicted_s": t1_pred, **entry,
         }
-        if len(t1_hats) >= 5:
-            try:
-                cond_doc["gaussian"] = gaussian_summary(t1_hats)
-            except ParameterError as exc:
-                cond_doc["gaussian_note"] = str(exc)
-        summary_doc["conditions"][name] = cond_doc
 
     summaries = [cond["gaussian"] for cond in summary_doc["conditions"].values()]
     if len(summaries) == 2 and all(s is not None for s in summaries):

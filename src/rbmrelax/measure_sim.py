@@ -13,12 +13,12 @@ per-point standard error through first-order ratio statistics.
 
 A curve is three float arrays, tau, signal and stderr, with one row per
 spot: simulate_curve draws every spot of a condition and forms their
-signals and errors in one numpy pass, fit_curves fits the rows in one
+signals and errors in one numpy pass, and fit_curves fits the rows in one
 batch and returns the fits as columns, one array per fit-JSON key with
-one entry per row, and write_curve and write_fit_json write each row's
-curve file and fit document in one call per condition, the documents
-from one template of json.dumps's own per-key entries (render_fit_json)
-over one mapping of per-row columns.
+one entry per row.  simulate_condition runs both for one simulate
+condition and decides which fits its Gaussian summary counts.
+write_curve and write_fit_json write each row's curve file and fit
+document, json.dumps of the row, in one call per condition.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, positive, require
+from .errors import ConfigError, ParameterError, require
 from .table import read_table, table_format
 
 _MIN_FIT_POINTS = 4
+# the fewest converged fits a condition's Gaussian summary is formed from
+MIN_GAUSSIAN_FITS = 5
 # numpy's largest Poisson mean: int64 max - 10 sqrt(int64 max)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -108,7 +110,6 @@ def simulate_curve(t1_true, rngs, plan: MeasurementPlan):
     arrays.
     """
     t1_true = np.asarray(t1_true, dtype=float)
-    require(positive(t1_true), "t1_true must be positive, got {!r}", t1_true)
     shots, mu_shot, contrast = plan.shots_per_point, plan.counts_per_shot, plan.contrast
     # math.exp, not numpy's SIMD exp, which rounds some means differently
     decay = np.array([[math.exp(-tau / t1) for tau in plan.dark_times]
@@ -402,14 +403,32 @@ def gaussian_summary(samples) -> dict:
     variance): mean_t1_s, sigma_t1_s and the sample count n, the entry
     summary.json records per condition."""
     arr = np.asarray([float(s) for s in samples], dtype=float)
-    if arr.size < 5:
-        raise ParameterError(f"need >= 5 samples, got {arr.size}")
+    if arr.size < MIN_GAUSSIAN_FITS:
+        raise ParameterError(f"need >= {MIN_GAUSSIAN_FITS} samples, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ParameterError("samples must be finite")
     sigma = float(arr.std(ddof=0))
     if sigma == 0.0:
         raise ParameterError("degenerate sample: zero variance")
     return {"mean_t1_s": float(arr.mean()), "sigma_t1_s": sigma, "n": int(arr.size)}
+
+
+def simulate_condition(t1_true, rngs, plan: MeasurementPlan):
+    """One simulate condition, simulated and fitted, with no file I/O: the
+    curves of simulate_curve, the fit documents' columns (fit_curves' plus
+    spot and t1_true_s), and the summary entry, n_converged and the
+    converged T1s' gaussian: None below MIN_GAUSSIAN_FITS of them, or with
+    gaussian_note when gaussian_summary rejects them."""
+    curve = simulate_curve(t1_true, rngs, plan)
+    fits = fit_curves(*curve)
+    t1_hats = fits["t1_hat_s"][fits["converged"]]
+    entry = {"n_converged": len(t1_hats), "gaussian": None}
+    if len(t1_hats) >= MIN_GAUSSIAN_FITS:
+        try:
+            entry["gaussian"] = gaussian_summary(t1_hats)
+        except ParameterError as exc:
+            entry["gaussian_note"] = str(exc)
+    return curve, fits | {"spot": range(len(t1_true)), "t1_true_s": t1_true}, entry
 
 
 def separation_scores(a: dict, b: dict) -> dict:
@@ -452,36 +471,12 @@ def read_curve(path):
     return tau, signal, stderr
 
 
-def _json_scalar(value) -> str:
-    """value as json.dumps spells it: repr, which json itself calls for an
-    int or a finite float, and json.dumps for the rest."""
-    if type(value) in (int, float) and value - value == 0:
-        return repr(value)
-    return json.dumps(value)
-
-
 def render_fit_json(columns: dict):
     """Yield row j's JSON document, json.dumps(doc, indent=2,
     sort_keys=True) + "\n", where doc holds row j of each column: the fit
-    columns of fit_curves, and any other per-row sequences.
-
-    json.dumps writes a document's entries in sorted key order, joined by
-    ",\n", each as json.dumps({key: value}, indent=2, sort_keys=True)[2:-2]
-    spells it.  So the template is built entry by entry: a key takes a %s
-    and covariance its 3x3 layout of %s.  Each row's text is then one
-    %-format of its scalars, in sorted-key order and spelled as json
-    spells them.
-    """
-    columns = dict(columns)
-    cov = np.reshape(columns.pop("covariance"), (-1, 9)).tolist()
-    entries = {key: "  " + json.dumps(key).replace("%", "%%") + ": %s" for key in columns}
-    entries["covariance"] = json.dumps({"covariance": [[0] * 3] * 3},
-                                       indent=2)[2:-2].replace("0", "%s")
-    template = "{\n" + ",\n".join(entries[key] for key in sorted(entries)) + "\n}\n"
-    values = [np.asarray(columns[key]).tolist() for key in sorted(columns)]
-    at = sum(key < "covariance" for key in columns)
-    for *row, row_cov in zip(*values, cov, strict=True):
-        yield template % tuple(map(_json_scalar, row[:at] + row_cov + row[at:]))
+    columns of fit_curves, and any other per-row sequences."""
+    for row in zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True):
+        yield json.dumps(dict(zip(columns, row)), indent=2, sort_keys=True) + "\n"
 
 
 def write_fit_json(columns: dict, paths) -> None:

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbmrelax.errors import ParameterError
 from rbmrelax.measure_sim import MeasurementPlan, default_dark_times, simulate_curve
 from rbmrelax.scenario import draw_spots, measurement_plan, parse_config, predict
 
@@ -90,12 +89,3 @@ def test_shipped_ensembles_match_scalar_reference(config):
     t1_true, rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)
     _, ref_rngs = draw_spots(sc, np.random.SeedSequence(sc.seed, spawn_key=(0,)), 500)
     assert_matches_reference(t1_true, rngs, ref_rngs, plan)
-
-
-def test_bad_t1_rejected():
-    plan = MeasurementPlan(dark_times=default_dark_times(T1_REF), shots_per_point=10,
-                           detection_window=500e-9, photon_rate=1e5, contrast=0.2)
-    for bad in (0.0, -1e-6, math.nan, math.inf):
-        rngs, _ = rng_pair(1, 2)
-        with pytest.raises(ParameterError, match="t1_true must be positive"):
-            simulate_curve([T1_REF, bad], rngs, plan)

@@ -3,11 +3,15 @@
 Each fit document must equal json.dumps(doc, indent=2, sort_keys=True)
 + "\\n" of the fit row's record with its per-spot keys added, and each
 curve file must equal write_table's, byte for byte, whatever the
-keys and values.
+keys and values.  The compute phase, measure_sim.simulate_condition,
+writes no file, and its arrays are what the spot files of simulate hold.
 """
 
 import json
 import math
+import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -23,11 +27,16 @@ from rbmrelax.measure_sim import (
     _TOO_SHORT,
     CURVE_HEADER,
     MeasurementPlan,
+    read_curve,
     render_fit_json,
+    simulate_condition,
     write_curve,
     write_fit_json,
 )
+from rbmrelax.scenario import draw_spots, measurement_plan, parse_config, predict
 from rbmrelax.table import write_table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
 values = st.one_of(st.sampled_from(SPECIAL), st.floats())
@@ -133,3 +142,39 @@ def test_curve_files_equal_write_table(tmp_path_factory, rows):
         ref = out / f"ref_{j}.tsv"
         write_table(ref, dict(zip(CURVE_HEADER, np.array(rows[j], dtype=float).T)))
         assert path.read_bytes() == ref.read_bytes()
+
+
+def ieee(value):
+    """value with every float replaced by its bytes, so == compares bit for bit."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, list):
+        return [ieee(v) for v in value]
+    return value
+
+
+def test_compute_phase_writes_nothing_and_equals_the_spot_files(tmp_path, monkeypatch):
+    config, seed, index, n = CONFIGS / "gd_water_25nm.ini", 11, 0, 6
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    sc = replace(parse_config(config), seed=seed)
+    plan = measurement_plan(sc, predict(sc)["t1_s"])
+    t1_true, rngs = draw_spots(sc, np.random.SeedSequence(seed, spawn_key=(index,)), n)
+    curve, columns, entry = simulate_condition(t1_true, rngs, plan)
+    assert list(work.iterdir()) == []
+
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--spots", str(n), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    rows = {key: np.asarray(column).tolist() for key, column in columns.items()}
+    for j in range(n):
+        stem = out / "gd_water_25nm" / f"spot_{j:04d}"
+        on_disk = read_curve(f"{stem}_curve.tsv")
+        for written, computed in zip(on_disk, curve, strict=True):
+            assert written.tobytes() == computed[j].tobytes()
+        doc = json.loads(Path(f"{stem}_fit.json").read_text())
+        assert ieee(doc) == ieee({key: row[j] for key, row in rows.items()})
+    summary = json.loads((out / "summary.json").read_text())["conditions"]["gd_water_25nm"]
+    assert entry["gaussian"] is not None
+    assert ieee(summary) == ieee(summary | entry)
