@@ -24,7 +24,7 @@ fails the run with nothing written.  Compute (measure_sim.simulate_condition)
 simulates and fits one condition's spots and forms its summary entry, with
 no file I/O.  Write stores that condition's curve file and fit document
 per spot before the next is computed, then summary.json, the manifest and
-the stdout lines.  A fit document is the json.dumps of a spot's fit
+the stdout lines.  A fit document equals the json.dumps of a spot's fit
 columns, index and true T1; the condition's plan, seed and stream index
 are written once, in summary.json.  ``fit`` prints the one-row document
 of its curve's fit and writes that text to --out.
@@ -276,6 +276,7 @@ def _plan_simulate(args) -> list:
 def cmd_simulate(args) -> int:
     with _loading(args.freeze):
         import json
+        import tempfile
 
         from .measure_sim import separation_scores, simulate_condition, write_curve, write_fit_json
         from .scenario import config_hash
@@ -283,10 +284,8 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    probe = out_dir / ".writable"
     try:
-        probe.write_text("")
-        probe.unlink()
+        tempfile.TemporaryFile(dir=out_dir).close()  # unnamed: no file of out_dir is touched
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}")
 

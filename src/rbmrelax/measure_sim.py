@@ -17,15 +17,17 @@ signals and errors in one numpy pass, and fit_curves fits the rows in one
 batch and returns the fits as columns, one array per fit-JSON key with
 one entry per row.  simulate_condition runs both for one simulate
 condition and decides which fits its Gaussian summary counts.
-write_curve and write_fit_json write each row's curve file and fit
-document, json.dumps of the row, in one call per condition.
+write_curve and write_fit_json write every row's curve file and fit
+document; render_fit_json builds json.dumps's text column by column.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -447,6 +449,16 @@ def separation_scores(a: dict, b: dict) -> dict:
 CURVE_HEADER = ("tau_s", "signal", "stderr")
 
 
+def _write_file(path, data: bytes) -> None:
+    """Write data to path as open(path, "wb") would, looping on short writes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
 def write_curve(tau, signal, stderr, paths) -> None:
     """Write row j of the (n_curves, n_points) tau, signal and stderr arrays
     to paths[j] as a table (see rbmrelax.table), lossless at 17 significant
@@ -454,8 +466,7 @@ def write_curve(tau, signal, stderr, paths) -> None:
     fmt = table_format(CURVE_HEADER, np.shape(signal)[-1])
     curves = np.stack((tau, signal, stderr), axis=-1)
     for path, curve in zip(paths, curves, strict=True):
-        with open(path, "wb") as fh:
-            fh.write((fmt % tuple(curve.ravel().tolist())).encode())
+        _write_file(path, (fmt % tuple(curve.ravel().tolist())).encode())
 
 
 def read_curve(path):
@@ -471,16 +482,36 @@ def read_curve(path):
     return tau, signal, stderr
 
 
+def _column_texts(column) -> list:
+    """Each row's text of a column, one level into json.dumps(doc, indent=2):
+    one json.dumps of a numeric or bool column's values, in a zero row's layout."""
+    column = np.asarray(column)
+    if column.dtype.kind not in "biuf":
+        return [json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
+                for v in column.tolist()]
+    flat = json.dumps(column.ravel().tolist())[1:-1].split(", ") if column.size else []
+    if column.ndim == 1:
+        return flat
+    k = math.prod(column.shape[1:])
+    layout = json.dumps(np.zeros(column.shape[1:]).tolist(), indent=2)
+    fmt = layout.replace("\n", "\n  ").replace("0.0", "%s")
+    return [fmt % tuple(flat[j * k:j * k + k]) for j in range(len(column))]
+
+
 def render_fit_json(columns: dict):
-    """Yield row j's JSON document, json.dumps(doc, indent=2,
-    sort_keys=True) + "\n", where doc holds row j of each column: the fit
-    columns of fit_curves, and any other per-row sequences."""
-    for row in zip(*(np.asarray(column).tolist() for column in columns.values()), strict=True):
-        yield json.dumps(dict(zip(columns, row)), indent=2, sort_keys=True) + "\n"
+    """Yield row j's JSON document for each row j, equal to json.dumps(doc,
+    indent=2, sort_keys=True) + "\n", where doc holds row j of each column:
+    the fit columns of fit_curves, and any other per-row sequences.  Every
+    row has the same keys and layouts, so a row is each key's head joined
+    with the row's text of that column (_column_texts)."""
+    keys = sorted(columns)
+    heads = [(",\n  " if i else "{\n  ") + json.dumps(key) + ": " for i, key in enumerate(keys)]
+    texts = [_column_texts(columns[key]) for key in keys]
+    for row in zip(*texts, strict=True):
+        yield "".join(chain.from_iterable(zip(heads, row))) + "\n}\n"
 
 
 def write_fit_json(columns: dict, paths) -> None:
-    """Write row j's JSON document (render_fit_json) to paths[j]."""
+    """Write row j's JSON document (render_fit_json) to paths[j] with _write_file."""
     for path, text in zip(paths, render_fit_json(columns), strict=True):
-        with open(path, "wb") as fh:
-            fh.write(text.encode())
+        _write_file(path, text.encode())

@@ -184,6 +184,31 @@ def test_simulate_reproducible(fast_config, tmp_path, capsys):
     assert len(curves) == 6
 
 
+def test_simulate_keeps_a_users_writable_file(fast_config, tmp_path, capsys):
+    # the writability probe is a file without a name in --out
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".writable").write_text("the user's notes\n")
+    assert main(["simulate", "--config", str(fast_config), "--spots", "2",
+                 "--out", str(out)]) == 0
+    assert (out / ".writable").read_text() == "the user's notes\n"
+
+
+def test_simulate_unwritable_out_is_one_error_line(fast_config, tmp_path, capsys,
+                                                    monkeypatch):
+    out = tmp_path / "out"
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    assert main(["simulate", "--config", str(fast_config), "--spots", "2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out} is not writable: [Errno 13] Permission denied\n"
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_two_conditions_separation(fast_config, tmp_path, capsys):
     other = tmp_path / "other.ini"
     other.write_text(FAST_BODY.replace("density_per_m3 = 6.894758631919541e+25",

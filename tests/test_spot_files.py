@@ -3,12 +3,18 @@
 Each fit document must equal json.dumps(doc, indent=2, sort_keys=True)
 + "\\n" of the fit row's record with its per-spot keys added, and each
 curve file must equal write_table's, byte for byte, whatever the
-keys and values.  The compute phase, measure_sim.simulate_condition,
-writes no file, and its arrays are what the spot files of simulate hold.
+keys and values.  The per-spot columns are drawn of every kind that
+render_fit_json spells by column: float, int and bool columns, nested
+numeric rows of several shapes, and object columns of mixed values.
+Both writers write each file whole under short writes, with the mode
+that open(path, "wb") gives.  The compute phase,
+measure_sim.simulate_condition, writes no file, and its arrays are what
+the spot files of simulate hold.
 """
 
 import json
 import math
+import os
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -72,6 +78,27 @@ def records(draw):
         "singular_curvature": draw(st.booleans())}
 
 
+ROWS = 4
+
+
+def rows_of(element, shape=()):
+    """A strategy for ROWS rows of element, each nested to shape."""
+    for size in reversed((ROWS, *shape)):
+        element = st.lists(element, min_size=size, max_size=size)
+    return element
+
+
+INTS = st.integers(min_value=-2**63, max_value=2**63 - 1)
+# the Python rows of a per-spot column and the dtype it is handed over in;
+# an object column holds one Python value per row, dicts included
+EXTRAS = st.one_of(
+    st.tuples(st.one_of(rows_of(values), rows_of(INTS), rows_of(st.booleans())), st.none()),
+    st.tuples(rows_of(st.one_of(st.text(), st.none(), values, INTS,
+                                st.dictionaries(KEYS, values, max_size=2))), st.just(object)),
+    st.tuples(st.sampled_from(((2,), (2, 2), (1, 3), (2, 0))).flatmap(
+        lambda shape: st.one_of(rows_of(values, shape), rows_of(INTS, shape))), st.none()))
+
+
 def columns_of(batch):
     """The fit columns, as fit_curves returns them, of a list of records."""
     return {key: np.array([record[key] for record in batch],
@@ -91,18 +118,21 @@ def test_plan_entry_spelling():
 
 
 @settings(max_examples=200, deadline=None)
-@given(batch=st.lists(records(), min_size=1, max_size=4),
-       row_columns=st.dictionaries(KEYS, st.lists(values, min_size=4, max_size=4),
-                                   max_size=3))
+@given(batch=st.lists(records(), min_size=1, max_size=ROWS),
+       row_columns=st.dictionaries(KEYS, EXTRAS, max_size=3))
 def test_fit_documents_equal_json_dumps(tmp_path_factory, batch, row_columns):
-    # simulate's columns: the fit's, the spot index and any per-row extras
+    # simulate's columns: the fit's, the spot index and any per-row extras,
+    # each handed over as an array and referenced by its Python rows
     n = len(batch)
-    extra = {"spot": range(n), **{key: value[:n] for key, value in row_columns.items()}}
-    assume(not set(TOO_SHORT) & set(extra))
+    rows = {"spot": list(range(n)),
+            **{key: value[:n] for key, (value, _) in row_columns.items()}}
+    assume(not set(TOO_SHORT) & set(rows))
+    extra = {"spot": range(n), **{key: np.array(value[:n], dtype=dtype)
+                                  for key, (value, dtype) in row_columns.items()}}
     paths = [tmp_path_factory.mktemp("fits") / f"spot_{j}.json" for j in range(n)]
     write_fit_json(columns_of(batch) | extra, paths)
     for j, (record, path) in enumerate(zip(batch, paths)):
-        expected = reference(record, {key: value[j] for key, value in extra.items()})
+        expected = reference(record, {key: value[j] for key, value in rows.items()})
         assert path.read_bytes() == expected.encode()
 
 
@@ -142,6 +172,47 @@ def test_curve_files_equal_write_table(tmp_path_factory, rows):
         ref = out / f"ref_{j}.tsv"
         write_table(ref, dict(zip(CURVE_HEADER, np.array(rows[j], dtype=float).T)))
         assert path.read_bytes() == ref.read_bytes()
+
+
+def write_spot_files(out, n=3):
+    """The curve files and fit documents of n simulated spots under out."""
+    t1_true = np.full(n, 2e-4)
+    rngs = [np.random.default_rng(j) for j in range(n)]
+    curve, columns, _ = simulate_condition(t1_true, rngs, PLAN)
+    out.mkdir()
+    write_curve(*curve, [out / f"spot_{j}_curve.tsv" for j in range(n)])
+    write_fit_json(columns, [out / f"spot_{j}_fit.json" for j in range(n)])
+    return sorted(out.iterdir())
+
+
+def test_files_are_whole_under_short_writes(tmp_path, monkeypatch):
+    whole = write_spot_files(tmp_path / "whole")
+    calls, real_write = [], os.write
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", short_write)
+    short = write_spot_files(tmp_path / "short")
+    monkeypatch.undo()
+    assert len(calls) > 10 * len(short)
+    assert [p.name for p in short] == [p.name for p in whole]
+    for a, b in zip(short, whole):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_files_have_the_mode_of_open(tmp_path):
+    old = os.umask(0o027)
+    try:
+        files = write_spot_files(tmp_path / "spots")
+        with open(tmp_path / "by_open", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "by_open").stat().st_mode
+    assert mode & 0o777 == 0o640
+    assert [p.stat().st_mode for p in files] == [mode] * len(files)
 
 
 def ieee(value):
